@@ -18,6 +18,7 @@ import base64
 import binascii
 import hashlib
 import html
+import re
 import secrets
 import socket
 import urllib.error
@@ -25,7 +26,7 @@ import urllib.request
 import zlib
 from dataclasses import dataclass
 from typing import Callable
-from urllib.parse import quote_plus, urlsplit
+from urllib.parse import quote_plus, unquote_to_bytes, urlsplit
 
 from .core import EntityId, SamlError, TokenSource
 from .xmlcodec import NS_ENVELOPE, MalformedXml, canonicalize, element, parse_xml
@@ -169,30 +170,17 @@ def serialize_post_body(form: PostForm) -> bytes:
     return "&".join(f"{name}={quote_plus(value)}" for name, value in pairs).encode("ascii")
 
 
-_HEX = "0123456789abcdefABCDEF"
+_BAD_ESCAPE = re.compile("%(?![0-9A-Fa-f]{2})")
 
 
 def _percent_decode(raw: str) -> str:
     """Strict application/x-www-form-urlencoded value decoding."""
-    data = raw.encode("utf-8")
-    out = bytearray()
-    i = 0
-    while i < len(data):
-        byte = data[i]
-        if byte == 0x2B:  # '+'
-            out.append(0x20)
-            i += 1
-        elif byte == 0x25:  # '%'
-            pair = data[i + 1 : i + 3].decode("ascii", errors="replace")
-            if len(pair) != 2 or pair[0] not in _HEX or pair[1] not in _HEX:
-                raise BadUrlEncoding(f"invalid percent escape %{pair}")
-            out.append(int(pair, 16))
-            i += 3
-        else:
-            out.append(byte)
-            i += 1
+    bad = _BAD_ESCAPE.search(raw)
+    if bad is not None:
+        pair = raw[bad.end() : bad.end() + 2].encode("utf-8")[:2]
+        raise BadUrlEncoding(f"invalid percent escape %{pair.decode('ascii', errors='replace')}")
     try:
-        return out.decode("utf-8")
+        return unquote_to_bytes(raw.replace("+", " ")).decode("utf-8")
     except UnicodeDecodeError:
         raise BadUrlEncoding("decoded value is not UTF-8") from None
 

@@ -185,6 +185,9 @@ class HarnessService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a reply goes out as headers, then body; without it the
+    # body waits for a keep-alive client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> HarnessService:

@@ -9,6 +9,7 @@ and never creates a partial session.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import logging
 import secrets
 import threading
@@ -70,10 +71,14 @@ class InvalidRequestSignature(SamlError):
 
 class ReplayCache:
     """Consumed-ID store. An ID that is present and unexpired blocks
-    re-acceptance; the insert is an atomic check-and-record."""
+    re-acceptance; the insert is an atomic check-and-record.
+
+    A min-heap of ``(expiry, id)`` mirrors the dict one-to-one, so eviction
+    pops only the expired entries instead of scanning every live ID."""
 
     def __init__(self) -> None:
         self._entries: dict[str, Instant] = {}
+        self._expiries: list[tuple[Instant, str]] = []
         self._lock = threading.Lock()
 
     def check_and_record(self, message_id: str, expiry: Instant, now: Instant) -> bool:
@@ -83,6 +88,7 @@ class ReplayCache:
             if message_id in self._entries:
                 return False
             self._entries[message_id] = expiry
+            heapq.heappush(self._expiries, (expiry, message_id))
             return True
 
     def evict_expired(self, now: Instant) -> None:
@@ -90,9 +96,9 @@ class ReplayCache:
             self._evict(now)
 
     def _evict(self, now: Instant) -> None:
-        stale = [k for k, expiry in self._entries.items() if now >= expiry]
-        for key in stale:
-            del self._entries[key]
+        while self._expiries and self._expiries[0][0] <= now:
+            _, message_id = heapq.heappop(self._expiries)
+            del self._entries[message_id]
 
     def __contains__(self, message_id: str) -> bool:
         with self._lock:

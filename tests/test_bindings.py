@@ -1,4 +1,6 @@
+import re
 import socket
+import string
 import threading
 
 import pytest
@@ -21,6 +23,7 @@ from samlforge.bindings import (
     PostForm,
     RelayStateTooLong,
     UrlTooLong,
+    _percent_decode,
     back_channel_exchange,
     decode_post,
     decode_redirect,
@@ -93,6 +96,37 @@ class TestPostBinding:
         decoded = decode_post(serialize_post_body(form))
         assert decoded.message == payload
         assert decoded.relay_state == relay
+
+    @given(
+        raw=st.lists(
+            st.sampled_from(["%", "+", "%FF", "%C3", "%2", "%e9", "%20", "%2B", "%%"])
+            | st.sampled_from(list("0123456789abcdefABCDEFghxyzGZ =&"))
+            | st.characters(min_codepoint=0x80, max_codepoint=0x2FFF),
+            max_size=12,
+        ).map("".join)
+    )
+    @settings(max_examples=500)
+    def test_percent_decode_matches_oracle(self, raw):
+        def well_formed(i):
+            pair = raw[i + 1 : i + 3]
+            return len(pair) == 2 and set(pair) <= set(string.hexdigits)
+
+        bad = [i for i, c in enumerate(raw) if c == "%" and not well_formed(i)]
+        if bad:
+            # the message shows the two bytes after the first bad '%'
+            shown = raw[bad[0] + 1 :].encode("utf-8")[:2].decode("ascii", errors="replace")
+            message = f"invalid percent escape %{shown}"
+            with pytest.raises(BadUrlEncoding, match=re.escape(message) + "$"):
+                _percent_decode(raw)
+            return
+        expected = oracles.percent_decode(raw)
+        try:
+            text = expected.decode("utf-8")
+        except UnicodeDecodeError:
+            with pytest.raises(BadUrlEncoding, match="not UTF-8"):
+                _percent_decode(raw)
+            return
+        assert _percent_decode(raw) == text
 
     @given(
         action=st.text(min_size=1, max_size=30),

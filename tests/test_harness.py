@@ -1,5 +1,8 @@
+import http.client
 import re
 import socket
+import statistics
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -391,3 +394,20 @@ class TestHttpService:
             bindings.serialize_post_body(form), "127.0.0.1", SIM_EPOCH.plus(1)
         )
         assert http_report.strip() == result.report.render().strip()
+
+    def test_keep_alive_replies_do_not_wait_on_delayed_ack(self, live_service):
+        service, _, _ = live_service
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        round_trips = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                conn.request("GET", "/metadata/idp")
+                response = conn.getresponse()
+                body = response.read()
+                round_trips.append((time.perf_counter() - started) * 1000)
+                assert response.status == 200 and b"IDPSSODescriptor" in body
+        finally:
+            conn.close()
+        # with Nagle on, the body waits ~40 ms for the client's delayed ACK
+        assert statistics.median(round_trips) < 20, round_trips

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import pytest
@@ -337,3 +338,66 @@ class TestReplayCache:
         for message_id, expiry in recorded.items():
             if expiry > now:
                 assert message_id in cache
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["record", "evict", "contains"]),
+                st.text("abc", min_size=1, max_size=2),
+                st.integers(0, 60),
+                st.integers(0, 60),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_full_scan_model(self, ops):
+        """Non-monotonic clocks included: every call evicts exactly the
+        entries whose expiry is at or before its ``now``."""
+        cache = ReplayCache()
+        model: dict[str, int] = {}
+
+        def model_evict(now):
+            for key in [k for k, expiry in model.items() if now >= expiry]:
+                del model[key]
+
+        for op, message_id, expiry, now in ops:
+            if op == "record":
+                model_evict(now)
+                fresh = message_id not in model
+                if fresh:
+                    model[message_id] = expiry
+                assert cache.check_and_record(message_id, Instant(expiry), Instant(now)) == fresh
+            elif op == "evict":
+                model_evict(now)
+                cache.evict_expired(Instant(now))
+            else:
+                assert (message_id in cache) == (message_id in model)
+            assert len(cache) == len(model)
+
+    def test_concurrent_inserts_admit_each_id_once(self):
+        cache = ReplayCache()
+        ids = [f"_id{n}" for n in range(500)]
+        wins: list[str] = []
+        wins_lock = threading.Lock()
+        start = threading.Barrier(8)
+
+        def race():
+            start.wait()
+            mine = [i for i in ids if cache.check_and_record(i, Instant(100), Instant(0))]
+            with wins_lock:
+                wins.extend(mine)
+
+        threads = [threading.Thread(target=race) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(wins) == sorted(ids)
+        assert len(cache) == len(ids)
