@@ -284,7 +284,7 @@ def check_audience(conditions: Conditions, local: EntityId) -> ValidityVerdict:
     return ValidityVerdict(Outcome.AUDIENCE_MISMATCH, f"{local} not among [{listed}]")
 
 
-def _trim_slash(url: str) -> str:
+def trim_slash(url: str) -> str:
     return url[:-1] if url.endswith("/") else url
 
 
@@ -300,7 +300,7 @@ def check_bearer(
         raise UnsupportedConfirmationMethod(confirmation.method)
     if skew < 0:
         raise ValueError("skew must be >= 0")
-    if _trim_slash(confirmation.recipient) != _trim_slash(acs_url):
+    if trim_slash(confirmation.recipient) != trim_slash(acs_url):
         return ValidityVerdict(
             Outcome.RECIPIENT_MISMATCH,
             f"recipient {confirmation.recipient!r} != acs {acs_url!r}",

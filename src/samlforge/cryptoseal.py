@@ -27,7 +27,7 @@ import datetime
 import secrets
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 from cryptography import x509
 from cryptography.exceptions import InvalidSignature
@@ -38,7 +38,13 @@ from cryptography.hazmat.primitives.padding import PKCS7
 from cryptography.x509.oid import NameOID
 
 from .core import EncryptedAssertion, EntityId, SamlError, Signature
-from .xmlcodec import ALG_AES128_CBC, ALG_RSA_SHA256, ALG_SHA256, NS_DSIG, canonicalize, element
+from .xmlcodec import (
+    ALG_AES128_CBC,
+    ALG_RSA_SHA256,
+    ALG_SHA256,
+    canonicalize,
+    signed_info_element,
+)
 
 
 class BadPassphrase(SamlError):
@@ -220,32 +226,9 @@ def load_keystore(path: str | Path, passphrase: str) -> KeyStore:
 # ---------------------------------------------------------------------------
 
 
-def _signed_info_element(reference_id: str, digest_value: bytes):
-    return element(
-        NS_DSIG,
-        "SignedInfo",
-        children=[
-            element(NS_DSIG, "SignatureMethod", {"Algorithm": ALG_RSA_SHA256}),
-            element(
-                NS_DSIG,
-                "Reference",
-                {"URI": "#" + reference_id},
-                children=[
-                    element(NS_DSIG, "DigestMethod", {"Algorithm": ALG_SHA256}),
-                    element(
-                        NS_DSIG,
-                        "DigestValue",
-                        text=base64.b64encode(digest_value).decode("ascii"),
-                    ),
-                ],
-            ),
-        ],
-    )
-
-
 def signed_info_bytes(reference_id: str, digest_value: bytes) -> bytes:
     """Canonical bytes the RSA signature actually covers."""
-    return canonicalize(_signed_info_element(reference_id, digest_value))
+    return canonicalize(signed_info_element(ALG_RSA_SHA256, ALG_SHA256, reference_id, digest_value))
 
 
 def _sha256(data: bytes) -> bytes:
@@ -272,6 +255,18 @@ def sign_element(
         signature_value=signature_value,
         certificate=entry.cert_der,
     )
+
+
+Message = TypeVar("Message")
+
+
+def sign_message(
+    message: Message, emit: Callable[[Message], bytes], alias: str, store: KeyStore
+) -> Message:
+    """Return ``message`` with an enveloped signature over ``emit`` of the
+    message without its signature."""
+    unsigned = replace(message, signature=None)
+    return replace(unsigned, signature=sign_element(emit(unsigned), message.id, alias, store))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
             decoded = bindings.decode_post(raw)
             transport = "POST form body (base64)"
         root = xmlcodec.parse_xml(decoded.message)
+        rendered = xmlcodec.pretty(root)
     except SamlError as exc:
         print(f"decode failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DECODE
@@ -76,7 +77,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         print(f"relay-state: {decoded.relay_state}")
     print(f"document: {root.local}")
     print()
-    print(xmlcodec.pretty(root))
+    print(rendered)
     print()
 
     attributes: dict[str, tuple[str, ...]] = {}

@@ -73,12 +73,9 @@ def _reissue(
     resign_response: bool,
 ) -> Response:
     if resign_assertion:
-        assertion = dataclasses.replace(assertion, signature=None)
-        payload = xmlcodec.emit_assertion(assertion)
-        signature = cryptoseal.sign_element(
-            payload, assertion.id, kit.idp_signing_alias, kit.idp_store
+        assertion = cryptoseal.sign_message(
+            assertion, xmlcodec.emit_assertion, kit.idp_signing_alias, kit.idp_store
         )
-        assertion = dataclasses.replace(assertion, signature=signature)
 
     sealed: Assertion | EncryptedAssertion = assertion
     if was_encrypted:
@@ -91,11 +88,9 @@ def _reissue(
 
     rebuilt = dataclasses.replace(response, assertion=sealed, signature=None)
     if resign_response:
-        payload = xmlcodec.emit_response(rebuilt)
-        signature = cryptoseal.sign_element(
-            payload, rebuilt.id, kit.idp_signing_alias, kit.idp_store
+        rebuilt = cryptoseal.sign_message(
+            rebuilt, xmlcodec.emit_response, kit.idp_signing_alias, kit.idp_store
         )
-        rebuilt = dataclasses.replace(rebuilt, signature=signature)
     return rebuilt
 
 

@@ -25,7 +25,7 @@ from .. import bindings, cryptoseal, xmlcodec
 from ..core import EntityId, Instant, SamlError
 from ..federation import FederationRegistry, register_partner
 from ..idp import AttributeSource, IdpEngine, parse_attribute_records
-from ..sp import ConsumeResult, SpEngine, ValidationReport
+from ..sp import PIPELINE_STEPS, ConsumeResult, SpEngine, ValidationReport
 from . import faults as faults_mod
 from .config import build_idp_descriptor, build_sp_descriptor
 from .faults import FAULT_STEP, FaultKit, apply_message_fault
@@ -40,21 +40,7 @@ _EXCLUSIVE_FAULTS = {
     "cross_pair_tokens",
 }
 
-_STEP_ORDER = (
-    "fetch",
-    "decode",
-    "parse",
-    "issuer",
-    "signature",
-    "status",
-    "destination",
-    "window",
-    "audience",
-    "bearer",
-    "replay",
-    "locality",
-    "relay_state",
-)
+_STEP_ORDER = ("fetch",) + PIPELINE_STEPS
 
 _ARTIFACT_ONLY = {"replay_artifact"}
 _PAIR_ONLY = {"single_token_of_pair", "cross_pair_tokens"}
@@ -230,11 +216,8 @@ class SimulatedFederation:
     def __init__(
         self,
         encrypt: bool = False,
-        want_assertions_signed: bool = True,
         seed: int = 0,
         skew: int = 0,
-        validity: int = 300,
-        locality_check: bool = True,
         records: str = DEFAULT_RECORDS,
         keys: dict[str, cryptoseal.KeyEntry] | None = None,
     ) -> None:
@@ -256,19 +239,14 @@ class SimulatedFederation:
             SP_BASE,
             keys["sp-signing"].cert_b64,
             keys["sp-encryption"].cert_b64 if encrypt else None,
-            want_assertions_signed=want_assertions_signed,
         )
 
         idp_registry = FederationRegistry(local=idp_desc, signing_alias="idp-signing")
         sp_registry = FederationRegistry(
             local=sp_desc, signing_alias="sp-signing", encryption_alias="sp-encryption"
         )
-        idp_registry = register_partner(
-            idp_registry, xmlcodec.emit_metadata(sp_desc), clock_skew=skew, validity=validity
-        )
-        sp_registry = register_partner(
-            sp_registry, xmlcodec.emit_metadata(idp_desc), clock_skew=skew, validity=validity
-        )
+        idp_registry = register_partner(idp_registry, xmlcodec.emit_metadata(sp_desc), clock_skew=skew)
+        sp_registry = register_partner(sp_registry, xmlcodec.emit_metadata(idp_desc), clock_skew=skew)
 
         self.source: AttributeSource = parse_attribute_records(records)
         self.idp = IdpEngine(idp_registry, idp_store, self.source, token_source=token_source)
@@ -276,7 +254,6 @@ class SimulatedFederation:
             sp_registry,
             sp_store,
             landing_url=LANDING_URL,
-            locality_check=locality_check,
             token_source=token_source,
             back_channel=self._back_channel,
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import secrets
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -191,8 +191,9 @@ class ArtifactEntry:
 class ArtifactStore:
     """Single-use artifact entries; consumption is an atomic test-and-set."""
 
-    def __init__(self, retention: int = 300) -> None:
-        self.retention = retention
+    RETENTION = 300  # seconds an artifact stays resolvable
+
+    def __init__(self) -> None:
         self._entries: dict[bytes, ArtifactEntry] = {}
         self._lock = threading.Lock()
 
@@ -229,7 +230,7 @@ class ArtifactStore:
                 ):
                     raise MismatchedPair("artifacts do not belong to the same pair")
             for handle, entry in zip(handles, entries):
-                if now.epoch - entry.issued_at.epoch >= self.retention:
+                if now.epoch - entry.issued_at.epoch >= self.RETENTION:
                     raise ArtifactExpired(handle.hex())
             if any(entry.consumed for entry in entries):
                 raise AlreadyConsumed(handles[0].hex())
@@ -242,7 +243,7 @@ class ArtifactStore:
             stale = [
                 h
                 for h, e in self._entries.items()
-                if now.epoch - e.issued_at.epoch >= self.retention
+                if now.epoch - e.issued_at.epoch >= self.RETENTION
             ]
             for handle in stale:
                 del self._entries[handle]
@@ -263,7 +264,6 @@ class IdpEngine:
         store: cryptoseal.KeyStore,
         source: AttributeSource,
         token_source: TokenSource = secrets.token_bytes,
-        artifact_retention: int = 300,
     ) -> None:
         if not isinstance(registry.local.role, IdpSsoDescriptor):
             raise ValueError("IdpEngine needs a registry whose local entity is an IdP")
@@ -273,7 +273,7 @@ class IdpEngine:
         self.source = source
         self.token_source = token_source
         self.sessions: dict[str, IdpSession] = {}
-        self.artifacts = ArtifactStore(retention=artifact_retention)
+        self.artifacts = ArtifactStore()
         self.request_replay = ReplayCache()
         # logout request id -> (session index, partner entity id)
         self._pending_logouts: dict[str, tuple[str, str]] = {}
@@ -390,9 +390,9 @@ class IdpEngine:
     def _sign_assertion(self, assertion: Assertion, policy) -> Assertion:
         if not policy.sign_assertion:
             return assertion
-        payload = xmlcodec.emit_assertion(assertion)
-        signature = cryptoseal.sign_element(payload, assertion.id, self._signing_alias(), self.store)
-        return replace(assertion, signature=signature)
+        return cryptoseal.sign_message(
+            assertion, xmlcodec.emit_assertion, self._signing_alias(), self.store
+        )
 
     def _seal_assertion(self, assertion: Assertion, partner: Partner, policy):
         if not policy.encrypt_assertion:
@@ -404,9 +404,9 @@ class IdpEngine:
         )
 
     def _sign_response(self, response: Response) -> Response:
-        payload = xmlcodec.emit_response(response)
-        signature = cryptoseal.sign_element(payload, response.id, self._signing_alias(), self.store)
-        return replace(response, signature=signature)
+        return cryptoseal.sign_message(
+            response, xmlcodec.emit_response, self._signing_alias(), self.store
+        )
 
     def idp_initiated_post(
         self,
@@ -571,13 +571,13 @@ class IdpEngine:
                 name_id=record.name_id,
                 session_index=session_index,
             )
-            payload = xmlcodec.emit_logout_request(request)
             if self.registry.signing_alias is not None:
-                signature = cryptoseal.sign_element(
-                    payload, request.id, self.registry.signing_alias, self.store
+                request = cryptoseal.sign_message(
+                    request, xmlcodec.emit_logout_request, self.registry.signing_alias, self.store
                 )
-                payload = xmlcodec.emit_logout_request(replace(request, signature=signature))
-            forms.append(bindings.encode_post(payload, "request", destination))
+            forms.append(
+                bindings.encode_post(xmlcodec.emit_logout_request(request), "request", destination)
+            )
             issued.append((request.id, sp_id))
 
         with self._lock:

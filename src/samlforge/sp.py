@@ -33,6 +33,7 @@ from .core import (
     check_locality,
     evaluate_window,
     new_message_id,
+    trim_slash,
     STATUS_SUCCESS,
 )
 from .federation import (
@@ -223,7 +224,6 @@ class SpEngine:
             lambda endpoint, payload: bindings.back_channel_exchange(endpoint, payload)
         )
         self.replay = ReplayCache()
-        self.request_replay = ReplayCache()
         self.sessions: dict[str, list[SsoSession]] = {}
         self._relay_states: dict[str, tuple[str, Instant]] = {}
 
@@ -308,7 +308,7 @@ class SpEngine:
         report.record("status", True)
 
         # (6) destination
-        if _trim(response.destination) != _trim(self.acs_url):
+        if trim_slash(response.destination) != trim_slash(self.acs_url):
             report.record(
                 "destination", False, f"{response.destination!r} is not this consumer service"
             )
@@ -477,14 +477,13 @@ class SpEngine:
         if self.local_role.authn_requests_signed:
             if self.registry.signing_alias is None:
                 raise UnsupportedBinding("local metadata promises signed requests but no signing alias is set")
-            payload = xmlcodec.emit_authn_request(request)
-            signature = cryptoseal.sign_element(
-                payload, request.id, self.registry.signing_alias, self.store
+            request = cryptoseal.sign_message(
+                request, xmlcodec.emit_authn_request, self.registry.signing_alias, self.store
             )
             # Drop the embedded certificate so the request fits the redirect
             # URL budget; the receiver verifies against pinned metadata certs.
             request = dataclasses.replace(
-                request, signature=dataclasses.replace(signature, certificate=b"")
+                request, signature=dataclasses.replace(request.signature, certificate=b"")
             )
         token = self.token_source(9).hex()
         expiry = now.plus(partner.policy.validity + BEARER_GRACE_SECONDS)
@@ -603,21 +602,11 @@ class SpEngine:
             status=STATUS_SUCCESS,
             in_response_to=request.id,
         )
-        payload = xmlcodec.emit_logout_response(response)
         if self.registry.signing_alias is not None:
-            signature = cryptoseal.sign_element(
-                payload, response.id, self.registry.signing_alias, self.store
+            response = cryptoseal.sign_message(
+                response, xmlcodec.emit_logout_response, self.registry.signing_alias, self.store
             )
-            response = LogoutResponse(
-                id=response.id,
-                issue_instant=response.issue_instant,
-                issuer=response.issuer,
-                status=response.status,
-                in_response_to=response.in_response_to,
-                signature=signature,
-            )
-            payload = xmlcodec.emit_logout_response(response)
-        return payload
+        return xmlcodec.emit_logout_response(response)
 
     def _require_signed_logout(self) -> bool:
         # An SP that insists on signed assertions also insists on signed logout.
@@ -628,7 +617,3 @@ class SpEngine:
             if session_index is not None:
                 return tuple(self.sessions.get(session_index, ()))
             return tuple(s for group in self.sessions.values() for s in group)
-
-
-def _trim(url: str) -> str:
-    return url[:-1] if url.endswith("/") else url

@@ -235,68 +235,51 @@ def _write(elem: XmlElement, scope: dict[str, str], counter: list[int], out: lis
     out.append(f"</{tag}>")
 
 
+# Canonical output has no whitespace between tags, attribute values never
+# hold '"' and text never holds "<": an element with text is one token and
+# every other tag is a token of its own.
+_PRETTY_TOKENS = re.compile(r'<[^/](?:[^>"]|"[^"]*")*>[^<]+</[^>]*>|<(?:[^>"]|"[^"]*")*>')
+
+
 def pretty(elem: XmlElement, indent: int = 2) -> str:
-    """Human-oriented rendering for CLI inspection; not canonical."""
+    """The canonical bytes with one element per line, for CLI inspection."""
     lines: list[str] = []
-    _pretty(elem, {NS_XML: "xml"}, [0], 0, indent, lines)
+    depth = 0
+    for token in _PRETTY_TOKENS.findall(canonicalize(elem).decode("utf-8")):
+        if token.startswith("</"):
+            depth -= 1
+        lines.append(" " * (depth * indent) + token)
+        if not token.endswith("/>") and "</" not in token:
+            depth += 1  # an opening tag whose children follow
     return "\n".join(lines)
 
 
-def _pretty(
-    elem: XmlElement,
-    scope: dict[str, str],
-    counter: list[int],
-    depth: int,
-    indent: int,
-    lines: list[str],
-) -> None:
-    scope = dict(scope)
-    declarations: list[tuple[str, str]] = []
+class _NoDtdBuilder(ET.TreeBuilder):
+    """Tree builder that stops the parse at a document type declaration,
+    before any entity it declares can be defined or expanded."""
 
-    def ensure(ns: str) -> str:
-        if ns in scope:
-            return scope[ns]
-        prefix = PREFERRED_PREFIXES.get(ns)
-        if prefix is None or prefix in scope.values():
-            prefix = f"ns{counter[0]}"
-            counter[0] += 1
-        scope[ns] = prefix
-        declarations.append((prefix, ns))
-        return prefix
-
-    tag = f"{ensure(elem.ns)}:{elem.local}"
-    parts = [f"<{tag}"]
-    for prefix, uri in sorted(declarations):
-        parts.append(f' xmlns:{prefix}="{_escape_attr(uri)}"')
-    for (ans, aname), value in elem.attrs:
-        shown = aname if not ans else f"{ensure(ans)}:{aname}"
-        parts.append(f' {shown}="{_escape_attr(value)}"')
-    pad = " " * (depth * indent)
-    if not elem.children and not elem.text:
-        lines.append(pad + "".join(parts) + "/>")
-        return
-    if elem.text:
-        lines.append(pad + "".join(parts) + ">" + _escape_text(elem.text) + f"</{tag}>")
-        return
-    lines.append(pad + "".join(parts) + ">")
-    for child in elem.children:
-        _pretty(child, scope, counter, depth + 1, indent, lines)
-    lines.append(pad + f"</{tag}>")
-
-
-_DOCTYPE_MARKERS = (b"<!DOCTYPE", b"<!ENTITY", b"<!doctype", b"<!entity")
+    def doctype(self, name: str, pubid: str | None, system: str | None) -> None:
+        raise MalformedXml("document type declarations are not accepted")
 
 
 def parse_xml(data: bytes | str) -> XmlElement:
-    """Parse UTF-8 XML into the element model; rejects DTDs and mixed content."""
+    """Parse UTF-8 XML into the element model; rejects other encodings,
+    DTDs and mixed content."""
     raw = data.encode("utf-8") if isinstance(data, str) else data
     if not isinstance(raw, (bytes, bytearray)):
         raise MalformedXml(f"expected bytes, got {type(raw).__name__}")
-    for marker in _DOCTYPE_MARKERS:
-        if marker in raw:
-            raise MalformedXml("document type declarations are not accepted")
     try:
-        root = ET.fromstring(raw)
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedXml(f"document is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    if b"\x00" in raw:
+        # XML forbids NUL, and expat reads NUL-interleaved bytes as UTF-16
+        # whatever encoding it is told.
+        raise MalformedXml("document is not UTF-8: NUL byte")
+    parser = ET.XMLParser(target=_NoDtdBuilder(), encoding="utf-8")
+    try:
+        parser.feed(raw)
+        root = parser.close()
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from None
     except ValueError as exc:
@@ -365,9 +348,25 @@ def _unb64(text: str, where: str) -> bytes:
         raise MalformedXml(f"{where}: invalid base64 content") from None
 
 
-def _check_version(elem: XmlElement) -> None:
+def _open(elem: XmlElement, ns: str, local: str, allowed: set[tuple[str, str]]) -> None:
+    """Protocol-message prologue: root tag, then Version, then children."""
+    if (elem.ns, elem.local) != (ns, local):
+        raise MalformedXml(f"expected <{local}>, got <{elem.local}>")
     if elem.attr("Version") != "2.0":
         raise MalformedXml(f"<{elem.local}> must declare Version=\"2.0\"")
+    _reject_unknown(elem, allowed)
+
+
+def _issuer_id(issuer: XmlElement) -> EntityId:
+    try:
+        return EntityId(issuer.text or "")
+    except ValueError:
+        raise MalformedXml("issuer must be a non-empty entity id") from None
+
+
+def _signature_of(elem: XmlElement) -> Signature | None:
+    sig = elem.find("Signature", NS_DSIG)
+    return signature_from_element(sig) if sig is not None else None
 
 
 def _reject_unknown(elem: XmlElement, allowed: set[tuple[str, str]]) -> None:
@@ -383,22 +382,29 @@ def _reject_unknown(elem: XmlElement, allowed: set[tuple[str, str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def signature_element(sig: Signature) -> XmlElement:
-    signed_info = element(
+def signed_info_element(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes) -> XmlElement:
+    """The SignedInfo whose canonical bytes the signature value covers."""
+    return element(
         NS_DSIG,
         "SignedInfo",
         children=[
-            element(NS_DSIG, "SignatureMethod", {"Algorithm": sig.signature_algorithm}),
+            element(NS_DSIG, "SignatureMethod", {"Algorithm": sig_alg}),
             element(
                 NS_DSIG,
                 "Reference",
-                {"URI": "#" + sig.reference_id},
+                {"URI": "#" + ref_id},
                 children=[
-                    element(NS_DSIG, "DigestMethod", {"Algorithm": sig.digest_algorithm}),
-                    element(NS_DSIG, "DigestValue", text=_b64(sig.digest_value)),
+                    element(NS_DSIG, "DigestMethod", {"Algorithm": digest_alg}),
+                    element(NS_DSIG, "DigestValue", text=_b64(digest)),
                 ],
             ),
         ],
+    )
+
+
+def signature_element(sig: Signature) -> XmlElement:
+    signed_info = signed_info_element(
+        sig.signature_algorithm, sig.digest_algorithm, sig.reference_id, sig.digest_value
     )
     children = [signed_info, element(NS_DSIG, "SignatureValue", text=_b64(sig.signature_value))]
     if sig.certificate:
@@ -641,10 +647,7 @@ _ASSERTION_CHILDREN = {
 
 
 def assertion_from_element(elem: XmlElement) -> Assertion:
-    if (elem.ns, elem.local) != (NS_ASSERTION, "Assertion"):
-        raise MalformedXml(f"expected <Assertion>, got <{elem.local}>")
-    _check_version(elem)
-    _reject_unknown(elem, _ASSERTION_CHILDREN)
+    _open(elem, NS_ASSERTION, "Assertion", _ASSERTION_CHILDREN)
 
     issuer = elem.require("Issuer", NS_ASSERTION)
     subject_elem = elem.require("Subject", NS_ASSERTION)
@@ -699,7 +702,6 @@ def assertion_from_element(elem: XmlElement) -> Assertion:
                 )
             )
 
-    sig_elem = elem.find("Signature", NS_DSIG)
     try:
         return Assertion(
             id=_require_attr(elem, "ID"),
@@ -709,7 +711,7 @@ def assertion_from_element(elem: XmlElement) -> Assertion:
             conditions=conditions,
             authn_statement=statement,
             attributes=tuple(attributes),
-            signature=signature_from_element(sig_elem) if sig_elem is not None else None,
+            signature=_signature_of(elem),
         )
     except ValueError as exc:
         raise MalformedXml(str(exc)) from None
@@ -763,10 +765,7 @@ _RESPONSE_CHILDREN = {
 
 
 def response_from_element(elem: XmlElement) -> Response:
-    if (elem.ns, elem.local) != (NS_PROTOCOL, "Response"):
-        raise MalformedXml(f"expected <Response>, got <{elem.local}>")
-    _check_version(elem)
-    _reject_unknown(elem, _RESPONSE_CHILDREN)
+    _open(elem, NS_PROTOCOL, "Response", _RESPONSE_CHILDREN)
 
     issuer = elem.require("Issuer", NS_ASSERTION)
     status = (
@@ -782,7 +781,6 @@ def response_from_element(elem: XmlElement) -> Response:
     elif encrypted_elem is not None:
         assertion = encrypted_assertion_from_element(encrypted_elem)
 
-    sig_elem = elem.find("Signature", NS_DSIG)
     return Response(
         id=_require_attr(elem, "ID"),
         issue_instant=_parse_instant(elem.attr("IssueInstant"), "Response@IssueInstant"),
@@ -790,7 +788,7 @@ def response_from_element(elem: XmlElement) -> Response:
         destination=_require_attr(elem, "Destination"),
         status=_require_attr(status, "Value"),
         assertion=assertion,
-        signature=signature_from_element(sig_elem) if sig_elem is not None else None,
+        signature=_signature_of(elem),
         consent=elem.attr("Consent"),
     )
 
@@ -826,22 +824,14 @@ def emit_authn_request(request: AuthnRequest) -> bytes:
 
 
 def authn_request_from_element(elem: XmlElement) -> AuthnRequest:
-    if (elem.ns, elem.local) != (NS_PROTOCOL, "AuthnRequest"):
-        raise MalformedXml(f"expected <AuthnRequest>, got <{elem.local}>")
-    _check_version(elem)
-    _reject_unknown(elem, {(NS_ASSERTION, "Issuer")})
-    issuer = elem.require("Issuer", NS_ASSERTION)
-    sig_elem = elem.find("Signature", NS_DSIG)
-    try:
-        issuer_id = EntityId(issuer.text or "")
-    except ValueError:
-        raise MalformedXml("issuer must be a non-empty entity id") from None
+    _open(elem, NS_PROTOCOL, "AuthnRequest", {(NS_ASSERTION, "Issuer")})
+    issuer_id = _issuer_id(elem.require("Issuer", NS_ASSERTION))
     return AuthnRequest(
         id=_require_attr(elem, "ID"),
         issue_instant=_parse_instant(elem.attr("IssueInstant"), "AuthnRequest@IssueInstant"),
         issuer=issuer_id,
         acs_url=_require_attr(elem, "AssertionConsumerServiceURL"),
-        signature=signature_from_element(sig_elem) if sig_elem is not None else None,
+        signature=_signature_of(elem),
     )
 
 
@@ -868,28 +858,23 @@ def emit_logout_request(request: LogoutRequest) -> bytes:
 
 
 def logout_request_from_element(elem: XmlElement) -> LogoutRequest:
-    if (elem.ns, elem.local) != (NS_PROTOCOL, "LogoutRequest"):
-        raise MalformedXml(f"expected <LogoutRequest>, got <{elem.local}>")
-    _check_version(elem)
-    _reject_unknown(
+    _open(
         elem,
+        NS_PROTOCOL,
+        "LogoutRequest",
         {(NS_ASSERTION, "Issuer"), (NS_ASSERTION, "NameID"), (NS_PROTOCOL, "SessionIndex")},
     )
     issuer = elem.require("Issuer", NS_ASSERTION)
     name_id = elem.require("NameID", NS_ASSERTION)
     session_index = elem.require("SessionIndex", NS_PROTOCOL)
-    sig_elem = elem.find("Signature", NS_DSIG)
-    try:
-        issuer_id = EntityId(issuer.text or "")
-    except ValueError:
-        raise MalformedXml("issuer must be a non-empty entity id") from None
+    issuer_id = _issuer_id(issuer)
     return LogoutRequest(
         id=_require_attr(elem, "ID"),
         issue_instant=_parse_instant(elem.attr("IssueInstant"), "LogoutRequest@IssueInstant"),
         issuer=issuer_id,
         name_id=name_id.text or "",
         session_index=session_index.text or "",
-        signature=signature_from_element(sig_elem) if sig_elem is not None else None,
+        signature=_signature_of(elem),
     )
 
 
@@ -923,24 +908,19 @@ def emit_logout_response(response: LogoutResponse) -> bytes:
 
 
 def logout_response_from_element(elem: XmlElement) -> LogoutResponse:
-    if (elem.ns, elem.local) != (NS_PROTOCOL, "LogoutResponse"):
-        raise MalformedXml(f"expected <LogoutResponse>, got <{elem.local}>")
-    _check_version(elem)
-    _reject_unknown(elem, {(NS_ASSERTION, "Issuer"), (NS_PROTOCOL, "Status")})
+    _open(
+        elem, NS_PROTOCOL, "LogoutResponse", {(NS_ASSERTION, "Issuer"), (NS_PROTOCOL, "Status")}
+    )
     issuer = elem.require("Issuer", NS_ASSERTION)
     status = elem.require("Status", NS_PROTOCOL).require("StatusCode", NS_PROTOCOL)
-    sig_elem = elem.find("Signature", NS_DSIG)
-    try:
-        issuer_id = EntityId(issuer.text or "")
-    except ValueError:
-        raise MalformedXml("issuer must be a non-empty entity id") from None
+    issuer_id = _issuer_id(issuer)
     return LogoutResponse(
         id=_require_attr(elem, "ID"),
         issue_instant=_parse_instant(elem.attr("IssueInstant"), "LogoutResponse@IssueInstant"),
         issuer=issuer_id,
         status=_require_attr(status, "Value"),
         in_response_to=elem.attr("InResponseTo"),
-        signature=signature_from_element(sig_elem) if sig_elem is not None else None,
+        signature=_signature_of(elem),
     )
 
 
@@ -967,19 +947,14 @@ def emit_artifact_resolve(request_id: str, issue_instant: Instant, issuer: Entit
 
 def parse_artifact_resolve(data: bytes | str) -> tuple[EntityId, tuple[str, ...]]:
     elem = parse_xml(data)
-    if (elem.ns, elem.local) != (NS_PROTOCOL, "ArtifactResolve"):
-        raise MalformedXml(f"expected <ArtifactResolve>, got <{elem.local}>")
-    _check_version(elem)
-    _reject_unknown(elem, {(NS_ASSERTION, "Issuer"), (NS_PROTOCOL, "Artifact")})
+    _open(
+        elem, NS_PROTOCOL, "ArtifactResolve", {(NS_ASSERTION, "Issuer"), (NS_PROTOCOL, "Artifact")}
+    )
     issuer = elem.require("Issuer", NS_ASSERTION)
     artifacts = tuple(a.text for a in elem.find_all("Artifact", NS_PROTOCOL) if a.text)
     if not artifacts:
         raise MissingRequiredElement("Artifact")
-    try:
-        issuer_id = EntityId(issuer.text or "")
-    except ValueError:
-        raise MalformedXml("issuer must be a non-empty entity id") from None
-    return issuer_id, artifacts
+    return _issuer_id(issuer), artifacts
 
 
 # ---------------------------------------------------------------------------

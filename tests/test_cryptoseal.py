@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from cryptography.hazmat.primitives import serialization
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import oracles
+from samlforge import xmlcodec
 from samlforge.core import EntityId
 from samlforge.cryptoseal import (
     BadPassphrase,
@@ -20,6 +22,7 @@ from samlforge.cryptoseal import (
     make_keystore,
     save_keystore,
     sign_element,
+    sign_message,
     signed_info_bytes,
     verify_signature,
     encrypt_assertion,
@@ -155,6 +158,25 @@ class TestSigning:
         )
         result = verify_signature(PAYLOAD, garbled, SIGNER, trusting_store)
         assert (result.accepted, result.reason) == (False, "BadSignatureValue")
+
+    def test_signed_info_bytes_are_pinned(self):
+        # SHA-256 of the SignedInfo every signature value covers.
+        raw = signed_info_bytes("_abc", b"\x01" * 32)
+        assert (
+            hashlib.sha256(raw).hexdigest()
+            == "936e77353d131ba4e07ca3ae0017adee26cbb3a771990e4a62da3a328667786b"
+        )
+
+    def test_sign_message_covers_the_unsigned_message(
+        self, store, trusting_store, sample_response_bytes
+    ):
+        assertion = xmlcodec.parse_response(sample_response_bytes).assertion
+        signed = sign_message(assertion, xmlcodec.emit_assertion, "signing", store)
+        assert signed.signature.reference_id == assertion.id
+        unsigned = xmlcodec.emit_assertion(dataclasses.replace(assertion, signature=None))
+        assert verify_signature(unsigned, signed.signature, SIGNER, trusting_store).accepted
+        # signing a signed message replaces its signature instead of covering it
+        assert sign_message(signed, xmlcodec.emit_assertion, "signing", store) == signed
 
     def test_unknown_alias(self, store):
         with pytest.raises(UnknownAlias):

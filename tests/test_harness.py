@@ -134,6 +134,19 @@ class TestCli:
         assert code == 2
         assert "BadBase64" in capsys.readouterr().err
 
+    def test_decode_document_without_namespace_exits_2(self, capsys, tmp_path):
+        capture = tmp_path / "bare.txt"
+        capture.write_bytes(
+            bindings.serialize_post_body(
+                bindings.encode_post(b"<a><b>t</b></a>", "response", "https://sp.example/acs")
+            )
+        )
+        code = main(["decode", str(capture)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("decode failed: MalformedXml: element 'a' has no namespace")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_decode_validates_against_metadata(self, capsys, tmp_path, shared_keys, corpus_dir):
         fed = SimulatedFederation(keys=shared_keys)
         session = fed.idp.create_session("the.user", CLIENT_IP, SIM_EPOCH)

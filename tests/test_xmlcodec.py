@@ -1,14 +1,29 @@
+import dataclasses
+import hashlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import strategies as strat
-from samlforge.core import Instant, Response, STATUS_RESPONDER
+from samlforge.core import (
+    AuthnRequest,
+    EntityId,
+    Instant,
+    LogoutRequest,
+    LogoutResponse,
+    Response,
+    SamlError,
+    STATUS_RESPONDER,
+    STATUS_SUCCESS,
+)
 from samlforge.xmlcodec import (
     ALG_AES128_CBC,
     BINDING_HTTP_ARTIFACT,
     BINDING_HTTP_POST,
     NS_ASSERTION,
+    NS_PROTOCOL,
     BadTimestamp,
     DuplicateDefaultAcs,
     IdpSsoDescriptor,
@@ -20,11 +35,13 @@ from samlforge.xmlcodec import (
     canonicalize,
     element,
     emit_assertion,
+    emit_artifact_resolve,
     emit_authn_request,
     emit_logout_request,
     emit_logout_response,
     emit_metadata,
     emit_response,
+    parse_artifact_resolve,
     parse_assertion,
     parse_authn_request,
     parse_logout_request,
@@ -32,7 +49,10 @@ from samlforge.xmlcodec import (
     parse_metadata,
     parse_response,
     parse_xml,
+    pretty,
 )
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 class TestCanonicalForm:
@@ -60,6 +80,30 @@ class TestCanonicalForm:
     def test_doctype_rejected(self):
         with pytest.raises(MalformedXml):
             parse_xml(b'<!DOCTYPE foo [<!ENTITY a "b">]><x xmlns="urn:x">&a;</x>')
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            (
+                '<?xml version="1.0" encoding="UTF-16"?><!DOCTYPE r [<!ENTITY x "INJECTED">]>'
+                f'<saml:Issuer xmlns:saml="{NS_ASSERTION}">&x;</saml:Issuer>'
+            ).encode("utf-16"),
+            f'<saml:Issuer xmlns:saml="{NS_ASSERTION}">x</saml:Issuer>'.encode("utf-16-le"),
+            f'<saml:Issuer xmlns:saml="{NS_ASSERTION}">x</saml:Issuer>'.encode("utf-16-be"),
+            (
+                '<?xml version="1.0" encoding="ISO-8859-1"?>'
+                f'<saml:Issuer xmlns:saml="{NS_ASSERTION}">\xe9</saml:Issuer>'
+            ).encode("latin-1"),
+        ],
+        ids=["utf16-dtd", "utf16le-no-bom", "utf16be-no-bom", "latin1"],
+    )
+    def test_non_utf8_document_rejected(self, raw):
+        with pytest.raises(MalformedXml, match="not UTF-8"):
+            parse_xml(raw)
+
+    def test_pretty_rejects_what_canonicalize_rejects(self):
+        with pytest.raises(MalformedXml):
+            pretty(parse_xml(b"<a><b>t</b></a>"))
 
     def test_mixed_content_rejected(self):
         with pytest.raises(MalformedXml):
@@ -300,3 +344,139 @@ class TestMetadataCodec:
         emitted = emit_metadata(parse_metadata(sp_metadata_bytes))
         assert b"urn:oasis:names:tc:SAML:2.0:bindings:HTTP-Artifact" in emitted
         assert b"urn:oasis:names:tc:SAML:2.0:nameid-format:transient" in emitted
+
+
+# SHA-256 of canonicalize and pretty output for each corpus file. Signing
+# and verification operate on these bytes, so they must never move.
+CORPUS_PINS = {
+    "idp_metadata.xml": (
+        "f5eb21adb0087bc06e01ce58d79235706d7479bdf31c2f4bfca6ddc55e5e5079",
+        "dd4030ee26b915d1b76e353c7ca4c379157fc832ff961d107fc4ac54d70a3693",
+    ),
+    "sample_response.xml": (
+        "37b8f9a30fce219a5edb701cd480766f76d770c87528f2a2825072c9eaa5d8f3",
+        "c80e1a1b2e71f9b677cb94769aeb4ea667ef168fdf6ecc0f8705bba9ce1e8c36",
+    ),
+    "sp_metadata.xml": (
+        "cac7f31f4614ae2675f28fe0ca5f2e795bdf9dc3a9e7fc9809369c66989cbf9d",
+        "3b79e03b6b0488d94ae464fdd3921148055f85556ecbacc9c19fd4058f10be0a",
+    ),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPUS_PINS))
+def test_corpus_output_is_pinned(corpus):
+    elem = parse_xml((CORPUS / corpus).read_bytes())
+    canonical_pin, pretty_pin = CORPUS_PINS[corpus]
+    assert hashlib.sha256(canonicalize(elem)).hexdigest() == canonical_pin
+    assert hashlib.sha256(pretty(elem).encode("utf-8")).hexdigest() == pretty_pin
+
+
+# ---------------------------------------------------------------------------
+# Protocol-message prologue: root tag, Version, unknown children, Issuer
+# ---------------------------------------------------------------------------
+
+_AT = Instant.parse("2009-04-22T12:33:36Z")
+_FROM = EntityId("mypartner:saml2.0")
+_SAMPLE = parse_response((CORPUS / "sample_response.xml").read_bytes())
+
+# root local name -> (bytes parser, a valid message of that kind)
+PROTOCOL_MESSAGES = {
+    "Assertion": (parse_assertion, emit_assertion(_SAMPLE.assertion)),
+    "Response": (parse_response, emit_response(_SAMPLE)),
+    "AuthnRequest": (
+        parse_authn_request,
+        emit_authn_request(AuthnRequest("_a1", _AT, _FROM, "https://sp.example/acs")),
+    ),
+    "LogoutRequest": (
+        parse_logout_request,
+        emit_logout_request(LogoutRequest("_l1", _AT, _FROM, "someone", "s1")),
+    ),
+    "LogoutResponse": (
+        parse_logout_response,
+        emit_logout_response(LogoutResponse("_l2", _AT, _FROM, STATUS_SUCCESS, "_l1")),
+    ),
+    "ArtifactResolve": (
+        parse_artifact_resolve,
+        emit_artifact_resolve("_r1", _AT, _FROM, ("AAQAAA",)),
+    ),
+}
+
+
+def _without_version(elem: XmlElement) -> XmlElement:
+    return dataclasses.replace(elem, attrs=tuple(a for a in elem.attrs if a[0] != ("", "Version")))
+
+
+def _with_issuer_text(elem: XmlElement, text: str) -> XmlElement:
+    children = tuple(
+        dataclasses.replace(c, text=text) if c.local == "Issuer" else c for c in elem.children
+    )
+    return dataclasses.replace(elem, children=children)
+
+
+def _without_child(elem: XmlElement, local: str) -> XmlElement:
+    return dataclasses.replace(elem, children=tuple(c for c in elem.children if c.local != local))
+
+
+def _with_unknown_child(elem: XmlElement) -> XmlElement:
+    return dataclasses.replace(elem, children=elem.children + (element(NS_PROTOCOL, "Surprise"),))
+
+
+_EMPTY_ISSUER = (MalformedXml, "issuer must be a non-empty entity id")
+# Each case also carries the faults checked after it, so the expected error
+# pins the order of the checks: root tag, Version, unknown child, Issuer.
+_PROLOGUE_CASES = {
+    "wrong_root": (
+        lambda e: dataclasses.replace(_without_version(_with_unknown_child(e)), local="Bogus"),
+        lambda local: (MalformedXml, f"expected <{local}>, got <Bogus>"),
+    ),
+    "missing_version": (
+        lambda e: _without_version(_with_unknown_child(e)),
+        lambda local: (MalformedXml, f'<{local}> must declare Version="2.0"'),
+    ),
+    "unknown_saml_child": (
+        lambda e: _with_unknown_child(_without_child(e, "Issuer")),
+        lambda local: (MalformedXml, f"unexpected element <Surprise> inside <{local}>"),
+    ),
+    "missing_issuer": (
+        lambda e: _without_child(e, "Issuer"),
+        lambda local: (MissingRequiredElement, "Issuer"),
+    ),
+    # Assertion and Response keep the issuer as text; the consume pipeline's
+    # issuer step rejects an empty one. The other four need an entity id.
+    "empty_issuer": (
+        lambda e: _with_issuer_text(e, ""),
+        lambda local: None if local in ("Assertion", "Response") else _EMPTY_ISSUER,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROLOGUE_CASES))
+@pytest.mark.parametrize("kind", sorted(PROTOCOL_MESSAGES))
+def test_protocol_prologue(kind, case):
+    parse, valid = PROTOCOL_MESSAGES[kind]
+    mutate, expect = _PROLOGUE_CASES[case]
+    raw = canonicalize(mutate(parse_xml(valid)))
+    expected = expect(kind)
+    if expected is None:
+        assert parse(raw).issuer == ""
+        return
+    error, message = expected
+    with pytest.raises(SamlError) as excinfo:
+        parse(raw)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+# The Issuer's entity id is checked only after the children listed here,
+# so a message with both faults names the missing child.
+@pytest.mark.parametrize(
+    "kind, missing",
+    [("LogoutRequest", "SessionIndex"), ("LogoutResponse", "Status"), ("ArtifactResolve", "Artifact")],
+)
+def test_issuer_entity_id_checked_after_required_children(kind, missing):
+    parse, valid = PROTOCOL_MESSAGES[kind]
+    raw = canonicalize(_without_child(_with_issuer_text(parse_xml(valid), ""), missing))
+    with pytest.raises(MissingRequiredElement) as excinfo:
+        parse(raw)
+    assert excinfo.value.name == missing
