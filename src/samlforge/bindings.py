@@ -21,11 +21,12 @@ import html
 import re
 import secrets
 import socket
+import string
 import urllib.error
 import urllib.request
 import zlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 from urllib.parse import quote_plus, unquote_to_bytes, urlsplit
 
 from .core import EntityId, SamlError, TokenSource
@@ -162,12 +163,34 @@ def render_post_html(form: PostForm) -> str:
     )
 
 
+# Bytes that ``quote_plus`` passes through unescaped.
+_UNRESERVED = (string.ascii_letters + string.digits + "_.-~").encode("ascii")
+# "%" is replaced before anything else adds one, "+" before " " becomes one.
+_REPLACE_ORDER = {"%": 0, " ": 2}
+
+
+def _form_urlencode(pairs: Iterable[tuple[str, str]]) -> str:
+    """``name=value`` pairs joined by "&", each value exactly as
+    ``quote_plus`` writes it. Each distinct character that needs escaping
+    is replaced in one ``str.replace`` pass, so the cost is the value's
+    length times that count: at most 3 for base64, at most 80 characters of
+    RelayState. Dropping the unreserved ASCII bytes from UTF-8 leaves whole
+    multi-byte sequences, so the remainder decodes to those characters."""
+    encoded = []
+    for name, value in pairs:
+        escaped = value.encode("utf-8").translate(None, _UNRESERVED).decode("utf-8")
+        for char in sorted(set(escaped), key=lambda c: _REPLACE_ORDER.get(c, 1)):
+            value = value.replace(char, quote_plus(char))
+        encoded.append(f"{name}={value}")
+    return "&".join(encoded)
+
+
 def serialize_post_body(form: PostForm) -> bytes:
     """Form-urlencode the POST fields (what a browser submits)."""
     pairs = [(form.saml_field, form.saml_value)]
     if form.relay_state is not None:
         pairs.append((FIELD_RELAY_STATE, form.relay_state))
-    return "&".join(f"{name}={quote_plus(value)}" for name, value in pairs).encode("ascii")
+    return _form_urlencode(pairs).encode("ascii")
 
 
 _BAD_ESCAPE = re.compile("%(?![0-9A-Fa-f]{2})")
@@ -237,9 +260,8 @@ class RedirectUrl:
 
     @property
     def url(self) -> str:
-        encoded = "&".join(f"{name}={quote_plus(value)}" for name, value in self.query)
         joiner = "&" if urlsplit(self.base).query else "?"
-        return f"{self.base}{joiner}{encoded}"
+        return f"{self.base}{joiner}{_form_urlencode(self.query)}"
 
 
 def encode_redirect(

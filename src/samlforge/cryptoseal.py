@@ -43,6 +43,8 @@ from .xmlcodec import (
     ALG_RSA_SHA256,
     ALG_SHA256,
     canonicalize,
+    insert_signature,
+    keep_emitted,
     signed_info_element,
 )
 
@@ -264,9 +266,16 @@ def sign_message(
     message: Message, emit: Callable[[Message], bytes], alias: str, store: KeyStore
 ) -> Message:
     """Return ``message`` with an enveloped signature over ``emit`` of the
-    message without its signature."""
+    message without its signature.
+
+    ``emit`` is the xmlcodec emitter of the message's kind; the signed
+    message keeps its bytes, so emitting it again renders nothing.
+    """
     unsigned = replace(message, signature=None)
-    return replace(unsigned, signature=sign_element(emit(unsigned), message.id, alias, store))
+    unsigned_bytes = emit(unsigned)
+    signed = replace(unsigned, signature=sign_element(unsigned_bytes, message.id, alias, store))
+    keep_emitted(signed, insert_signature(unsigned_bytes, signed.signature))
+    return signed
 
 
 @dataclass(frozen=True)
@@ -377,21 +386,22 @@ def encrypt_assertion(
     )
 
 
-def decrypt_assertion(enc: EncryptedAssertion, store: KeyStore) -> bytes:
-    """Unseal with any held private key; every failure mode collapses into
-    one DecryptFailed so padding errors are indistinguishable from key errors."""
+def decrypt_assertion(enc: EncryptedAssertion, key_alias: str | None, store: KeyStore) -> bytes:
+    """Unseal with the decryption key ``key_alias`` and no other, so a
+    signing key never decrypts. Every failure mode, an unknown or absent
+    alias included, collapses into one DecryptFailed so padding errors are
+    indistinguishable from key errors."""
     if enc.algorithm != ALG_AES128_CBC:
         raise DecryptFailed("unsupported algorithm")
-    for alias in sorted(store.entries):
-        private_key = store.entries[alias].private_key
+    entry = store.entries.get(key_alias)
+    if entry is not None:
         try:
-            content_key = private_key.decrypt(enc.encrypted_key, _OAEP)
-            if len(content_key) != 16:
-                continue
-            decryptor = Cipher(algorithms.AES(content_key), modes.CBC(enc.iv)).decryptor()
-            padded = decryptor.update(enc.ciphertext) + decryptor.finalize()
-            unpadder = PKCS7(128).unpadder()
-            return unpadder.update(padded) + unpadder.finalize()
-        except Exception:
-            continue
+            content_key = entry.private_key.decrypt(enc.encrypted_key, _OAEP)
+            if len(content_key) == 16:
+                decryptor = Cipher(algorithms.AES(content_key), modes.CBC(enc.iv)).decryptor()
+                padded = decryptor.update(enc.ciphertext) + decryptor.finalize()
+                unpadder = PKCS7(128).unpadder()
+                return unpadder.update(padded) + unpadder.finalize()
+        except ValueError:
+            pass
     raise DecryptFailed("no held key unseals this assertion")

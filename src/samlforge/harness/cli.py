@@ -67,6 +67,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
             transport = "POST form body (base64)"
         root = xmlcodec.parse_xml(decoded.message)
         rendered = xmlcodec.pretty(root)
+        response = None
+        if (root.ns, root.local) == (xmlcodec.NS_PROTOCOL, "Response"):
+            response = xmlcodec.response_from_element(root)
     except SamlError as exc:
         print(f"decode failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DECODE
@@ -83,8 +86,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     attributes: dict[str, tuple[str, ...]] = {}
     signed = root.find("Signature", xmlcodec.NS_DSIG) is not None
     summary: list[str] = []
-    if (root.ns, root.local) == (xmlcodec.NS_PROTOCOL, "Response"):
-        response = xmlcodec.response_from_element(root)
+    if response is not None:
         summary.append(f"issuer: {response.issuer}")
         summary.append(f"destination: {response.destination}")
         summary.append(f"status: {response.status}")

@@ -50,6 +50,7 @@ class FaultKit:
     idp_store: cryptoseal.KeyStore
     idp_signing_alias: str
     sp_store: cryptoseal.KeyStore  # holds the decryption key
+    sp_encryption_alias: str | None
     encrypt_to: tuple[bytes, ...] = ()  # partner encryption certs, DER
     recipient: EntityId | None = None
 
@@ -57,7 +58,7 @@ class FaultKit:
 def _open_assertion(response: Response, kit: FaultKit) -> tuple[Assertion, bool]:
     assertion = response.assertion
     if isinstance(assertion, EncryptedAssertion):
-        plain = cryptoseal.decrypt_assertion(assertion, kit.sp_store)
+        plain = cryptoseal.decrypt_assertion(assertion, kit.sp_encryption_alias, kit.sp_store)
         return xmlcodec.parse_assertion(plain), True
     if isinstance(assertion, Assertion):
         return assertion, False

@@ -406,7 +406,9 @@ class SpEngine:
         assertion_elem: XmlElement | None = None
         if isinstance(assertion, EncryptedAssertion):
             try:
-                plain = cryptoseal.decrypt_assertion(assertion, self.store)
+                plain = cryptoseal.decrypt_assertion(
+                    assertion, self.registry.encryption_alias, self.store
+                )
                 assertion_elem = xmlcodec.parse_xml(plain)
                 assertion = xmlcodec.assertion_from_element(assertion_elem)
             except SamlError as exc:

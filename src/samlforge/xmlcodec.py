@@ -466,6 +466,47 @@ def signed_payload_bytes(elem: XmlElement) -> bytes:
     return canonicalize(stripped)
 
 
+def insert_signature(unsigned: bytes, signature: Signature) -> bytes:
+    """The canonical bytes of a signed protocol message, from the bytes of
+    the same message without its signature.
+
+    Every element declares the namespaces it uses that its ancestors did
+    not, so ds:Signature renders alone exactly as it does in place, right
+    after the leading Issuer. Canonical bytes hold no unescaped "<" in text
+    or attribute values, so the root's first child tag is the first "<"
+    after offset 0, and the Issuer ends at its own "/>" or at the "</"
+    that follows its text.
+    """
+    start = unsigned.find(b"<", 1)
+    if not unsigned.startswith(b"<saml:Issuer", start):
+        raise ValueError("message does not start with an Issuer")
+    end = unsigned.index(b">", start) + 1
+    if unsigned[end - 2] != ord("/"):
+        end = unsigned.index(b">", unsigned.index(b"<", end)) + 1
+    return unsigned[:end] + canonicalize(signature_element(signature)) + unsigned[end:]
+
+
+# The emitters of signable messages keep the bytes they render on the
+# frozen instance, under this key of its __dict__: outside the dataclass
+# fields, so never compared, hashed or shown. ``dataclasses.replace``
+# builds a new instance, so kept bytes never outlive the fields they were
+# rendered from; two threads keeping the same bytes at once is harmless.
+_EMITTED = "_emitted_bytes"
+
+
+def keep_emitted(message: object, data: bytes) -> None:
+    """Record ``data`` as what the emitter of ``message``'s kind renders."""
+    message.__dict__[_EMITTED] = data
+
+
+def _emit_once(message, render) -> bytes:
+    data = message.__dict__.get(_EMITTED)
+    if data is None:
+        data = render(message)
+        keep_emitted(message, data)
+    return data
+
+
 def encrypted_assertion_element(enc: EncryptedAssertion) -> XmlElement:
     encrypted_key = element(
         NS_XMLENC,
@@ -633,7 +674,7 @@ def _attribute_element(attr: Attribute) -> XmlElement:
 
 
 def emit_assertion(assertion: Assertion) -> bytes:
-    return canonicalize(assertion_element(assertion))
+    return _emit_once(assertion, lambda a: canonicalize(assertion_element(a)))
 
 
 _ASSERTION_CHILDREN = {
@@ -702,11 +743,12 @@ def assertion_from_element(elem: XmlElement) -> Assertion:
                 )
             )
 
+    issuer_id = _issuer_id(issuer)
     try:
         return Assertion(
             id=_require_attr(elem, "ID"),
             issue_instant=_parse_instant(elem.attr("IssueInstant"), "Assertion@IssueInstant"),
-            issuer=issuer.text or "",
+            issuer=issuer_id.value,
             subject=subject,
             conditions=conditions,
             authn_statement=statement,
@@ -752,8 +794,21 @@ def response_element(response: Response) -> XmlElement:
     return element(NS_PROTOCOL, "Response", attrs, children=children)
 
 
+_RESPONSE_END = b"</samlp:Response>"
+
+
+def _render_response(response: Response) -> bytes:
+    if not isinstance(response.assertion, Assertion):
+        return canonicalize(response_element(response))
+    # The Response root declares only samlp, which no assertion element
+    # uses, so the assertion's own bytes are its bytes in place: render the
+    # shell and put them in as its last child.
+    shell = canonicalize(response_element(replace(response, assertion=None)))
+    return shell[: -len(_RESPONSE_END)] + emit_assertion(response.assertion) + _RESPONSE_END
+
+
 def emit_response(response: Response) -> bytes:
-    return canonicalize(response_element(response))
+    return _emit_once(response, _render_response)
 
 
 _RESPONSE_CHILDREN = {
@@ -768,9 +823,8 @@ def response_from_element(elem: XmlElement) -> Response:
     _open(elem, NS_PROTOCOL, "Response", _RESPONSE_CHILDREN)
 
     issuer = elem.require("Issuer", NS_ASSERTION)
-    status = (
-        elem.require("Status", NS_PROTOCOL).require("StatusCode", NS_PROTOCOL)
-    )
+    status = elem.require("Status", NS_PROTOCOL).require("StatusCode", NS_PROTOCOL)
+    issuer_id = _issuer_id(issuer)
     assertion_elem = elem.find("Assertion", NS_ASSERTION)
     encrypted_elem = elem.find("EncryptedAssertion", NS_ASSERTION)
     if assertion_elem is not None and encrypted_elem is not None:
@@ -784,7 +838,7 @@ def response_from_element(elem: XmlElement) -> Response:
     return Response(
         id=_require_attr(elem, "ID"),
         issue_instant=_parse_instant(elem.attr("IssueInstant"), "Response@IssueInstant"),
-        issuer=issuer.text or "",
+        issuer=issuer_id.value,
         destination=_require_attr(elem, "Destination"),
         status=_require_attr(status, "Value"),
         assertion=assertion,
@@ -820,7 +874,7 @@ def authn_request_element(request: AuthnRequest) -> XmlElement:
 
 
 def emit_authn_request(request: AuthnRequest) -> bytes:
-    return canonicalize(authn_request_element(request))
+    return _emit_once(request, lambda m: canonicalize(authn_request_element(m)))
 
 
 def authn_request_from_element(elem: XmlElement) -> AuthnRequest:
@@ -854,7 +908,7 @@ def logout_request_element(request: LogoutRequest) -> XmlElement:
 
 
 def emit_logout_request(request: LogoutRequest) -> bytes:
-    return canonicalize(logout_request_element(request))
+    return _emit_once(request, lambda m: canonicalize(logout_request_element(m)))
 
 
 def logout_request_from_element(elem: XmlElement) -> LogoutRequest:
@@ -904,7 +958,7 @@ def logout_response_element(response: LogoutResponse) -> XmlElement:
 
 
 def emit_logout_response(response: LogoutResponse) -> bytes:
-    return canonicalize(logout_response_element(response))
+    return _emit_once(response, lambda m: canonicalize(logout_response_element(m)))
 
 
 def logout_response_from_element(elem: XmlElement) -> LogoutResponse:

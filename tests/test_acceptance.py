@@ -142,7 +142,9 @@ def test_criterion_3_end_to_end_flows(shared_keys, idp_metadata_bytes, sp_metada
         response = fed.idp.issue_assertion(session, SP_ENTITY, SIM_EPOCH)
         assert response.signature is not None
         assert isinstance(response.assertion, EncryptedAssertion)
-        plain = cryptoseal.decrypt_assertion(response.assertion, fed.sp.store)
+        plain = cryptoseal.decrypt_assertion(
+            response.assertion, fed.sp.registry.encryption_alias, fed.sp.store
+        )
         unsealed = xmlcodec.parse_assertion(plain)
         assert unsealed.signature is not None
         assert unsealed.subject.name_id == record.name_id

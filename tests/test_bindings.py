@@ -2,6 +2,7 @@ import re
 import socket
 import string
 import threading
+from urllib.parse import quote_plus
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from samlforge.bindings import (
     FaultResponse,
     MissingField,
     PostForm,
+    RedirectUrl,
     RelayStateTooLong,
     UrlTooLong,
     _percent_decode,
@@ -39,6 +41,15 @@ from samlforge.bindings import (
 )
 from samlforge.core import EntityId
 from samlforge.xmlcodec import emit_authn_request
+
+# Text rich in what form encoding escapes: every character of the alphabet
+# but lone surrogates (not UTF-8), with "+ / = & % ~" and space favoured.
+def _form_text(max_size):
+    return st.text(
+        alphabet=st.sampled_from(list("+/=&%~ ")) | st.characters(blacklist_categories=("Cs",)),
+        max_size=max_size,
+    )
+
 
 # precomputed with the table-driven oracle; also checked live below
 A_TAG_B64 = "PGEvPg=="
@@ -96,6 +107,20 @@ class TestPostBinding:
         decoded = decode_post(serialize_post_body(form))
         assert decoded.message == payload
         assert decoded.relay_state == relay
+
+    @given(
+        value=_form_text(max_size=300),
+        relay=st.none() | _form_text(max_size=20),  # at most 80 UTF-8 bytes
+        field=st.sampled_from(["SAMLResponse", "SAMLRequest"]),
+    )
+    @settings(max_examples=500)
+    def test_serialize_matches_quote_plus(self, value, relay, field):
+        form = PostForm("https://x/acs", field, value, relay)
+        pairs = [(field, value)] + ([] if relay is None else [("RelayState", relay)])
+        expected = "&".join(f"{name}={quote_plus(text)}" for name, text in pairs)
+        assert serialize_post_body(form) == expected.encode("ascii")
+        url = RedirectUrl("https://x/sso", tuple(pairs)).url
+        assert url == "https://x/sso?" + expected
 
     @given(
         raw=st.lists(

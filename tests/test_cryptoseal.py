@@ -8,8 +8,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import oracles
+import strategies as strat
 from samlforge import xmlcodec
-from samlforge.core import EntityId
+from samlforge.core import Assertion, EncryptedAssertion, EntityId
 from samlforge.cryptoseal import (
     BadPassphrase,
     DecryptFailed,
@@ -28,6 +29,7 @@ from samlforge.cryptoseal import (
     encrypt_assertion,
     decrypt_assertion,
 )
+from samlforge.xmlcodec import canonicalize, parse_xml
 
 SIGNER = EntityId("mycompany:saml2.0")
 PAYLOAD = (
@@ -221,7 +223,7 @@ class TestSealing:
 
     def test_round_trip(self, recipient_store, holder_store):
         enc = encrypt_assertion(PAYLOAD, EntityId("mypartner:saml2.0"), recipient_store)
-        assert decrypt_assertion(enc, holder_store) == PAYLOAD
+        assert decrypt_assertion(enc, "sp-encryption", holder_store) == PAYLOAD
 
     def test_fresh_key_and_iv_per_call(self, recipient_store):
         one = encrypt_assertion(PAYLOAD, EntityId("mypartner:saml2.0"), recipient_store)
@@ -234,19 +236,19 @@ class TestSealing:
         enc = encrypt_assertion(PAYLOAD, EntityId("mypartner:saml2.0"), recipient_store)
         bent = dataclasses.replace(enc, encrypted_key=bytes(reversed(enc.encrypted_key)))
         with pytest.raises(DecryptFailed):
-            decrypt_assertion(bent, holder_store)
+            decrypt_assertion(bent, "sp-encryption", holder_store)
 
     def test_wrong_private_key_fails(self, recipient_store, shared_keys):
         enc = encrypt_assertion(PAYLOAD, EntityId("mypartner:saml2.0"), recipient_store)
         other = make_keystore({"idp-signing": shared_keys["idp-signing"]})
         with pytest.raises(DecryptFailed):
-            decrypt_assertion(enc, other)
+            decrypt_assertion(enc, "idp-signing", other)
 
     def test_tampered_ciphertext_never_yields_plaintext(self, recipient_store, holder_store):
         enc = encrypt_assertion(PAYLOAD, EntityId("mypartner:saml2.0"), recipient_store)
         bent = dataclasses.replace(enc, ciphertext=bytes(reversed(enc.ciphertext)))
         try:
-            recovered = decrypt_assertion(bent, holder_store)
+            recovered = decrypt_assertion(bent, "sp-encryption", holder_store)
         except DecryptFailed:
             return
         # CBC without integrity can unpad garbage; it must never equal the input
@@ -255,3 +257,123 @@ class TestSealing:
     def test_missing_recipient_cert(self):
         with pytest.raises(NoEncryptionCert):
             encrypt_assertion(PAYLOAD, EntityId("nobody"), KeyStore())
+
+    def test_only_the_named_key_unseals(self, shared_keys):
+        # An SP holds a signing and an encryption key; an assertion sealed to
+        # its signing certificate must not be opened with the signing key.
+        sp = EntityId("mypartner:saml2.0")
+        to_signing = KeyStore().with_trust_anchors(
+            sp, encryption=(shared_keys["sp-signing"].cert_der,)
+        )
+        enc = encrypt_assertion(PAYLOAD, sp, to_signing)
+        both = make_keystore(
+            {"sp-signing": shared_keys["sp-signing"], "sp-encryption": shared_keys["sp-encryption"]}
+        )
+        assert decrypt_assertion(enc, "sp-signing", both) == PAYLOAD
+        for alias in ("sp-encryption", "no-such-alias", None):
+            with pytest.raises(DecryptFailed) as excinfo:
+                decrypt_assertion(enc, alias, both)
+            assert str(excinfo.value) == "no held key unseals this assertion"
+
+
+# ---------------------------------------------------------------------------
+# Emitted bytes kept on signed messages
+# ---------------------------------------------------------------------------
+
+_encrypted_assertions = st.builds(
+    EncryptedAssertion,
+    algorithm=st.just(xmlcodec.ALG_AES128_CBC),
+    encrypted_key=st.binary(min_size=1, max_size=64),
+    iv=st.binary(min_size=16, max_size=16),
+    ciphertext=st.binary(min_size=16, max_size=96),
+)
+
+# (emitter, element function, messages) per signable kind; Assertion and Response
+# carry the issuer as text, so both also cover a self-closing <saml:Issuer/>.
+_SIGNABLE = {
+    "Assertion": (
+        xmlcodec.emit_assertion,
+        xmlcodec.assertion_element,
+        strat.assertions | strat.assertions.map(lambda a: dataclasses.replace(a, issuer="")),
+    ),
+    "Response": (
+        xmlcodec.emit_response,
+        xmlcodec.response_element,
+        st.builds(
+            dataclasses.replace,
+            strat.responses,
+            assertion=st.none() | strat.assertions | _encrypted_assertions,
+            issuer=st.sampled_from(["", "mycompany:saml2.0"]) | strat.trimmed_text(1, 30),
+        ),
+    ),
+    "AuthnRequest": (
+        xmlcodec.emit_authn_request,
+        xmlcodec.authn_request_element,
+        strat.authn_requests,
+    ),
+    "LogoutRequest": (
+        xmlcodec.emit_logout_request,
+        xmlcodec.logout_request_element,
+        strat.logout_requests,
+    ),
+    "LogoutResponse": (
+        xmlcodec.emit_logout_response,
+        xmlcodec.logout_response_element,
+        strat.logout_responses,
+    ),
+}
+
+
+def _fresh(message):
+    """An equal copy that has never been emitted, nested assertion included."""
+    inner = getattr(message, "assertion", None)
+    if isinstance(inner, Assertion):
+        return dataclasses.replace(message, assertion=dataclasses.replace(inner))
+    return dataclasses.replace(message)
+
+
+class TestSignedBytes:
+    @pytest.mark.parametrize("kind", sorted(_SIGNABLE))
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_signed_bytes_equal_a_full_render(self, store, kind, data):
+        emit, build, messages = _SIGNABLE[kind]
+        message = data.draw(messages)
+        inner = getattr(message, "assertion", None)
+        if isinstance(inner, Assertion) and data.draw(st.booleans(), label="sign assertion"):
+            # as issued: the response is signed over an already signed assertion
+            signed_inner = sign_message(inner, xmlcodec.emit_assertion, "signing", store)
+            message = dataclasses.replace(message, assertion=signed_inner)
+        signed = sign_message(message, emit, "signing", store)
+        fresh = _fresh(signed)
+        assert fresh == signed
+        expected = canonicalize(build(fresh))
+        assert emit(signed) == expected
+        assert emit(fresh) == expected
+        assert parse_xml(expected) == build(signed)
+
+    def test_replace_renders_the_new_fields(self, store, sample_response_bytes):
+        response = xmlcodec.parse_response(sample_response_bytes)
+        assertion = sign_message(response.assertion, xmlcodec.emit_assertion, "signing", store)
+        wrapped = dataclasses.replace(response, assertion=assertion)
+        signed = sign_message(wrapped, xmlcodec.emit_response, "signing", store)
+        before = xmlcodec.emit_response(signed)
+        # the kept bytes are no field: not compared, not shown
+        assert dataclasses.replace(signed) == signed
+        assert "emitted" not in repr(signed)
+
+        moved = dataclasses.replace(signed, destination="https://elsewhere.example/acs")
+        assert xmlcodec.emit_response(moved) == canonicalize(xmlcodec.response_element(moved))
+        assert b"elsewhere.example" in xmlcodec.emit_response(moved)
+
+        renamed = dataclasses.replace(assertion, issuer="other:saml2.0")
+        assert xmlcodec.emit_assertion(renamed) == canonicalize(xmlcodec.assertion_element(renamed))
+        rewrapped = dataclasses.replace(signed, assertion=renamed)
+        assert b"other:saml2.0" in xmlcodec.emit_response(rewrapped)
+        assert xmlcodec.emit_response(signed) == before
+
+    def test_insert_signature_needs_a_leading_issuer(self, store):
+        signature = sign_element(PAYLOAD, "1234", "signing", store)
+        bare = b'<samlp:Status xmlns:samlp="urn:oasis:names:tc:SAML:2.0:protocol"/>'
+        with pytest.raises(ValueError):
+            xmlcodec.insert_signature(bare, signature)

@@ -147,6 +147,23 @@ class TestCli:
         assert captured.err.startswith("decode failed: MalformedXml: element 'a' has no namespace")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_decode_response_without_issuer_exits_2(self, capsys, tmp_path):
+        response = (
+            b'<samlp:Response xmlns:samlp="urn:oasis:names:tc:SAML:2.0:protocol" ID="_1" '
+            b'Version="2.0" IssueInstant="2009-04-22T12:33:36Z" Destination="x"/>'
+        )
+        capture = tmp_path / "no-issuer.txt"
+        capture.write_bytes(
+            bindings.serialize_post_body(
+                bindings.encode_post(response, "response", "https://sp.example/acs")
+            )
+        )
+        code = main(["decode", str(capture)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "decode failed: MissingRequiredElement: Issuer\n"
+        assert captured.out == ""
+
     def test_decode_validates_against_metadata(self, capsys, tmp_path, shared_keys, corpus_dir):
         fed = SimulatedFederation(keys=shared_keys)
         session = fed.idp.create_session("the.user", CLIENT_IP, SIM_EPOCH)

@@ -309,7 +309,8 @@ class TestSingleLogout:
 
 def decrypt_and_parse(fed, response):
     if isinstance(response.assertion, EncryptedAssertion):
-        return xmlcodec.parse_assertion(decrypt_assertion(response.assertion, fed.sp.store))
+        alias = fed.sp.registry.encryption_alias
+        return xmlcodec.parse_assertion(decrypt_assertion(response.assertion, alias, fed.sp.store))
     return response.assertion
 
 

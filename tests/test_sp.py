@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from samlforge import bindings
-from samlforge.core import Instant
+from samlforge import bindings, cryptoseal, xmlcodec
+from samlforge.core import EntityId, Instant
 from samlforge.harness.scenarios import (
     CLIENT_IP,
     IDP_BASE,
@@ -88,6 +89,35 @@ class TestConsumePipeline:
         result = fed.sp.consume(body, CLIENT_IP, NOW.plus(1))
         assert result.report.failed_step == "signature"
         assert "encrypted" in result.report.checks[-1].detail
+
+    def test_assertion_sealed_to_the_signing_certificate_fails_at_signature(
+        self, fed, shared_keys
+    ):
+        # Only the SP's encryption key may unseal; its signing key never does.
+        session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        issued = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        sp_alias = fed.sp.registry.encryption_alias
+        plain = cryptoseal.decrypt_assertion(issued.assertion, sp_alias, fed.sp.store)
+        to_signing = cryptoseal.KeyStore().with_trust_anchors(
+            EntityId(SP_ENTITY), encryption=(shared_keys["sp-signing"].cert_der,)
+        )
+        resealed = cryptoseal.sign_message(
+            dataclasses.replace(
+                issued,
+                assertion=cryptoseal.encrypt_assertion(plain, EntityId(SP_ENTITY), to_signing),
+            ),
+            xmlcodec.emit_response,
+            fed.idp.registry.signing_alias,
+            fed.idp.store,
+        )
+        body = bindings.serialize_post_body(
+            bindings.encode_post(xmlcodec.emit_response(resealed), "response", fed.sp.acs_url)
+        )
+        result = fed.sp.consume(body, CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "signature"
+        assert result.report.checks[-1].detail == (
+            "DecryptFailed: no held key unseals this assertion"
+        )
 
     @pytest.mark.parametrize(
         "pattern,replacement",

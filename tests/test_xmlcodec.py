@@ -422,7 +422,6 @@ def _with_unknown_child(elem: XmlElement) -> XmlElement:
     return dataclasses.replace(elem, children=elem.children + (element(NS_PROTOCOL, "Surprise"),))
 
 
-_EMPTY_ISSUER = (MalformedXml, "issuer must be a non-empty entity id")
 # Each case also carries the faults checked after it, so the expected error
 # pins the order of the checks: root tag, Version, unknown child, Issuer.
 _PROLOGUE_CASES = {
@@ -442,11 +441,9 @@ _PROLOGUE_CASES = {
         lambda e: _without_child(e, "Issuer"),
         lambda local: (MissingRequiredElement, "Issuer"),
     ),
-    # Assertion and Response keep the issuer as text; the consume pipeline's
-    # issuer step rejects an empty one. The other four need an entity id.
     "empty_issuer": (
         lambda e: _with_issuer_text(e, ""),
-        lambda local: None if local in ("Assertion", "Response") else _EMPTY_ISSUER,
+        lambda local: (MalformedXml, "issuer must be a non-empty entity id"),
     ),
 }
 
@@ -457,11 +454,7 @@ def test_protocol_prologue(kind, case):
     parse, valid = PROTOCOL_MESSAGES[kind]
     mutate, expect = _PROLOGUE_CASES[case]
     raw = canonicalize(mutate(parse_xml(valid)))
-    expected = expect(kind)
-    if expected is None:
-        assert parse(raw).issuer == ""
-        return
-    error, message = expected
+    error, message = expect(kind)
     with pytest.raises(SamlError) as excinfo:
         parse(raw)
     assert type(excinfo.value) is error
@@ -472,7 +465,13 @@ def test_protocol_prologue(kind, case):
 # so a message with both faults names the missing child.
 @pytest.mark.parametrize(
     "kind, missing",
-    [("LogoutRequest", "SessionIndex"), ("LogoutResponse", "Status"), ("ArtifactResolve", "Artifact")],
+    [
+        ("Assertion", "AuthnStatement"),
+        ("Response", "Status"),
+        ("LogoutRequest", "SessionIndex"),
+        ("LogoutResponse", "Status"),
+        ("ArtifactResolve", "Artifact"),
+    ],
 )
 def test_issuer_entity_id_checked_after_required_children(kind, missing):
     parse, valid = PROTOCOL_MESSAGES[kind]
