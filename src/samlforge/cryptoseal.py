@@ -42,10 +42,12 @@ from .xmlcodec import (
     ALG_AES128_CBC,
     ALG_RSA_SHA256,
     ALG_SHA256,
+    XmlElement,
     canonicalize,
     insert_signature,
     keep_emitted,
     signed_info_element,
+    signed_payload_bytes,
 )
 
 
@@ -73,6 +75,10 @@ class DecryptFailed(SamlError):
 
 class MalformedKeystore(SamlError):
     pass
+
+
+class InvalidRequestSignature(SamlError):
+    """A signed protocol request whose signature ``verify_message`` rejected."""
 
 
 @dataclass(frozen=True)
@@ -297,6 +303,7 @@ REJECT_BAD_SIGNATURE_VALUE = "BadSignatureValue"
 REJECT_UNTRUSTED_CERTIFICATE = "UntrustedCertificate"
 REJECT_UNKNOWN_SIGNER = "UnknownSigner"
 REJECT_UNSUPPORTED_ALGORITHM = "UnsupportedAlgorithm"
+REJECT_WRONG_REFERENCE = "WrongReference"
 
 
 def verify_signature(
@@ -343,6 +350,27 @@ def verify_signature(
     if signature.certificate:
         return VerifyResult.reject(REJECT_BAD_SIGNATURE_VALUE)
     return VerifyResult.reject(REJECT_UNTRUSTED_CERTIFICATE)
+
+
+def verify_message(
+    elem: XmlElement,
+    message,
+    signer: EntityId,
+    signing_ders: tuple[bytes, ...],
+    store: KeyStore,
+) -> VerifyResult:
+    """Check the enveloped signature of ``message``, the model parsed from
+    ``elem``, against the signer's metadata-pinned certificates.
+
+    The verify-side twin of ``sign_message``: the signature must reference
+    the message's own ID, and its digest must cover the canonical bytes of
+    ``elem`` without its signature.
+    """
+    if message.signature.reference_id != message.id:
+        return VerifyResult.reject(REJECT_WRONG_REFERENCE)
+    payload = signed_payload_bytes(elem)
+    pinned = store.with_trust_anchors(signer, signing=signing_ders)
+    return verify_signature(payload, message.signature, signer, pinned)
 
 
 # ---------------------------------------------------------------------------

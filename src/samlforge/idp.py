@@ -38,6 +38,7 @@ from .core import (
     TokenSource,
     new_message_id,
 )
+from .cryptoseal import InvalidRequestSignature
 from .federation import (
     BEARER_GRACE_SECONDS,
     FederationRegistry,
@@ -64,10 +65,6 @@ class PolicyViolation(SamlError):
 
 
 class SignatureRequired(SamlError):
-    pass
-
-
-class InvalidRequestSignature(SamlError):
     pass
 
 
@@ -435,7 +432,8 @@ class IdpEngine:
         inbound RelayState is echoed back verbatim and never dereferenced.
         """
         request_bytes, relay_state = self._decode_request(request_input)
-        request = xmlcodec.parse_authn_request(request_bytes)
+        elem = xmlcodec.parse_xml(request_bytes)
+        request = xmlcodec.authn_request_from_element(elem)
         partner = self.registry.partners.get(request.issuer.value)
         if partner is None or not isinstance(partner.descriptor.role, SpSsoDescriptor):
             raise UnknownIssuer(request.issuer.value)
@@ -445,20 +443,11 @@ class IdpEngine:
                 raise SignatureRequired(
                     f"{partner.entity_id} metadata promises signed requests"
                 )
-            elem = xmlcodec.parse_xml(request_bytes)
-            if request.signature.reference_id != request.id:
-                raise InvalidRequestSignature("signature references a different ID")
-            pinned = self.store.with_trust_anchors(
-                partner.entity_id, signing=partner.signing_cert_ders()
-            )
-            result = cryptoseal.verify_signature(
-                xmlcodec.signed_payload_bytes(elem),
-                request.signature,
-                partner.entity_id,
-                pinned,
+            result = cryptoseal.verify_message(
+                elem, request, partner.entity_id, partner.signing_cert_ders(), self.store
             )
             if not result.accepted:
-                raise InvalidRequestSignature(result.reason or "rejected")
+                raise InvalidRequestSignature(result.reason)
 
         expiry = request.issue_instant.plus(partner.policy.validity + BEARER_GRACE_SECONDS)
         if not self.request_replay.check_and_record(request.id, expiry, now):

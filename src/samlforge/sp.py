@@ -1,9 +1,10 @@
 """Relying-party engine: ACS validation pipeline, replay cache, relay-state
 resolution, request construction, artifact retrieval, logout participation.
 
-The consume pipeline treats its input as hostile. Every step is recorded
-in a ValidationReport; the pipeline short-circuits on the first failure
-and never creates a partial session.
+The consume pipeline treats its input as hostile. It is one table of
+named steps run by one loop: every step is recorded in a ValidationReport,
+a SamlError inside a step fails that step, the run stops at the first
+failure and never creates a partial session.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .core import (
     EntityId,
     Instant,
     LogoutResponse,
+    Response,
     SamlError,
-    Signature,
     TokenSource,
+    ValidityVerdict,
     check_audience,
     check_bearer,
     check_locality,
@@ -36,6 +38,7 @@ from .core import (
     trim_slash,
     STATUS_SUCCESS,
 )
+from .cryptoseal import InvalidRequestSignature
 from .federation import (
     BEARER_GRACE_SECONDS,
     FederationRegistry,
@@ -58,10 +61,6 @@ class NoIdpRegistered(SamlError):
 
 
 class UnsupportedBinding(SamlError):
-    pass
-
-
-class InvalidRequestSignature(SamlError):
     pass
 
 
@@ -132,23 +131,6 @@ class CheckResult:
     detail: str = ""
 
 
-# Pipeline step names, in mandatory execution order.
-PIPELINE_STEPS = (
-    "decode",
-    "parse",
-    "issuer",
-    "signature",
-    "status",
-    "destination",
-    "window",
-    "audience",
-    "bearer",
-    "replay",
-    "locality",
-    "relay_state",
-)
-
-
 @dataclass
 class ValidationReport:
     checks: list[CheckResult] = field(default_factory=list)
@@ -193,11 +175,33 @@ class ConsumeResult:
         return self.session is not None
 
 
+@dataclass
+class _Exchange:
+    """What one consume run has learned so far; the steps fill it in order."""
+
+    inbound: bytes | str | tuple[str, ...]  # POST form body, or artifact values
+    observed_ip: str
+    now: Instant
+    relay_state: str | None = None
+    message: bytes = b""
+    root: XmlElement | None = None
+    response: Response | None = None
+    partner: Partner | None = None
+    assertion: Assertion | None = None
+    redirect_url: str = ""
+
+
+def _named(verdict: ValidityVerdict) -> tuple[bool, str]:
+    """A verdict as (ok, detail), the detail led by the outcome's name."""
+    return verdict.ok, verdict.outcome.value + (f": {verdict.detail}" if verdict.detail else "")
+
+
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
 
 BackChannel = Callable[[str, bytes], bytes]
+Step = Callable[["SpEngine", _Exchange], tuple[bool, str]]
 
 
 class SpEngine:
@@ -247,144 +251,98 @@ class SpEngine:
     def acs_url(self) -> str:
         return self.local_role.default_acs().location
 
-    def _verify(self, payload: bytes, signature: Signature, signer: Partner) -> cryptoseal.VerifyResult:
-        pinned = self.store.with_trust_anchors(
-            signer.entity_id, signing=signer.signing_cert_ders()
+    def _verify(self, elem: XmlElement, message, signer: Partner) -> cryptoseal.VerifyResult:
+        return cryptoseal.verify_message(
+            elem, message, signer.entity_id, signer.signing_cert_ders(), self.store
         )
-        return cryptoseal.verify_signature(payload, signature, signer.entity_id, pinned)
 
     # -- consume pipeline ---------------------------------------------------
 
     def consume(self, post_body: bytes | str, observed_ip: str, now: Instant) -> ConsumeResult:
         """Full ACS pipeline over a POST form body."""
+        return self._run(self._POST_STEPS, _Exchange(post_body, observed_ip, now))
+
+    def _run(self, steps: tuple[tuple[str, Step], ...], x: _Exchange) -> ConsumeResult:
+        """Run ``steps`` in order; the first failure ends the run, and a
+        session exists only after the last step passed."""
         report = ValidationReport()
-        try:
-            decoded = bindings.decode_post(post_body)
-        except SamlError as exc:
-            report.record("decode", False, f"{type(exc).__name__}: {exc}")
-            return ConsumeResult(report)
-        if decoded.field != bindings.FIELD_RESPONSE:
-            report.record("decode", False, "form carries no SAMLResponse field")
-            return ConsumeResult(report)
-        report.record("decode", True)
-        return self._consume_response_bytes(
-            decoded.message, observed_ip, now, decoded.relay_state, report
-        )
-
-    def _consume_response_bytes(
-        self,
-        response_bytes: bytes,
-        observed_ip: str,
-        now: Instant,
-        relay_state: str | None,
-        report: ValidationReport,
-    ) -> ConsumeResult:
-        # (2) parse
-        try:
-            root = xmlcodec.parse_xml(response_bytes)
-            response = xmlcodec.response_from_element(root)
-        except SamlError as exc:
-            report.record("parse", False, f"{type(exc).__name__}: {exc}")
-            return ConsumeResult(report)
-        report.record("parse", True)
-
-        # (3) issuer is a registered IdP
-        partner = self.registry.partners.get(response.issuer)
-        if partner is None or not partner.descriptor.is_idp:
-            report.record("issuer", False, f"unknown identity provider {response.issuer!r}")
-            return ConsumeResult(report)
-        report.record("issuer", True, response.issuer)
-        skew = partner.policy.clock_skew
-
-        # (4) signatures (decrypt first when encrypted)
-        assertion = self._check_signatures(root, response, partner, report)
-        if assertion is None:
-            return ConsumeResult(report)
-
-        # (5) status
-        if response.status != STATUS_SUCCESS:
-            report.record("status", False, response.status)
-            return ConsumeResult(report)
-        report.record("status", True)
-
-        # (6) destination
-        if trim_slash(response.destination) != trim_slash(self.acs_url):
-            report.record(
-                "destination", False, f"{response.destination!r} is not this consumer service"
-            )
-            return ConsumeResult(report)
-        report.record("destination", True)
-
-        # (7) conditions window
-        verdict = evaluate_window(
-            assertion.conditions.not_before, assertion.conditions.not_on_or_after, now, skew
-        )
-        if not report.record("window", verdict.ok, verdict.outcome.value + (
-            f": {verdict.detail}" if verdict.detail else "")):
-            return ConsumeResult(report)
-
-        # (8) audience
-        verdict = check_audience(assertion.conditions, self.entity_id)
-        if not report.record("audience", verdict.ok, verdict.detail):
-            return ConsumeResult(report)
-
-        # (9) bearer confirmation
-        try:
-            verdict = check_bearer(assertion.subject.confirmation, self.acs_url, now, skew)
-        except SamlError as exc:
-            report.record("bearer", False, f"{type(exc).__name__}: {exc}")
-            return ConsumeResult(report)
-        if not report.record("bearer", verdict.ok, verdict.outcome.value + (
-            f": {verdict.detail}" if verdict.detail else "")):
-            return ConsumeResult(report)
-
-        # (10) replay check, then record
-        expiry = assertion.subject.confirmation.not_on_or_after.plus(skew)
-        if not self.replay.check_and_record(assertion.id, expiry, now):
-            report.record("replay", False, f"assertion {assertion.id!r} was already consumed")
-            return ConsumeResult(report)
-        report.record("replay", True)
-
-        # (11) locality
-        if self.locality_check:
-            verdict = check_locality(assertion.authn_statement, observed_ip)
-            if not report.record("locality", verdict.ok, verdict.detail):
+        for name, step in steps:
+            try:
+                ok, detail = step(self, x)
+            except SamlError as exc:
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            if not report.record(name, ok, detail):
                 return ConsumeResult(report)
-        else:
-            report.record("locality", True, "check disabled by policy")
-
-        # (12) relay state
-        redirect_url = self.resolve_relay_state(relay_state, report=report)
-
+        assertion = x.assertion
         session = SsoSession(
             name_id=assertion.subject.name_id,
             attributes=assertion.attributes,
-            issuer=EntityId(response.issuer),
+            issuer=EntityId(x.response.issuer),
             session_index=assertion.authn_statement.session_index,
-            established_at=now,
-            client_ip=observed_ip,
+            established_at=x.now,
+            client_ip=x.observed_ip,
         )
         with self._lock:
             self.sessions.setdefault(session.session_index, []).append(session)
-        return ConsumeResult(report, session, redirect_url)
+        return ConsumeResult(report, session, x.redirect_url)
 
-    def _check_signatures(
-        self,
-        root: XmlElement,
-        response,
-        partner: Partner,
-        report: ValidationReport,
-    ) -> Assertion | None:
-        """Step 4: response signature, decryption, assertion signature."""
+    # Each step reads and fills the exchange and returns (ok, detail).
+
+    def _decode(self, x: _Exchange) -> tuple[bool, str]:
+        decoded = bindings.decode_post(x.inbound)
+        if decoded.field != bindings.FIELD_RESPONSE:
+            return False, "form carries no SAMLResponse field"
+        x.message, x.relay_state = decoded.message, decoded.relay_state
+        return True, ""
+
+    def _fetch(self, x: _Exchange) -> tuple[bool, str]:
+        """Resolve the artifact value(s) over the back channel."""
+        parsed = [bindings.parse_artifact(v) for v in x.inbound]
+        partner = next(
+            (
+                p
+                for p in self.registry.idp_partners()
+                if bindings.source_id_for(p.entity_id) == parsed[0].source_id
+            ),
+            None,
+        )
+        if partner is None:
+            return False, "artifact source matches no registered identity provider"
+        role: IdpSsoDescriptor = partner.descriptor.role
+        endpoint = next(
+            (e for e in role.artifact_resolution_endpoints if e.index == parsed[0].endpoint_index),
+            None,
+        )
+        if endpoint is None:
+            return False, (
+                f"partner {partner.entity_id} advertises no artifact resolution "
+                f"endpoint with index {parsed[0].endpoint_index}"
+            )
+        resolve = xmlcodec.emit_artifact_resolve(
+            new_message_id(self.token_source), x.now, self.entity_id, x.inbound
+        )
+        x.message = self.back_channel(endpoint.location, resolve)
+        return True, ""
+
+    def _parse(self, x: _Exchange) -> tuple[bool, str]:
+        x.root = xmlcodec.parse_xml(x.message)
+        x.response = xmlcodec.response_from_element(x.root)
+        return True, ""
+
+    def _issuer(self, x: _Exchange) -> tuple[bool, str]:
+        issuer = x.response.issuer
+        x.partner = self.registry.partners.get(issuer)
+        if x.partner is None or not x.partner.descriptor.is_idp:
+            return False, f"unknown identity provider {issuer!r}"
+        return True, issuer
+
+    def _signature(self, x: _Exchange) -> tuple[bool, str]:
+        """Response signature, then decryption, then assertion signature."""
+        response, root = x.response, x.root
         if response.signature is not None:
-            payload = xmlcodec.signed_payload_bytes(root)
-            if response.signature.reference_id != response.id:
-                report.record("signature", False, "response signature references a different ID")
-                return None
-            result = self._verify(payload, response.signature, partner)
+            result = self._verify(root, response, x.partner)
             if not result.accepted:
-                report.record("signature", False, f"response signature: {result.reason}")
-                return None
+                return False, f"response signature: {result.reason}"
         else:
             # Without a response-level signature nothing authenticates foreign
             # direct children; a mangled-namespace Signature element would
@@ -395,53 +353,88 @@ class SpEngine:
                 if c.ns not in (xmlcodec.NS_ASSERTION, xmlcodec.NS_PROTOCOL)
             ]
             if foreign:
-                report.record(
-                    "signature",
-                    False,
-                    f"unsigned response carries unauthenticated <{foreign[0].local}> content",
-                )
-                return None
+                return False, f"unsigned response carries unauthenticated <{foreign[0].local}> content"
 
         assertion = response.assertion
-        assertion_elem: XmlElement | None = None
         if isinstance(assertion, EncryptedAssertion):
-            try:
-                plain = cryptoseal.decrypt_assertion(
-                    assertion, self.registry.encryption_alias, self.store
-                )
-                assertion_elem = xmlcodec.parse_xml(plain)
-                assertion = xmlcodec.assertion_from_element(assertion_elem)
-            except SamlError as exc:
-                report.record("signature", False, f"{type(exc).__name__}: {exc}")
-                return None
-        elif isinstance(assertion, Assertion):
-            if self._require_encryption():
-                report.record("signature", False, "policy requires an encrypted assertion")
-                return None
-            assertion_elem = root.find("Assertion", xmlcodec.NS_ASSERTION)
-        if assertion is None or assertion_elem is None:
-            report.record("signature", False, "response carries no assertion")
-            return None
-
-        want_signed = self.local_role.want_assertions_signed
-        if assertion.signature is None:
-            if want_signed:
-                report.record("signature", False, "assertion signature missing but required")
-                return None
+            plain = cryptoseal.decrypt_assertion(
+                assertion, self.registry.encryption_alias, self.store
+            )
+            assertion_elem = xmlcodec.parse_xml(plain)
+            assertion = xmlcodec.assertion_from_element(assertion_elem)
+        elif assertion is None:
+            return False, "response carries no assertion"
+        elif self.local_role.encryption_keys:
+            return False, "policy requires an encrypted assertion"
         else:
-            if assertion.signature.reference_id != assertion.id:
-                report.record("signature", False, "assertion signature references a different ID")
-                return None
-            payload = xmlcodec.signed_payload_bytes(assertion_elem)
-            result = self._verify(payload, assertion.signature, partner)
-            if not result.accepted:
-                report.record("signature", False, f"assertion signature: {result.reason}")
-                return None
-        report.record("signature", True)
-        return assertion
+            assertion_elem = root.find("Assertion", xmlcodec.NS_ASSERTION)
 
-    def _require_encryption(self) -> bool:
-        return bool(self.local_role.encryption_keys)
+        if assertion.signature is not None:
+            result = self._verify(assertion_elem, assertion, x.partner)
+            if not result.accepted:
+                return False, f"assertion signature: {result.reason}"
+        elif self.local_role.want_assertions_signed:
+            return False, "assertion signature missing but required"
+        x.assertion = assertion
+        return True, ""
+
+    def _status(self, x: _Exchange) -> tuple[bool, str]:
+        if x.response.status != STATUS_SUCCESS:
+            return False, x.response.status
+        return True, ""
+
+    def _destination(self, x: _Exchange) -> tuple[bool, str]:
+        if trim_slash(x.response.destination) != trim_slash(self.acs_url):
+            return False, f"{x.response.destination!r} is not this consumer service"
+        return True, ""
+
+    def _window(self, x: _Exchange) -> tuple[bool, str]:
+        conditions = x.assertion.conditions
+        return _named(evaluate_window(
+            conditions.not_before, conditions.not_on_or_after, x.now, x.partner.policy.clock_skew
+        ))
+
+    def _audience(self, x: _Exchange) -> tuple[bool, str]:
+        verdict = check_audience(x.assertion.conditions, self.entity_id)
+        return verdict.ok, verdict.detail
+
+    def _bearer(self, x: _Exchange) -> tuple[bool, str]:
+        return _named(check_bearer(
+            x.assertion.subject.confirmation, self.acs_url, x.now, x.partner.policy.clock_skew
+        ))
+
+    def _replay(self, x: _Exchange) -> tuple[bool, str]:
+        assertion = x.assertion
+        expiry = assertion.subject.confirmation.not_on_or_after.plus(x.partner.policy.clock_skew)
+        if not self.replay.check_and_record(assertion.id, expiry, x.now):
+            return False, f"assertion {assertion.id!r} was already consumed"
+        return True, ""
+
+    def _locality(self, x: _Exchange) -> tuple[bool, str]:
+        if not self.locality_check:
+            return True, "check disabled by policy"
+        verdict = check_locality(x.assertion.authn_statement, x.observed_ip)
+        return verdict.ok, verdict.detail
+
+    def _relay_state(self, x: _Exchange) -> tuple[bool, str]:
+        x.redirect_url, detail = self._relay_target(x.relay_state)
+        return True, detail
+
+    _RESPONSE_STEPS = (
+        ("parse", _parse),
+        ("issuer", _issuer),
+        ("signature", _signature),
+        ("status", _status),
+        ("destination", _destination),
+        ("window", _window),
+        ("audience", _audience),
+        ("bearer", _bearer),
+        ("replay", _replay),
+        ("locality", _locality),
+        ("relay_state", _relay_state),
+    )
+    _POST_STEPS = (("decode", _decode),) + _RESPONSE_STEPS
+    _ARTIFACT_STEPS = (("fetch", _fetch),) + _RESPONSE_STEPS
 
     # -- SP-initiated flow --------------------------------------------------
 
@@ -499,26 +492,20 @@ class SpEngine:
         )
         return redirect, token
 
-    def resolve_relay_state(
-        self, token: str | None, report: ValidationReport | None = None
-    ) -> str:
+    def resolve_relay_state(self, token: str | None) -> str:
         """Known token -> stored URL (single use); anything else -> the
         configured landing URL. Never an open redirect."""
-        if report is None:
-            report = ValidationReport()
+        return self._relay_target(token)[0]
+
+    def _relay_target(self, token: str | None) -> tuple[str, str]:
+        """The redirect target for ``token`` and the report detail."""
         if token is None:
-            report.record("relay_state", True, "no relay state; using landing URL")
-            return self.landing_url
+            return self.landing_url, "no relay state; using landing URL"
         with self._lock:
             entry = self._relay_states.pop(token, None)
         if entry is None:
-            report.record(
-                "relay_state", True, f"unissued relay state {token!r} ignored; using landing URL"
-            )
-            return self.landing_url
-        url, _expiry = entry
-        report.record("relay_state", True)
-        return url
+            return self.landing_url, f"unissued relay state {token!r} ignored; using landing URL"
+        return entry[0], ""
 
     # -- artifact retrieval --------------------------------------------------
 
@@ -527,69 +514,24 @@ class SpEngine:
     ) -> ConsumeResult:
         """Resolve artifact(s) over the back channel, then run the pipeline
         from the parse step. Pair-mode partners send two artifacts."""
-        report = ValidationReport()
         values = (artifacts,) if isinstance(artifacts, str) else tuple(artifacts)
-        try:
-            parsed = [bindings.parse_artifact(v) for v in values]
-        except SamlError as exc:
-            report.record("fetch", False, f"{type(exc).__name__}: {exc}")
-            return ConsumeResult(report)
-
-        partner = None
-        for candidate in self.registry.idp_partners():
-            if bindings.source_id_for(candidate.entity_id) == parsed[0].source_id:
-                partner = candidate
-                break
-        if partner is None:
-            report.record("fetch", False, "artifact source matches no registered identity provider")
-            return ConsumeResult(report)
-
-        role: IdpSsoDescriptor = partner.descriptor.role
-        endpoint = next(
-            (
-                e
-                for e in role.artifact_resolution_endpoints
-                if e.index == parsed[0].endpoint_index
-            ),
-            None,
-        )
-        if endpoint is None:
-            report.record(
-                "fetch",
-                False,
-                f"partner {partner.entity_id} advertises no artifact resolution "
-                f"endpoint with index {parsed[0].endpoint_index}",
-            )
-            return ConsumeResult(report)
-
-        resolve = xmlcodec.emit_artifact_resolve(
-            new_message_id(self.token_source), now, self.entity_id, values
-        )
-        try:
-            response_bytes = self.back_channel(endpoint.location, resolve)
-        except SamlError as exc:
-            report.record("fetch", False, f"{type(exc).__name__}: {exc}")
-            return ConsumeResult(report)
-        report.record("fetch", True)
-        return self._consume_response_bytes(response_bytes, observed_ip, now, None, report)
+        return self._run(self._ARTIFACT_STEPS, _Exchange(values, observed_ip, now))
 
     # -- logout --------------------------------------------------------------
 
     def handle_logout_request(self, request_bytes: bytes, now: Instant) -> bytes:
         """Terminate matching sessions; always Success, replay is a no-op."""
-        request = xmlcodec.parse_logout_request(request_bytes)
+        elem = xmlcodec.parse_xml(request_bytes)
+        request = xmlcodec.logout_request_from_element(elem)
         partner = self.registry.partners.get(request.issuer.value)
         if partner is None:
             raise UnknownIssuer(request.issuer.value)
         if self._require_signed_logout():
             if request.signature is None:
                 raise InvalidRequestSignature("logout request is unsigned but policy requires signing")
-            elem = xmlcodec.parse_xml(request_bytes)
-            if request.signature.reference_id != request.id:
-                raise InvalidRequestSignature("signature references a different ID")
-            result = self._verify(xmlcodec.signed_payload_bytes(elem), request.signature, partner)
+            result = self._verify(elem, request, partner)
             if not result.accepted:
-                raise InvalidRequestSignature(result.reason or "rejected")
+                raise InvalidRequestSignature(result.reason)
 
         with self._lock:
             removed = self.sessions.pop(request.session_index, [])
@@ -619,3 +561,7 @@ class SpEngine:
             if session_index is not None:
                 return tuple(self.sessions.get(session_index, ()))
             return tuple(s for group in self.sessions.values() for s in group)
+
+
+# Pipeline step names, in mandatory execution order.
+PIPELINE_STEPS = tuple(name for name, _ in SpEngine._POST_STEPS)

@@ -301,6 +301,9 @@ _XML_WS = " \t\n\r"
 
 def _convert(node: ET.Element) -> XmlElement:
     ns, local = _split_tag(node.tag)
+    if not ns:
+        # canonicalize could never write it, so reject it here, at parse
+        raise MalformedXml(f"element {local!r} has no namespace")
     attrs: dict[str | AttrKey, str] = {}
     for key, value in node.attrib.items():
         attrs[_split_tag(key)] = value
@@ -825,15 +828,17 @@ def response_from_element(elem: XmlElement) -> Response:
     issuer = elem.require("Issuer", NS_ASSERTION)
     status = elem.require("Status", NS_PROTOCOL).require("StatusCode", NS_PROTOCOL)
     issuer_id = _issuer_id(issuer)
-    assertion_elem = elem.find("Assertion", NS_ASSERTION)
-    encrypted_elem = elem.find("EncryptedAssertion", NS_ASSERTION)
-    if assertion_elem is not None and encrypted_elem is not None:
+    plain = elem.find_all("Assertion", NS_ASSERTION)
+    encrypted = elem.find_all("EncryptedAssertion", NS_ASSERTION)
+    if plain and encrypted:
         raise MalformedXml("response carries both a plain and an encrypted assertion")
+    if len(plain) + len(encrypted) > 1:
+        raise MalformedXml("response carries more than one assertion")
     assertion: Assertion | EncryptedAssertion | None = None
-    if assertion_elem is not None:
-        assertion = assertion_from_element(assertion_elem)
-    elif encrypted_elem is not None:
-        assertion = encrypted_assertion_from_element(encrypted_elem)
+    if plain:
+        assertion = assertion_from_element(plain[0])
+    elif encrypted:
+        assertion = encrypted_assertion_from_element(encrypted[0])
 
     return Response(
         id=_require_attr(elem, "ID"),

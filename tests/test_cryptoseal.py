@@ -25,6 +25,7 @@ from samlforge.cryptoseal import (
     sign_element,
     sign_message,
     signed_info_bytes,
+    verify_message,
     verify_signature,
     encrypt_assertion,
     decrypt_assertion,
@@ -179,6 +180,25 @@ class TestSigning:
         assert verify_signature(unsigned, signed.signature, SIGNER, trusting_store).accepted
         # signing a signed message replaces its signature instead of covering it
         assert sign_message(signed, xmlcodec.emit_assertion, "signing", store) == signed
+
+    def test_verify_message_pins_the_given_certificates(
+        self, store, signer_entry, sample_response_bytes
+    ):
+        assertion = xmlcodec.parse_response(sample_response_bytes).assertion
+        signed = sign_message(assertion, xmlcodec.emit_assertion, "signing", store)
+        elem = parse_xml(xmlcodec.emit_assertion(signed))
+        pinned = (signer_entry.cert_der,)
+
+        def reason(message, elem=elem, ders=pinned):
+            result = verify_message(elem, message, SIGNER, ders, store)
+            return result.reason if not result.accepted else "accepted"
+
+        assert reason(signed) == "accepted"
+        assert reason(signed, ders=()) == "UnknownSigner"
+        # the reference is checked before any bytes are digested
+        assert reason(dataclasses.replace(signed, id="_other")) == "WrongReference"
+        other = dataclasses.replace(signed, subject=dataclasses.replace(signed.subject, name_id="x"))
+        assert reason(signed, elem=parse_xml(xmlcodec.emit_assertion(other))) == "DigestMismatch"
 
     def test_unknown_alias(self, store):
         with pytest.raises(UnknownAlias):

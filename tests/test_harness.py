@@ -1,3 +1,4 @@
+import hashlib
 import http.client
 import re
 import socket
@@ -28,6 +29,43 @@ from samlforge.harness.scenarios import (
 from samlforge.harness.service import HarnessService
 
 MATRIX_FILE = Path(__file__).parent.parent / "scripts" / "matrix.scenarios"
+
+MATRIX_REPORT_SHA256 = {
+    "idp-clean": "11b338c14da150bfd92c220542a36099241533b7b87496586c352cbb2fea6f25",
+    "idp-tamper-signature": "6dc67b0e78af7d5f343f3eb12ae40685ff69ed7b8347f9cf93d54c9286d77809",
+    "idp-strip-signature": "aa7c471e3f9b1399597d41524e833568f9d723fe1d780161e05aa15a0807b92d",
+    "idp-expired": "9296fc71183163d3ad1496174e6472ed498988acfb62dfca64ebefa7f6f499d5",
+    "idp-not-yet-valid": "9b3090a7d2169d12c9255887e2733f1a74465355273fef7418f2a2e98523c4c7",
+    "idp-wrong-audience": "0def2a4d4be77ead227680c61e57ffca31629f087d13089175110b7cbd4eeda2",
+    "idp-wrong-recipient": "6462f2c2d32b5e8b65b25b3419fd60a2bae92967abcaa5719f018b080a55ee7b",
+    "idp-wrong-destination": "8e681c032830cf1459cefbd00a73def4fa45d0cbd4c3dcab211bbab78e165297",
+    "idp-replay": "fa73d768e0dbeb9655cc2a8a051fdfab028d9d2144b409f19e8d33d096b45f0c",
+    "idp-wrong-locality": "1a5c2e3a3bc5ed326788e92573ee2de21517fa313730f7bfdff5c7c7084c3b67",
+    "sp-clean": "a6604f1f94113c0a690c5c58e4ca09a3de8c372bd4e14a68fd964a71e71a716e",
+    "sp-tamper-signature": "6dc67b0e78af7d5f343f3eb12ae40685ff69ed7b8347f9cf93d54c9286d77809",
+    "sp-strip-signature": "aa7c471e3f9b1399597d41524e833568f9d723fe1d780161e05aa15a0807b92d",
+    "sp-expired": "6f376bc29eaa3d989d1c7bcdc7ea3fbc12d1c787663c7e0d391470b99d5ff758",
+    "sp-not-yet-valid": "a03772b42f26e6a3ce4d821df5d40b94af63624865878df80c29cbf27afcd811",
+    "sp-wrong-audience": "0def2a4d4be77ead227680c61e57ffca31629f087d13089175110b7cbd4eeda2",
+    "sp-wrong-recipient": "6462f2c2d32b5e8b65b25b3419fd60a2bae92967abcaa5719f018b080a55ee7b",
+    "sp-wrong-destination": "8e681c032830cf1459cefbd00a73def4fa45d0cbd4c3dcab211bbab78e165297",
+    "sp-replay": "92e44f62ea040de3052cfa2740ab178f8365e47809173e4ada4ce9bd67e5a5ea",
+    "sp-wrong-locality": "1a5c2e3a3bc5ed326788e92573ee2de21517fa313730f7bfdff5c7c7084c3b67",
+    "idp-clean-encrypted": "11b338c14da150bfd92c220542a36099241533b7b87496586c352cbb2fea6f25",
+    "sp-clean-encrypted": "a6604f1f94113c0a690c5c58e4ca09a3de8c372bd4e14a68fd964a71e71a716e",
+    "idp-tamper-encrypted": "6dc67b0e78af7d5f343f3eb12ae40685ff69ed7b8347f9cf93d54c9286d77809",
+    "idp-replay-encrypted": "fa73d768e0dbeb9655cc2a8a051fdfab028d9d2144b409f19e8d33d096b45f0c",
+    "artifact-clean": "15434d60f1eaa316618795c8e6232f1ce97dba22a4b2caec35bd7ed788c15572",
+    "artifact-replay": "c47115d5f39120af431e68f305c87dabab6f6f7b66e5d8f48cf6198ec8d7ec0a",
+    "artifact-tamper": "634f6ec6a811750cf6df41f36d91902966de73598edf9ae7a555c9cccd2c6051",
+    "artifact-not-yet-valid": "93601b9591cd13851c95504741c1f8655ee4d0f3d7360fed9fc7b2e60dfb044a",
+    "pair-clean": "15434d60f1eaa316618795c8e6232f1ce97dba22a4b2caec35bd7ed788c15572",
+    "pair-single-token": "660fca8783d244c368938bb20ec3c9c6d5f06c36ca9d5d003ca5fccf461e8ee5",
+    "pair-cross-tokens": "fc81d524a927817774b2f1b25ed257a1bb0e69f9db0b91153db92dc586c4ad02",
+    "pair-replay": "c47115d5f39120af431e68f305c87dabab6f6f7b66e5d8f48cf6198ec8d7ec0a",
+    "logout-clean": "11b338c14da150bfd92c220542a36099241533b7b87496586c352cbb2fea6f25",
+    "logout-second-user": "11b338c14da150bfd92c220542a36099241533b7b87496586c352cbb2fea6f25",
+}
 
 
 class TestScenarioGrammar:
@@ -79,6 +117,16 @@ class TestSimulator:
         assert mismatched == []
         assert len(results) >= 30
         assert elapsed < 60
+
+    def test_matrix_reports_are_pinned(self, shared_keys):
+        # SHA-256 of each scenario's rendered ValidationReport at seed 0, as
+        # the hand-written pipeline produced them before the step table.
+        results = run_scenarios(parse_scenarios(MATRIX_FILE.read_text()), seed=0)
+        digests = {
+            r.scenario.name: hashlib.sha256(r.report.render().encode()).hexdigest()
+            for r in results
+        }
+        assert digests == MATRIX_REPORT_SHA256
 
     def test_same_seed_reproduces_digests(self, shared_keys):
         scenario = Scenario(name="s", flow="idp_initiated")

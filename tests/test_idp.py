@@ -180,6 +180,28 @@ class TestHandleAuthnRequest:
             fed.idp.handle_authn_request(xmlcodec.emit_authn_request(signed), session, NOW)
 
 
+    def test_signed_redirect_request_is_parsed_once(self, fed, session, monkeypatch):
+        redirect, _ = fed.sp.build_authn_request("https://sp.internal.test/app", NOW)
+        parsed: list[bytes] = []
+        real_parse = xmlcodec.parse_xml
+
+        def counting(data):
+            parsed.append(data)
+            return real_parse(data)
+
+        monkeypatch.setattr(xmlcodec, "parse_xml", counting)
+        fed.idp.handle_authn_request(redirect.url, session, NOW)
+        assert parsed == [bindings.decode_redirect(redirect.url).message]
+
+    def test_signature_over_another_id_is_wrong_reference(self, fed, session):
+        redirect, _ = fed.sp.build_authn_request("https://sp.internal.test/app", NOW)
+        message = bindings.decode_redirect(redirect.url).message
+        request_id = xmlcodec.parse_authn_request(message).id
+        moved = message.replace(f'ID="{request_id}"'.encode(), b'ID="_elsewhere"', 1)
+        with pytest.raises(InvalidRequestSignature, match="^WrongReference$"):
+            fed.idp.handle_authn_request(moved, session, NOW)
+
+
 class TestArtifacts:
     def test_single_use(self, fed, session):
         response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)

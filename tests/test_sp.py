@@ -1,13 +1,14 @@
+import base64
 import dataclasses
 import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from samlforge import bindings, cryptoseal, xmlcodec
-from samlforge.core import EntityId, Instant
+from samlforge import bindings, cryptoseal, idp, sp, xmlcodec
+from samlforge.core import EntityId, Instant, SamlError
 from samlforge.harness.scenarios import (
     CLIENT_IP,
     IDP_BASE,
@@ -25,6 +26,10 @@ NOW = SIM_EPOCH
 @pytest.fixture
 def fed(shared_keys):
     return SimulatedFederation(encrypt=True, keys=shared_keys)
+
+
+def _post(message: bytes, fed) -> bytes:
+    return bindings.serialize_post_body(bindings.encode_post(message, "response", fed.sp.acs_url))
 
 
 def issue_body(fed, now=NOW, relay=None):
@@ -176,6 +181,56 @@ class TestConsumePipeline:
         assert result.report.failed_step == "signature"
         assert "unauthenticated" in result.report.checks[-1].detail
 
+    @pytest.mark.parametrize(
+        "anchor",
+        [b"</samlp:Response>", b"<samlp:StatusCode "],
+        ids=["last-child", "inside-status"],
+    )
+    def test_element_without_namespace_fails_at_parse(self, shared_keys, anchor):
+        # Such an element has no canonical form, so it must stop the
+        # pipeline at parse instead of escaping from the signature step.
+        plain_fed = SimulatedFederation(keys=shared_keys)
+        message = bindings.decode_post(issue_body(plain_fed)).message
+        at = message.index(anchor)
+        result = plain_fed.sp.consume(
+            _post(message[:at] + b"<Ext/>" + message[at:], plain_fed), CLIENT_IP, NOW.plus(1)
+        )
+        assert result.report.failed_step == "parse"
+        assert result.report.checks[-1].detail == "MalformedXml: element 'Ext' has no namespace"
+
+    def test_response_with_two_assertions_fails_at_parse(self, shared_keys):
+        plain_fed = SimulatedFederation(keys=shared_keys)
+        message = bindings.decode_post(issue_body(plain_fed)).message
+        start = message.index(b"<saml:Assertion ")
+        end = message.index(b"</samlp:Response>")
+        doubled = message[:end] + message[start:end] + message[end:]
+        result = plain_fed.sp.consume(_post(doubled, plain_fed), CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "parse"
+        assert result.report.checks[-1].detail == (
+            "MalformedXml: response carries more than one assertion"
+        )
+
+    def test_signature_over_another_id_is_wrong_reference(self, shared_keys):
+        plain_fed = SimulatedFederation(keys=shared_keys)
+        message = bindings.decode_post(issue_body(plain_fed)).message
+        response_id = xmlcodec.parse_response(message).id
+        moved = message.replace(f'ID="{response_id}"'.encode(), b'ID="_elsewhere"', 1)
+        result = plain_fed.sp.consume(_post(moved, plain_fed), CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "signature"
+        assert result.report.checks[-1].detail == "response signature: WrongReference"
+
+    def test_error_inside_a_step_fails_that_step(self, fed, monkeypatch):
+        def broken(conditions, local):
+            raise SamlError("no audience today")
+
+        monkeypatch.setattr(sp, "check_audience", broken)
+        result = fed.sp.consume(issue_body(fed), CLIENT_IP, NOW.plus(1))
+        assert [c.name for c in result.report.checks] == list(
+            PIPELINE_STEPS[: PIPELINE_STEPS.index("audience") + 1]
+        )
+        assert result.report.checks[-1].detail == "SamlError: no audience today"
+        assert fed.sp.live_sessions() == ()
+
     def test_replay_window_boundaries(self, fed):
         body = issue_body(fed)
         first = fed.sp.consume(body, CLIENT_IP, NOW.plus(1))
@@ -212,6 +267,89 @@ class TestConsumePipeline:
             t.join()
         assert outcomes.count(True) == 1
         assert len(fed.sp.live_sessions()) == 1
+
+
+@pytest.fixture(scope="module")
+def genuine(shared_keys):
+    """One plain and one sealed federation, each with a genuine message."""
+    feds = {sealed: SimulatedFederation(encrypt=sealed, keys=shared_keys) for sealed in (False, True)}
+    return {
+        sealed: (f, bindings.decode_post(issue_body(f)).message) for sealed, f in feds.items()
+    }
+
+
+_INSERTS = [b"<", b">", b'"', b"&", b"/", b"=", b"\x00"]
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "delete", "insert"]),
+        st.integers(-6000, 6000),
+        st.integers(0, 7),
+        st.sampled_from(_INSERTS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    """Apply edits at Python index ``position`` (negative counts from the end)."""
+    out = bytearray(data)
+    for op, position, bit, inserted in edits:
+        position = max(-len(out), min(position, len(out) - 1))
+        if op == "flip":
+            out[position] ^= 1 << bit
+        elif op == "delete":
+            del out[position]
+        else:
+            out[position:position] = inserted
+    return bytes(out)
+
+
+_SIGNATURE_BASE64 = {"SignatureValue", "DigestValue", "X509Certificate"}
+
+
+def _as_verified(message: bytes) -> bytes:
+    """Canonical bytes of ``message`` with the base64 text inside the
+    response's own signature re-encoded from the bytes it decodes to.
+
+    Nothing covers that text (SignedInfo is rebuilt from the decoded
+    digest), so base64 that differs only in its unused trailing bits
+    verifies like the original."""
+
+    def normal(elem):
+        if elem.ns == xmlcodec.NS_DSIG and elem.local in _SIGNATURE_BASE64:
+            text = base64.b64encode(base64.b64decode(elem.text, validate=True)).decode()
+            return dataclasses.replace(elem, text=text)
+        return dataclasses.replace(elem, children=tuple(normal(c) for c in elem.children))
+
+    root = xmlcodec.parse_xml(message)
+    children = tuple(
+        normal(c) if (c.ns, c.local) == (xmlcodec.NS_DSIG, "Signature") else c
+        for c in root.children
+    )
+    return xmlcodec.canonicalize(dataclasses.replace(root, children=children))
+
+
+class TestHostileBodies:
+    @given(sealed=st.booleans(), in_form=st.booleans(), edits=_EDITS)
+    @example(sealed=False, in_form=False, edits=[("insert", -len(b"</samlp:Response>"), 0, b"<Ext/>")])
+    @example(sealed=True, in_form=False, edits=[("insert", -len(b"</samlp:Response>"), 0, b"<Ext/>")])
+    @settings(max_examples=150)
+    def test_mutated_bodies_get_a_report_and_only_genuine_bytes_pass(
+        self, genuine, sealed, in_form, edits
+    ):
+        fed, message = genuine[sealed]
+        body = _post(message, fed)
+        if in_form:
+            body = _mutate(body, edits)
+        else:
+            body = _post(_mutate(message, edits), fed)
+        fed.sp.replay.evict_expired(NOW.plus(10**6))  # each example starts unseen
+        result = fed.sp.consume(body, CLIENT_IP, NOW.plus(1))
+        assert result.report.checks
+        assert result.ok == (result.report.failed_step is None)
+        if result.ok:
+            assert _as_verified(bindings.decode_post(body).message) == message
 
 
 class TestRelayState:
@@ -322,6 +460,35 @@ class TestLogoutEndpoint:
         )
         with pytest.raises(UnknownIssuer):
             fed.sp.handle_logout_request(xmlcodec.emit_logout_request(request), NOW)
+
+    def test_signed_request_is_parsed_once(self, fed, monkeypatch):
+        result = fed.sp.consume(issue_body(fed), CLIENT_IP, NOW.plus(1))
+        forms = fed.idp.initiate_single_logout(result.session.session_index, NOW.plus(2))
+        message = bindings.decode_post(bindings.serialize_post_body(forms[0])).message
+        parsed: list[bytes] = []
+        real_parse = xmlcodec.parse_xml
+
+        def counting(data):
+            parsed.append(data)
+            return real_parse(data)
+
+        monkeypatch.setattr(xmlcodec, "parse_xml", counting)
+        fed.sp.handle_logout_request(message, NOW.plus(3))
+        assert parsed == [message]
+
+    def test_signature_over_another_id_is_rejected(self, fed):
+        result = fed.sp.consume(issue_body(fed), CLIENT_IP, NOW.plus(1))
+        forms = fed.idp.initiate_single_logout(result.session.session_index, NOW.plus(2))
+        message = bindings.decode_post(bindings.serialize_post_body(forms[0])).message
+        request_id = xmlcodec.parse_logout_request(message).id
+        moved = message.replace(f'ID="{request_id}"'.encode(), b'ID="_elsewhere"', 1)
+        with pytest.raises(sp.InvalidRequestSignature, match="^WrongReference$"):
+            fed.sp.handle_logout_request(moved, NOW.plus(3))
+        assert fed.sp.live_sessions(result.session.session_index) != ()
+
+    def test_one_request_signature_error_for_both_roles(self):
+        assert sp.InvalidRequestSignature is idp.InvalidRequestSignature
+        assert sp.InvalidRequestSignature is cryptoseal.InvalidRequestSignature
 
     def test_unsigned_logout_rejected_under_signing_policy(self, fed):
         from samlforge.core import EntityId, LogoutRequest, new_message_id
