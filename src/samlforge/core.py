@@ -7,6 +7,8 @@ thread-safe. Serialization lives in ``xmlcodec``, key handling in
 
 from __future__ import annotations
 
+import calendar
+import re
 import secrets
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -21,6 +23,15 @@ NAMEID_FORMAT_TRANSIENT = "urn:oasis:names:tc:SAML:2.0:nameid-format:transient"
 CONSENT_UNSPECIFIED = "urn:oasis:names:tc:SAML:2.0:consent:unspecified"
 
 _INSTANT_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+
+# The pattern ``datetime.strptime`` builds for _INSTANT_FORMAT, matched the
+# same way (case-insensitive, Unicode digits, 1-2 digit fields, space-padded
+# day), so Instant.parse accepts exactly what strptime accepts.
+_INSTANT_PATTERN = re.compile(
+    r"(?P<Y>\d\d\d\d)-(?P<m>1[0-2]|0[1-9]|[1-9])-(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+    r"T(?P<H>2[0-3]|[0-1]\d|\d):(?P<M>[0-5]\d|\d):(?P<S>6[0-1]|[0-5]\d|\d)Z",
+    re.IGNORECASE,
+)
 
 
 class SamlError(Exception):
@@ -39,8 +50,12 @@ class Instant:
 
     @classmethod
     def parse(cls, text: str) -> Instant:
-        dt = datetime.strptime(text, _INSTANT_FORMAT)
-        return cls(int(dt.replace(tzinfo=timezone.utc).timestamp()))
+        found = _INSTANT_PATTERN.match(text)
+        if found is None or found.end() != len(text):
+            raise ValueError(f"time data {text!r} does not match format {_INSTANT_FORMAT!r}")
+        fields = tuple(map(int, found.groups()))
+        datetime(*fields)  # the range checks strptime makes (day of month, second < 60)
+        return cls(calendar.timegm(fields))
 
     @classmethod
     def from_datetime(cls, dt: datetime) -> Instant:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import base64
 import datetime
+import functools
 import secrets
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,16 +38,15 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.padding import PKCS7
 from cryptography.x509.oid import NameOID
 
+from . import xmlcodec
 from .core import EncryptedAssertion, EntityId, SamlError, Signature
 from .xmlcodec import (
     ALG_AES128_CBC,
     ALG_RSA_SHA256,
     ALG_SHA256,
     XmlElement,
-    canonicalize,
     insert_signature,
     keep_emitted,
-    signed_info_element,
     signed_payload_bytes,
 )
 
@@ -86,7 +86,7 @@ class KeyEntry:
     certificate: x509.Certificate
     private_key: rsa.RSAPrivateKey
 
-    @property
+    @functools.cached_property
     def cert_der(self) -> bytes:
         return self.certificate.public_bytes(serialization.Encoding.DER)
 
@@ -236,7 +236,7 @@ def load_keystore(path: str | Path, passphrase: str) -> KeyStore:
 
 def signed_info_bytes(reference_id: str, digest_value: bytes) -> bytes:
     """Canonical bytes the RSA signature actually covers."""
-    return canonicalize(signed_info_element(ALG_RSA_SHA256, ALG_SHA256, reference_id, digest_value))
+    return xmlcodec.signed_info_bytes(ALG_RSA_SHA256, ALG_SHA256, reference_id, digest_value)
 
 
 def _sha256(data: bytes) -> bytes:

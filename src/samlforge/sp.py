@@ -297,6 +297,8 @@ class SpEngine:
 
     def _fetch(self, x: _Exchange) -> tuple[bool, str]:
         """Resolve the artifact value(s) over the back channel."""
+        if not x.inbound:
+            return False, "no artifact to resolve"
         parsed = [bindings.parse_artifact(v) for v in x.inbound]
         partner = next(
             (

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
+from operator import itemgetter
+from xml.parsers import expat
 
 from .core import (
     Assertion,
@@ -142,20 +144,21 @@ def element(
     text: str = "",
 ) -> XmlElement:
     """Build an XmlElement; plain-string attribute keys mean "no namespace"."""
-    normalized: list[tuple[AttrKey, str]] = []
-    for key, value in (attrs or {}).items():
-        if isinstance(key, str):
-            key = ("", key)
-        normalized.append((key, value))
-    normalized.sort(key=lambda item: item[0])
+    normalized = sorted(
+        ((("", key) if isinstance(key, str) else key, value) for key, value in (attrs or {}).items()),
+        key=itemgetter(0),
+    )
     if text and children:
         raise ValueError("element cannot carry both text and children")
     return XmlElement(ns, local, tuple(normalized), tuple(children), text)
 
 
-_ILLEGAL_CHARS = re.compile(
-    "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff￾￿]"
-)
+_ILLEGAL = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_ILLEGAL_CHARS = re.compile(f"[{_ILLEGAL}]")
+# One search per value finds any character that must be escaped or
+# rejected; values without one (base64, IDs, URIs) are written as they are.
+_TEXT_HIT = re.compile(f"[&<>\r{_ILLEGAL}]")
+_ATTR_HIT = re.compile(f'[&<"\t\n\r{_ILLEGAL}]')
 
 
 def _check_legal(value: str) -> str:
@@ -165,6 +168,8 @@ def _check_legal(value: str) -> str:
 
 
 def _escape_text(value: str) -> str:
+    if _TEXT_HIT.search(value) is None:
+        return value
     return (
         _check_legal(value)
         .replace("&", "&amp;")
@@ -175,6 +180,8 @@ def _escape_text(value: str) -> str:
 
 
 def _escape_attr(value: str) -> str:
+    if _ATTR_HIT.search(value) is None:
+        return value
     return (
         _check_legal(value)
         .replace("&", "&amp;")
@@ -193,43 +200,51 @@ def canonicalize(elem: XmlElement) -> bytes:
     return "".join(out).encode("utf-8")
 
 
+def _declare(ns: str, scope: dict[str, str], counter: list[int]) -> str:
+    """Bind ``ns`` in ``scope``: its preferred prefix, else the next free nsN."""
+    prefix = PREFERRED_PREFIXES.get(ns)
+    taken = scope.values()
+    if prefix is None or prefix in taken:
+        while True:
+            prefix = f"ns{counter[0]}"
+            counter[0] += 1
+            if prefix not in taken:
+                break
+    scope[ns] = prefix
+    return prefix
+
+
 def _write(elem: XmlElement, scope: dict[str, str], counter: list[int], out: list[str]) -> None:
-    scope = dict(scope)
-    declarations: list[tuple[str, str]] = []
-
-    def ensure(ns: str) -> str:
-        if ns in scope:
-            return scope[ns]
-        prefix = PREFERRED_PREFIXES.get(ns)
-        if prefix is None or prefix in scope.values():
-            while True:
-                prefix = f"ns{counter[0]}"
-                counter[0] += 1
-                if prefix not in scope.values():
-                    break
-        scope[ns] = prefix
-        declarations.append((prefix, ns))
-        return prefix
-
-    if not elem.ns:
+    ns, attrs, text = elem.ns, elem.attrs, elem.text
+    if not ns:
         raise MalformedXml(f"element {elem.local!r} has no namespace")
-    tag = f"{ensure(elem.ns)}:{elem.local}"
-    rendered_attrs: list[tuple[AttrKey, str, str]] = []
-    for (ans, aname), value in elem.attrs:
-        shown = aname if not ans else f"{ensure(ans)}:{aname}"
-        rendered_attrs.append(((ans, aname), shown, value))
-
+    # ``scope`` is shared with the parent until this element declares a
+    # namespace; only then is it copied.
+    declared = None
+    if ns not in scope:
+        scope = dict(scope)
+        declared = [(_declare(ns, scope, counter), ns)]
+    for (ans, _), _ in attrs:
+        if ans and ans not in scope:
+            if declared is None:
+                scope = dict(scope)
+                declared = []
+            declared.append((_declare(ans, scope, counter), ans))
+    tag = f"{scope[ns]}:{elem.local}"
     out.append(f"<{tag}")
-    for prefix, uri in sorted(declarations):
-        out.append(f' xmlns:{prefix}="{_escape_attr(uri)}"')
-    for _, shown, value in rendered_attrs:
-        out.append(f' {shown}="{_escape_attr(value)}"')
-    if not elem.children and not elem.text:
+    if declared:
+        for prefix, uri in sorted(declared):
+            out.append(f' xmlns:{prefix}="{_escape_attr(uri)}"')
+    for (ans, name), value in attrs:
+        if _ATTR_HIT.search(value):  # the escapers' own test, inlined on this hot path
+            value = _escape_attr(value)
+        out.append(f' {scope[ans]}:{name}="{value}"' if ans else f' {name}="{value}"')
+    if not elem.children and not text:
         out.append("/>")
         return
     out.append(">")
-    if elem.text:
-        out.append(_escape_text(elem.text))
+    if text:
+        out.append(_escape_text(text) if _TEXT_HIT.search(text) else text)
     for child in elem.children:
         _write(child, scope, counter, out)
     out.append(f"</{tag}>")
@@ -254,12 +269,74 @@ def pretty(elem: XmlElement, indent: int = 2) -> str:
     return "\n".join(lines)
 
 
-class _NoDtdBuilder(ET.TreeBuilder):
-    """Tree builder that stops the parse at a document type declaration,
-    before any entity it declares can be defined or expanded."""
+# XML whitespace is the four ASCII characters only; Unicode spacing such as
+# NBSP is significant content and must survive round-trips.
+_XML_WS = " \t\n\r"
 
-    def doctype(self, name: str, pubid: str | None, system: str | None) -> None:
-        raise MalformedXml("document type declarations are not accepted")
+
+def _reject_doctype(name: str, sysid: str | None, pubid: str | None, has_internal: int) -> None:
+    # Raised at the doctype's start event, before any entity it declares can
+    # be defined or expanded.
+    raise MalformedXml("document type declarations are not accepted")
+
+
+_new_object = object.__new__
+
+
+@functools.lru_cache(maxsize=256)
+def _split_name(name: str) -> tuple[str, str]:
+    # Expat joins namespace URI and local name with "}"; a name without one
+    # is in no namespace.
+    ns, sep, local = name.partition("}")
+    return (ns, local) if sep else ("", name)
+
+
+class _TreeBuilder:
+    """Expat handlers that build XmlElement nodes as the parse goes.
+
+    A node's text is every character-data event between its tags, comments
+    and processing instructions dropped. The first semantic error in
+    document order (an element in no namespace at its start tag, mixed
+    content at its end tag) is only remembered: it is raised after expat
+    has accepted the whole document, so a syntax error anywhere wins.
+    """
+
+    def __init__(self) -> None:
+        # Open elements as [ns, local, attrs, children, text chunks], under
+        # a frame whose one child is the root.
+        self.stack: list[list] = [["", "", (), [], []]]
+        self.error: MalformedXml | None = None
+
+    def start(self, name: str, attributes: list[str]) -> None:
+        ns, local = _split_name(name)
+        if not ns and self.error is None:
+            # canonicalize could never write it, so reject it at parse
+            self.error = MalformedXml(f"element {local!r} has no namespace")
+        attrs = ()
+        if attributes:
+            # expat rejects a repeated (namespace, name), so the sort never
+            # compares two values
+            attrs = tuple(sorted(zip(map(_split_name, attributes[::2]), attributes[1::2])))
+        self.stack.append([ns, local, attrs, [], []])
+
+    def end(self, name: str) -> None:
+        stack = self.stack
+        ns, local, attrs, children, chunks = stack.pop()
+        text = "".join(chunks).strip(_XML_WS) if chunks else ""
+        if children:
+            if text and self.error is None:
+                self.error = MalformedXml(f"mixed content inside <{local}> is not accepted")
+            children, text = tuple(children), ""
+        else:
+            children = ()
+        # XmlElement(...) without the frozen dataclass's five
+        # object.__setattr__ calls, which cost a sixth of the parse.
+        node = _new_object(XmlElement)
+        node.__dict__.update(ns=ns, local=local, attrs=attrs, children=children, text=text)
+        stack[-1][3].append(node)
+
+    def data(self, text: str) -> None:
+        self.stack[-1][4].append(text)
 
 
 def parse_xml(data: bytes | str) -> XmlElement:
@@ -276,47 +353,21 @@ def parse_xml(data: bytes | str) -> XmlElement:
         # XML forbids NUL, and expat reads NUL-interleaved bytes as UTF-16
         # whatever encoding it is told.
         raise MalformedXml("document is not UTF-8: NUL byte")
-    parser = ET.XMLParser(target=_NoDtdBuilder(), encoding="utf-8")
+    builder = _TreeBuilder()
+    parser = expat.ParserCreate("utf-8", "}")
+    parser.buffer_text = True
+    parser.ordered_attributes = True
+    parser.StartDoctypeDeclHandler = _reject_doctype
+    parser.StartElementHandler = builder.start
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.data
     try:
-        parser.feed(raw)
-        root = parser.close()
-    except ET.ParseError as exc:
+        parser.Parse(raw, True)
+    except expat.ExpatError as exc:
         raise MalformedXml(str(exc)) from None
-    except ValueError as exc:
-        raise MalformedXml(str(exc)) from None
-    return _convert(root)
-
-
-def _split_tag(tag: str) -> tuple[str, str]:
-    if tag.startswith("{"):
-        ns, _, local = tag[1:].partition("}")
-        return ns, local
-    return "", tag
-
-
-# XML whitespace is the four ASCII characters only; Unicode spacing such as
-# NBSP is significant content and must survive round-trips.
-_XML_WS = " \t\n\r"
-
-
-def _convert(node: ET.Element) -> XmlElement:
-    ns, local = _split_tag(node.tag)
-    if not ns:
-        # canonicalize could never write it, so reject it here, at parse
-        raise MalformedXml(f"element {local!r} has no namespace")
-    attrs: dict[str | AttrKey, str] = {}
-    for key, value in node.attrib.items():
-        attrs[_split_tag(key)] = value
-    children = tuple(_convert(child) for child in node)
-    text = (node.text or "").strip(_XML_WS)
-    if children:
-        if text:
-            raise MalformedXml(f"mixed content inside <{local}> is not accepted")
-        for child in node:
-            if (child.tail or "").strip(_XML_WS):
-                raise MalformedXml(f"mixed content inside <{local}> is not accepted")
-        return element(ns, local, attrs, children)
-    return element(ns, local, attrs, (), text)
+    if builder.error is not None:
+        raise builder.error
+    return builder.stack[0][3][0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +396,17 @@ def _b64(data: bytes) -> str:
 
 
 def _unb64(text: str, where: str) -> bytes:
+    """Decode canonical base64 only: base64 whose unused trailing bits are
+    not zero decodes to the same bytes as another text, and nothing would
+    cover the difference."""
     try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
+        encoded = text.encode("ascii")
+        decoded = base64.b64decode(encoded, validate=True)
+        if base64.b64encode(decoded) == encoded:
+            return decoded
     except (binascii.Error, ValueError, UnicodeEncodeError):
-        raise MalformedXml(f"{where}: invalid base64 content") from None
+        pass
+    raise MalformedXml(f"{where}: invalid base64 content")
 
 
 def _open(elem: XmlElement, ns: str, local: str, allowed: set[tuple[str, str]]) -> None:
@@ -385,48 +443,55 @@ def _reject_unknown(elem: XmlElement, allowed: set[tuple[str, str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def signed_info_element(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes) -> XmlElement:
-    """The SignedInfo whose canonical bytes the signature value covers."""
-    return element(
-        NS_DSIG,
-        "SignedInfo",
-        children=[
-            element(NS_DSIG, "SignatureMethod", {"Algorithm": sig_alg}),
-            element(
-                NS_DSIG,
-                "Reference",
-                {"URI": "#" + ref_id},
-                children=[
-                    element(NS_DSIG, "DigestMethod", {"Algorithm": digest_alg}),
-                    element(NS_DSIG, "DigestValue", text=_b64(digest)),
-                ],
-            ),
-        ],
+# ds:SignedInfo and ds:Signature have one fixed shape, so they are rendered
+# straight to their canonical bytes: every element is in the ds namespace,
+# which the outermost one declares, and no element has two attributes.
+_DS_OPEN = f'xmlns:ds="{NS_DSIG}"'
+
+
+def _ds_text(local: str, text: str) -> str:
+    if not text:
+        return f"<ds:{local}/>"
+    return f"<ds:{local}>{_escape_text(text)}</ds:{local}>"
+
+
+def _signed_info(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes, declare: str) -> str:
+    return (
+        f'<ds:SignedInfo{declare}><ds:SignatureMethod Algorithm="{_escape_attr(sig_alg)}"/>'
+        f'<ds:Reference URI="{_escape_attr("#" + ref_id)}">'
+        f'<ds:DigestMethod Algorithm="{_escape_attr(digest_alg)}"/>'
+        f'{_ds_text("DigestValue", _b64(digest))}</ds:Reference></ds:SignedInfo>'
     )
 
 
-def signature_element(sig: Signature) -> XmlElement:
-    signed_info = signed_info_element(
-        sig.signature_algorithm, sig.digest_algorithm, sig.reference_id, sig.digest_value
-    )
-    children = [signed_info, element(NS_DSIG, "SignatureValue", text=_b64(sig.signature_value))]
+def signed_info_bytes(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes) -> bytes:
+    """Canonical bytes of the SignedInfo that the signature value covers."""
+    return _signed_info(sig_alg, digest_alg, ref_id, digest, " " + _DS_OPEN).encode("utf-8")
+
+
+def signature_bytes(sig: Signature) -> bytes:
+    """Canonical bytes of ``sig`` as a ds:Signature element."""
+    parts = [
+        f"<ds:Signature {_DS_OPEN}>",
+        _signed_info(
+            sig.signature_algorithm, sig.digest_algorithm, sig.reference_id, sig.digest_value, ""
+        ),
+        _ds_text("SignatureValue", _b64(sig.signature_value)),
+    ]
     if sig.certificate:
         # KeyInfo is optional; redirect-bound messages omit it to fit the URL
         # budget and the verifier falls back to metadata-pinned certificates.
-        children.append(
-            element(
-                NS_DSIG,
-                "KeyInfo",
-                children=[
-                    element(
-                        NS_DSIG,
-                        "X509Data",
-                        children=[element(NS_DSIG, "X509Certificate", text=_b64(sig.certificate))],
-                    )
-                ],
-            )
+        parts.append(
+            f"<ds:KeyInfo><ds:X509Data>{_ds_text('X509Certificate', _b64(sig.certificate))}"
+            "</ds:X509Data></ds:KeyInfo>"
         )
-    return element(NS_DSIG, "Signature", children=children)
+    parts.append("</ds:Signature>")
+    return "".join(parts).encode("utf-8")
+
+
+def signature_element(sig: Signature) -> XmlElement:
+    """``sig`` as an element tree, for callers that build a whole tree."""
+    return parse_xml(signature_bytes(sig))
 
 
 def signature_from_element(elem: XmlElement) -> Signature:
@@ -460,7 +525,7 @@ def strip_signature(elem: XmlElement) -> tuple[XmlElement, XmlElement | None]:
     if sig is None:
         return elem, None
     remaining = tuple(c for c in elem.children if c is not sig)
-    return replace(elem, children=remaining), sig
+    return XmlElement(elem.ns, elem.local, elem.attrs, remaining, elem.text), sig
 
 
 def signed_payload_bytes(elem: XmlElement) -> bytes:
@@ -486,7 +551,7 @@ def insert_signature(unsigned: bytes, signature: Signature) -> bytes:
     end = unsigned.index(b">", start) + 1
     if unsigned[end - 2] != ord("/"):
         end = unsigned.index(b">", unsigned.index(b"<", end)) + 1
-    return unsigned[:end] + canonicalize(signature_element(signature)) + unsigned[end:]
+    return unsigned[:end] + signature_bytes(signature) + unsigned[end:]
 
 
 # The emitters of signable messages keep the bytes they render on the

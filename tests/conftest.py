@@ -14,6 +14,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# More examples for the differential tests in CI:
+# ``pytest --hypothesis-profile=ci``. Tests that pin max_examples keep it.
+settings.register_profile("ci", settings.get_profile("default"), max_examples=1000)
 settings.load_profile("default")
 
 CORPUS = Path(__file__).parent / "corpus"

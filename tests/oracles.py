@@ -3,12 +3,21 @@
 These deliberately avoid the libraries the package itself uses for the
 same operation: SHA-1 and base64 are implemented from scratch, RSA
 signing/verification uses plain modular arithmetic over the key numbers.
+The XML oracles are the straightforward forms of xmlcodec's writer,
+parser (ElementTree, then a tree walk) and signature fragments (element
+trees), which xmlcodec replaced with faster equivalents.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import re
 import struct
+import xml.etree.ElementTree as ET
+
+from samlforge.core import Signature
+from samlforge.xmlcodec import NS_DSIG, NS_XML, PREFERRED_PREFIXES, MalformedXml, XmlElement
 
 # ---------------------------------------------------------------------------
 # SHA-1 (pure Python)
@@ -144,3 +153,200 @@ def rsa_verify(message: bytes, signature: bytes, n: int, e: int) -> bool:
         return False
     decoded = pow(int.from_bytes(signature, "big"), e, n).to_bytes(em_len, "big")
     return decoded == _emsa_pkcs1_v15(message, em_len)
+
+
+# ---------------------------------------------------------------------------
+# XML: the element-tree reference implementations of xmlcodec's writer,
+# parser and signature fragments, kept as they were before those became
+# direct renderers and an expat-driven builder
+# ---------------------------------------------------------------------------
+
+def element(ns, local, attrs=None, children=(), text=""):
+    normalized = []
+    for key, value in (attrs or {}).items():
+        if isinstance(key, str):
+            key = ("", key)
+        normalized.append((key, value))
+    normalized.sort(key=lambda item: item[0])
+    if text and children:
+        raise ValueError("element cannot carry both text and children")
+    return XmlElement(ns, local, tuple(normalized), tuple(children), text)
+
+
+_ILLEGAL_CHARS = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_legal(value):
+    if _ILLEGAL_CHARS.search(value):
+        raise MalformedXml("string contains characters not representable in XML 1.0")
+    return value
+
+
+def _escape_text(value):
+    return (
+        _check_legal(value)
+        .replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace("\r", "&#xD;")
+    )
+
+
+def _escape_attr(value):
+    return (
+        _check_legal(value)
+        .replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace('"', "&quot;")
+        .replace("\t", "&#x9;")
+        .replace("\n", "&#xA;")
+        .replace("\r", "&#xD;")
+    )
+
+
+def canonicalize(elem):
+    out = []
+    _write(elem, {NS_XML: "xml"}, [0], out)
+    return "".join(out).encode("utf-8")
+
+
+def _write(elem, scope, counter, out):
+    scope = dict(scope)
+    declarations = []
+
+    def ensure(ns):
+        if ns in scope:
+            return scope[ns]
+        prefix = PREFERRED_PREFIXES.get(ns)
+        if prefix is None or prefix in scope.values():
+            while True:
+                prefix = f"ns{counter[0]}"
+                counter[0] += 1
+                if prefix not in scope.values():
+                    break
+        scope[ns] = prefix
+        declarations.append((prefix, ns))
+        return prefix
+
+    if not elem.ns:
+        raise MalformedXml(f"element {elem.local!r} has no namespace")
+    tag = f"{ensure(elem.ns)}:{elem.local}"
+    rendered_attrs = []
+    for (ans, aname), value in elem.attrs:
+        shown = aname if not ans else f"{ensure(ans)}:{aname}"
+        rendered_attrs.append(((ans, aname), shown, value))
+
+    out.append(f"<{tag}")
+    for prefix, uri in sorted(declarations):
+        out.append(f' xmlns:{prefix}="{_escape_attr(uri)}"')
+    for _, shown, value in rendered_attrs:
+        out.append(f' {shown}="{_escape_attr(value)}"')
+    if not elem.children and not elem.text:
+        out.append("/>")
+        return
+    out.append(">")
+    if elem.text:
+        out.append(_escape_text(elem.text))
+    for child in elem.children:
+        _write(child, scope, counter, out)
+    out.append(f"</{tag}>")
+
+
+class _NoDtdBuilder(ET.TreeBuilder):
+    def doctype(self, name, pubid, system):
+        raise MalformedXml("document type declarations are not accepted")
+
+
+def parse_xml(data):
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    if not isinstance(raw, (bytes, bytearray)):
+        raise MalformedXml(f"expected bytes, got {type(raw).__name__}")
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedXml(f"document is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    if b"\x00" in raw:
+        raise MalformedXml("document is not UTF-8: NUL byte")
+    parser = ET.XMLParser(target=_NoDtdBuilder(), encoding="utf-8")
+    try:
+        parser.feed(raw)
+        root = parser.close()
+    except ET.ParseError as exc:
+        raise MalformedXml(str(exc)) from None
+    except ValueError as exc:
+        raise MalformedXml(str(exc)) from None
+    return _convert(root)
+
+
+def _split_tag(tag):
+    if tag.startswith("{"):
+        ns, _, local = tag[1:].partition("}")
+        return ns, local
+    return "", tag
+
+
+_XML_WS = " \t\n\r"
+
+
+def _convert(node):
+    ns, local = _split_tag(node.tag)
+    if not ns:
+        raise MalformedXml(f"element {local!r} has no namespace")
+    attrs = {}
+    for key, value in node.attrib.items():
+        attrs[_split_tag(key)] = value
+    children = tuple(_convert(child) for child in node)
+    text = (node.text or "").strip(_XML_WS)
+    if children:
+        if text:
+            raise MalformedXml(f"mixed content inside <{local}> is not accepted")
+        for child in node:
+            if (child.tail or "").strip(_XML_WS):
+                raise MalformedXml(f"mixed content inside <{local}> is not accepted")
+        return element(ns, local, attrs, children)
+    return element(ns, local, attrs, (), text)
+
+
+def _b64(data):
+    return base64.b64encode(data).decode("ascii")
+
+
+def signed_info_element(sig_alg, digest_alg, ref_id, digest):
+    return element(
+        NS_DSIG,
+        "SignedInfo",
+        children=[
+            element(NS_DSIG, "SignatureMethod", {"Algorithm": sig_alg}),
+            element(
+                NS_DSIG,
+                "Reference",
+                {"URI": "#" + ref_id},
+                children=[
+                    element(NS_DSIG, "DigestMethod", {"Algorithm": digest_alg}),
+                    element(NS_DSIG, "DigestValue", text=_b64(digest)),
+                ],
+            ),
+        ],
+    )
+
+
+def signature_element(sig: Signature):
+    signed_info = signed_info_element(
+        sig.signature_algorithm, sig.digest_algorithm, sig.reference_id, sig.digest_value
+    )
+    children = [signed_info, element(NS_DSIG, "SignatureValue", text=_b64(sig.signature_value))]
+    if sig.certificate:
+        children.append(
+            element(
+                NS_DSIG,
+                "KeyInfo",
+                children=[
+                    element(
+                        NS_DSIG,
+                        "X509Data",
+                        children=[element(NS_DSIG, "X509Certificate", text=_b64(sig.certificate))],
+                    )
+                ],
+            )
+        )
+    return element(NS_DSIG, "Signature", children=children)

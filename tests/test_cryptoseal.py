@@ -95,6 +95,12 @@ class TestKeystoreFile:
         assert loaded_pub == original_pub
         assert loaded.entries["only"].cert_der == entry.cert_der
 
+    def test_certificate_der_is_serialized_once(self, signer_entry):
+        der = signer_entry.cert_der
+        assert der == signer_entry.certificate.public_bytes(serialization.Encoding.DER)
+        assert signer_entry.cert_der is der
+        assert dataclasses.replace(signer_entry) == signer_entry
+
     def test_wrong_passphrase(self, tmp_path, signer_entry):
         path = tmp_path / "two.keystore"
         save_keystore(make_keystore({"signing": signer_entry}), path, "right")

@@ -1,0 +1,390 @@
+"""xmlcodec's writer, parser and signature renderers against the reference
+implementations in ``oracles``: the same bytes or tree for every input, or
+the same exception with the same message."""
+
+from datetime import datetime, timezone
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
+
+import oracles
+from samlforge import bindings, xmlcodec
+from samlforge.core import Instant, Signature
+from samlforge.harness.scenarios import CLIENT_IP, SIM_EPOCH, SP_ENTITY, SimulatedFederation
+from samlforge.xmlcodec import (
+    NS_ASSERTION,
+    NS_DSIG,
+    NS_ENVELOPE,
+    NS_METADATA,
+    NS_PROTOCOL,
+    NS_XML,
+    NS_XMLENC,
+    MalformedXml,
+)
+
+CORPUS = Path(__file__).parent / "corpus"
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except MalformedXml as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+def test_the_requested_hypothesis_profile_is_active(request):
+    """``--hypothesis-profile`` must win over the profile conftest loads."""
+    wanted = request.config.getoption("hypothesis_profile") or "default"
+    assert settings.default.max_examples == settings.get_profile(wanted).max_examples
+
+
+# ---------------------------------------------------------------------------
+# canonicalize
+# ---------------------------------------------------------------------------
+
+# Preferred namespaces, the implicit xml one, and URIs that get an nsN
+# prefix, one of them needing escapes in its declaration.
+_NAMESPACES = [
+    NS_ASSERTION,
+    NS_PROTOCOL,
+    NS_METADATA,
+    NS_DSIG,
+    NS_XMLENC,
+    NS_ENVELOPE,
+    NS_XML,
+    "urn:a",
+    "urn:b",
+    'urn:q"&<\t',
+]
+_CHARS = list('ab =#/&<>"\'\t\n\r\x85\xa0é€\U0001f600') + ["\x00", "\x1f", "\ud800", "\ufffe", "\uffff"]
+_values = st.text(alphabet=st.sampled_from(_CHARS), max_size=6)
+_locals = st.sampled_from(["a", "b", "Issuer", "ns0", "xmlns"])
+# Plain names, the same local name in several namespaces, and a plain key
+# next to its ("", name) twin.
+_attr_keys = st.one_of(
+    _locals,
+    st.tuples(st.sampled_from(["", "urn:a", "urn:b", NS_ASSERTION]), _locals),
+    st.tuples(st.sampled_from(_NAMESPACES), _locals),
+)
+_attrs = st.dictionaries(_attr_keys, _values, max_size=4)
+
+
+@st.composite
+def _trees(draw, depth=3):
+    # Mostly a few shared namespaces, so that children reuse, and attributes
+    # add to, what an ancestor declared.
+    pick = draw(st.integers(0, 19))
+    if pick == 0:
+        ns = ""
+    elif pick < 12:
+        ns = draw(st.sampled_from([NS_ASSERTION, "urn:a"]))
+    else:
+        ns = draw(st.sampled_from(_NAMESPACES))
+    local, attrs = draw(_locals), draw(_attrs)
+    children = ()
+    text = ""
+    if depth and draw(st.booleans()):
+        children = tuple(draw(st.lists(_trees(depth=depth - 1), max_size=3)))
+    else:
+        text = draw(_values)
+    new = xmlcodec.element(ns, local, attrs, children, text)
+    assert new == oracles.element(ns, local, attrs, children, text)
+    return new
+
+
+_SIBLINGS_SHARE_AN_ATTRIBUTE_NAMESPACE = xmlcodec.element(
+    NS_ASSERTION,
+    "a",
+    children=[
+        xmlcodec.element(NS_ASSERTION, "b", {("urn:b", "x"): "1"}),
+        xmlcodec.element(NS_ASSERTION, "c", {("urn:b", "y"): "2"}),
+    ],
+)
+
+
+@given(_trees())
+@example(_SIBLINGS_SHARE_AN_ATTRIBUTE_NAMESPACE)
+@example(xmlcodec.element("urn:a", "a", {("urn:b", "x"): "1", ("urn:a", "x"): "2", "x": "3"}))
+@example(xmlcodec.element(NS_ASSERTION, "a", children=[xmlcodec.element("", "Bare")]))
+@example(xmlcodec.element(NS_ASSERTION, "a", {("urn:a", "x"): "\x00"}, text="<\r"))
+def test_canonicalize_matches_the_reference_writer(tree):
+    assert outcome(xmlcodec.canonicalize, tree) == outcome(oracles.canonicalize, tree)
+
+
+# ---------------------------------------------------------------------------
+# parse_xml
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def documents(shared_keys):
+    """Genuine plain and sealed Responses, a signed AuthnRequest and the corpus."""
+    docs = [path.read_bytes() for path in sorted(CORPUS.glob("*.xml"))]
+    for encrypt in (False, True):
+        fed = SimulatedFederation(encrypt=encrypt, keys=shared_keys)
+        session = fed.idp.create_session("the.user", CLIENT_IP, SIM_EPOCH)
+        form = fed.idp.idp_initiated_post(session, SP_ENTITY, SIM_EPOCH)
+        docs.append(bindings.decode_post(bindings.serialize_post_body(form)).message)
+    redirect, _ = fed.sp.build_authn_request("https://sp.internal.test/app", SIM_EPOCH)
+    docs.append(bindings.decode_redirect(redirect.url).message)
+    return docs
+
+
+_SNIPPETS = [
+    b"&undefined;",
+    b"&amp;",
+    b"&#0;",
+    b"&#x41;",
+    b"<!--c-->",
+    b"<?pi x?>",
+    b"<![CDATA[x<]]>",
+    b"<!DOCTYPE r>",
+    b'<!DOCTYPE r [<!ENTITY e "x">]>',
+    b"\xef\xbb\xbf",
+    b"<Ext/>",
+    b'<Ext xmlns="">t</Ext>',
+    b"<x:Ext/>",
+    b'<ns:E xmlns:ns="urn:e"/>',
+    b"</Ext>",
+    b"x",
+    b" \r\n\t",
+    b"\xc2\xa0",
+    b"\xff",
+    b"\x00",
+    b"<",
+    b">",
+    b'"',
+    b"=",
+]
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "delete", "insert"]),
+        st.integers(-8000, 8000),
+        st.integers(0, 7),
+        st.sampled_from(_SNIPPETS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for op, position, bit, snippet in edits:
+        if not out:
+            out.extend(snippet)
+            continue
+        position = max(-len(out), min(position, len(out) - 1))
+        if op == "flip":
+            out[position] ^= 1 << bit
+        elif op == "delete":
+            del out[position]
+        else:
+            out[position:position] = snippet
+    return bytes(out)
+
+
+@given(which=st.integers(0, 99), edits=_EDITS)
+def test_parse_matches_the_reference_parser_on_mutated_messages(documents, which, edits):
+    data = _mutate(documents[which % len(documents)], edits)
+    assert outcome(xmlcodec.parse_xml, data) == outcome(oracles.parse_xml, data)
+
+
+@given(st.binary(max_size=200))
+def test_parse_matches_the_reference_parser_on_arbitrary_bytes(data):
+    assert outcome(xmlcodec.parse_xml, data) == outcome(oracles.parse_xml, data)
+
+
+@given(_trees())
+def test_parse_of_canonical_bytes_matches_the_reference_parser(tree):
+    result = outcome(oracles.canonicalize, tree)
+    if result[0] == "ok":
+        assert outcome(xmlcodec.parse_xml, result[1]) == outcome(oracles.parse_xml, result[1])
+
+
+# Tags with their declarations: a default namespace, a prefixed one, an
+# element that inherits the default (or has none at the root), and one that
+# undeclares it.
+_TAGS = [
+    ("a", ' xmlns="urn:a"'),
+    ("saml:Issuer", f' xmlns:saml="{NS_ASSERTION}"'),
+    ("n", ""),
+    ("n", ' xmlns=""'),
+]
+_ATTRIBUTES = [' x="1"', ' saml:x="2"', ' y="&amp;&#9; &#xA;"', ' z="a&#xD;b\tc"']
+_CONTENT = ["t", " ", "\r\n", "&amp;", "&#x20;", "&undefined;", "é", "<!--c-->", "<?pi x?>",
+            "<![CDATA[ <x> ]]>"]
+
+
+@st.composite
+def _markup(draw, depth=3):
+    """One element, well-formed or not, with text, comments, PIs, CDATA and
+    child elements mixed in any order."""
+    tag, declaration = draw(st.sampled_from(_TAGS))
+    attrs = "".join(draw(st.lists(st.sampled_from(_ATTRIBUTES), max_size=2, unique=True)))
+    items = draw(
+        st.lists(
+            st.one_of(st.sampled_from(_CONTENT), _markup(depth=depth - 1))
+            if depth
+            else st.sampled_from(_CONTENT),
+            max_size=4,
+        )
+    )
+    return f"<{tag}{declaration}{attrs}>{''.join(items)}</{tag}>"
+
+
+@given(
+    prologue=st.sampled_from(["", "\ufeff", '<?xml version="1.0"?>', "<!DOCTYPE a>", "<!--c-->"]),
+    body=_markup(),
+    epilogue=st.sampled_from(["", " ", "<!--c-->", "x", "<b/>", "</a>"]),
+)
+def test_parse_matches_the_reference_parser_on_generated_documents(prologue, body, epilogue):
+    data = (prologue + body + epilogue).encode()
+    assert outcome(xmlcodec.parse_xml, data) == outcome(oracles.parse_xml, data)
+
+
+_X = f'xmlns="{NS_ASSERTION}"'
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        f"<a {_X}>&undefined;</a>".encode(),
+        f"<a {_X}>user@user.com<!---->.evil.com</a>".encode(),
+        f"<a {_X}>a<?pi x?>b</a>".encode(),
+        f"<a {_X}><![CDATA[<x> & y]]></a>".encode(),
+        f"<a {_X}>x<!--c--><b/></a>".encode(),
+        f"<a {_X}><b/> <!--c--> <c/></a>".encode(),
+        f"<a {_X}><b/>t</a>".encode(),
+        f"<a {_X}><b/><c/>t<d/></a>".encode(),
+        f'<!DOCTYPE a [<!ENTITY e "x">]><a {_X}>&e;</a>'.encode(),
+        f"<!DOCTYPE a><a {_X}/>".encode(),
+        f"\xef\xbb\xbf<a {_X}>t</a>".encode("latin-1"),
+        f"\ufeff<a {_X}>t</a>".encode(),
+        f'<?xml version="1.0" encoding="ISO-8859-1"?><a {_X}>é</a>'.encode(),
+        f'<a {_X}><Ext xmlns=""/><b></a>'.encode(),
+        b"<a><b></a>",
+        f'<a {_X}><Ext xmlns=""/></a><junk/>'.encode(),
+        f'<a {_X}><b>t<Ext xmlns=""/></b></a>'.encode(),
+        f'<a {_X}><b>t<c/></b><Ext xmlns=""/></a>'.encode(),
+        f'<a {_X}><Ext xmlns=""/>t<b/></a>'.encode(),
+        f'<a {_X} b="1" xmlns:p="urn:p" p:b="2" c="&#9;&#xA;&#xD; x"/>'.encode(),
+        f'<p:a xmlns:p="urn:p}}q" p:b="1"/>'.encode(),
+        f"<a {_X}>\r\n  t \t</a>".encode(),
+        f"<a {_X}>&#xD800;</a>".encode(),
+        b"",
+        b"<a/>",
+        b"<a>",
+        b"<x:a/>",
+        f"<a {_X}/>trailing".encode(),
+    ],
+)
+def test_parse_matches_the_reference_parser_on_edge_cases(data):
+    assert outcome(xmlcodec.parse_xml, data) == outcome(oracles.parse_xml, data)
+
+
+def test_corpus_parses_to_the_reference_tree(documents):
+    for data in documents:
+        assert xmlcodec.parse_xml(data) == oracles.parse_xml(data)
+
+
+# ---------------------------------------------------------------------------
+# signature_bytes / signed_info_bytes
+# ---------------------------------------------------------------------------
+
+_ids = st.text(alphabet=st.sampled_from(list('_a9" &<>\t\n\r\x85') + ["\x00", "\ufffe"]), max_size=8)
+_signatures = st.builds(
+    Signature,
+    digest_algorithm=st.sampled_from([xmlcodec.ALG_SHA256, 'urn:"&<', ""]),
+    signature_algorithm=st.sampled_from([xmlcodec.ALG_RSA_SHA256, "urn:x\ty", ""]),
+    reference_id=_ids,
+    digest_value=st.binary(max_size=33),
+    signature_value=st.binary(max_size=40),
+    certificate=st.one_of(st.just(b""), st.binary(min_size=1, max_size=40)),
+)
+
+
+@given(_signatures)
+@example(Signature(xmlcodec.ALG_SHA256, xmlcodec.ALG_RSA_SHA256, '"&<\t\n\r', b"d", b"", b""))
+@example(Signature(xmlcodec.ALG_SHA256, xmlcodec.ALG_RSA_SHA256, "_id", b"", b"s", b"cert"))
+@example(Signature(xmlcodec.ALG_SHA256, xmlcodec.ALG_RSA_SHA256, "_id", b"d", b"s", b"cert"))
+def test_signature_renderers_match_the_reference_trees(sig):
+    signature = outcome(xmlcodec.signature_bytes, sig)
+    assert signature == outcome(oracles.canonicalize, oracles.signature_element(sig))
+    signed_info = (sig.signature_algorithm, sig.digest_algorithm, sig.reference_id, sig.digest_value)
+    assert outcome(xmlcodec.signed_info_bytes, *signed_info) == outcome(
+        oracles.canonicalize, oracles.signed_info_element(*signed_info)
+    )
+    if signature[0] == "ok":
+        assert xmlcodec.signature_element(sig) == oracles.signature_element(sig)
+
+
+# ---------------------------------------------------------------------------
+# Instant.parse
+# ---------------------------------------------------------------------------
+
+_DIGITS = st.sampled_from(list("0123456789") + ["٣", "３", "߁", " "])
+_JUNK = st.text(alphabet=st.sampled_from(list("0123456789 -:TtZz+.") + ["٣", "３"]), max_size=5)
+
+
+def _number(low: int, high: int, width: int):
+    """A value in range, zero-padded, unpadded or (day) space-padded."""
+    return st.tuples(st.integers(low, high), st.sampled_from(["0", "", " "])).map(
+        lambda pair: str(pair[0]).rjust(width, pair[1]) if pair[1] else str(pair[0])
+    )
+
+
+@st.composite
+def _instant_texts(draw):
+    """Mostly in-range timestamps in every spelling strptime allows, with
+    at most two parts replaced by junk."""
+    parts = [
+        draw(st.integers(0, 9999).map(lambda n: str(n).zfill(4))),
+        "-",
+        draw(_number(1, 12, 2)),
+        "-",
+        draw(_number(1, 31, 2)),
+        draw(st.sampled_from(["T", "t"])),
+        draw(_number(0, 23, 2)),
+        ":",
+        draw(_number(0, 59, 2)),
+        ":",
+        draw(_number(0, 61, 2)),
+        draw(st.sampled_from(["Z", "z"])),
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.one_of(_JUNK, st.text(_DIGITS, max_size=3)))
+    return "".join(parts) + draw(st.sampled_from(["", "", "", "Z", " ", "\n", "0"]))
+
+
+def _strptime_epoch(text: str):
+    try:
+        parsed = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+    except ValueError:
+        return None
+    return int(parsed.replace(tzinfo=timezone.utc).timestamp())
+
+
+def _instant_epoch(text: str):
+    try:
+        return Instant.parse(text).epoch
+    except ValueError:
+        return None
+
+
+@given(_instant_texts())
+@example("2024-02-29T23:59:59Z")
+@example("2023-02-29T00:00:00Z")
+@example("2024-12-31T23:59:60Z")
+@example("2024-12-31T23:59:61Z")
+@example("0000-01-01T00:00:00Z")
+@example("0001-01-01T00:00:00Z")
+@example("9999-12-31T23:59:59Z")
+@example("2009-4-2t1:2:3z")
+@example("2009-04- 2T01:02:03Z")
+@example("２００９-04-22T12:33:36Z")
+@example("2009-04-22T12:33:36Z\n")
+def test_instant_parse_accepts_what_strptime_accepts(text):
+    assert _instant_epoch(text) == _strptime_epoch(text)

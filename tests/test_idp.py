@@ -124,6 +124,21 @@ class TestIssueAssertion:
         seen = {new_message_id() for _ in range(1_000_000)}
         assert len(seen) == 1_000_000
 
+    def test_idp_initiated_post_parses_nothing(self, fed, session, monkeypatch):
+        # Signing renders ds:Signature straight to bytes; no tree is parsed
+        # back on the issuing side.
+        parsed: list[bytes] = []
+        real_parse = xmlcodec.parse_xml
+
+        def counting(data):
+            parsed.append(data)
+            return real_parse(data)
+
+        monkeypatch.setattr(xmlcodec, "parse_xml", counting)
+        monkeypatch.setattr(bindings, "parse_xml", counting)
+        fed.idp.idp_initiated_post(session, SP_ENTITY, NOW)
+        assert parsed == []
+
 
 class TestHandleAuthnRequest:
     def test_signed_request_with_relay_state(self, fed, session):

@@ -231,6 +231,30 @@ class TestConsumePipeline:
         assert result.report.checks[-1].detail == "SamlError: no audience today"
         assert fed.sp.live_sessions() == ()
 
+    def test_signature_value_with_nonzero_trailing_bits_fails_at_parse(self, shared_keys):
+        # A 256-byte value ends in "XY==": Y carries two data bits and four
+        # unused ones, so Y's neighbour decodes to the same bytes.
+        plain_fed = SimulatedFederation(keys=shared_keys)
+        message = bindings.decode_post(issue_body(plain_fed)).message
+        end = message.index(b"==</ds:SignatureValue>")
+        alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+        neighbour = alphabet.index(message[end - 1 : end]) ^ 1
+        edited = message[: end - 1] + alphabet[neighbour : neighbour + 1] + message[end:]
+        start = edited.index(b"<ds:SignatureValue>") + len(b"<ds:SignatureValue>")
+        assert base64.b64decode(edited[start : end + 2]) == base64.b64decode(message[start : end + 2])
+        result = plain_fed.sp.consume(_post(edited, plain_fed), CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "parse"
+        assert result.report.checks[-1].detail == (
+            "MalformedXml: SignatureValue: invalid base64 content"
+        )
+
+    def test_no_artifact_fails_at_fetch(self, fed):
+        result = fed.sp.fetch_via_artifact([], CLIENT_IP, NOW)
+        assert not result.ok
+        assert [(c.name, c.ok, c.detail) for c in result.report.checks] == [
+            ("fetch", False, "no artifact to resolve")
+        ]
+
     def test_replay_window_boundaries(self, fed):
         body = issue_body(fed)
         first = fed.sp.consume(body, CLIENT_IP, NOW.plus(1))
@@ -305,31 +329,6 @@ def _mutate(data: bytes, edits) -> bytes:
     return bytes(out)
 
 
-_SIGNATURE_BASE64 = {"SignatureValue", "DigestValue", "X509Certificate"}
-
-
-def _as_verified(message: bytes) -> bytes:
-    """Canonical bytes of ``message`` with the base64 text inside the
-    response's own signature re-encoded from the bytes it decodes to.
-
-    Nothing covers that text (SignedInfo is rebuilt from the decoded
-    digest), so base64 that differs only in its unused trailing bits
-    verifies like the original."""
-
-    def normal(elem):
-        if elem.ns == xmlcodec.NS_DSIG and elem.local in _SIGNATURE_BASE64:
-            text = base64.b64encode(base64.b64decode(elem.text, validate=True)).decode()
-            return dataclasses.replace(elem, text=text)
-        return dataclasses.replace(elem, children=tuple(normal(c) for c in elem.children))
-
-    root = xmlcodec.parse_xml(message)
-    children = tuple(
-        normal(c) if (c.ns, c.local) == (xmlcodec.NS_DSIG, "Signature") else c
-        for c in root.children
-    )
-    return xmlcodec.canonicalize(dataclasses.replace(root, children=children))
-
-
 class TestHostileBodies:
     @given(sealed=st.booleans(), in_form=st.booleans(), edits=_EDITS)
     @example(sealed=False, in_form=False, edits=[("insert", -len(b"</samlp:Response>"), 0, b"<Ext/>")])
@@ -349,7 +348,8 @@ class TestHostileBodies:
         assert result.report.checks
         assert result.ok == (result.report.failed_step is None)
         if result.ok:
-            assert _as_verified(bindings.decode_post(body).message) == message
+            received = bindings.decode_post(body).message
+            assert xmlcodec.canonicalize(xmlcodec.parse_xml(received)) == message
 
 
 class TestRelayState:
