@@ -1,15 +1,17 @@
 """Domain model for web-SSO federation messages plus the pure validity checks.
 
-Everything here is an immutable value; the check functions are pure and
-thread-safe. Serialization lives in ``xmlcodec``, key handling in
-``cryptoseal``.
+Every message here is an immutable value; the check functions are pure and
+thread-safe. ``ExpiringMap`` is the one store behind all server-side state.
+Serialization lives in ``xmlcodec``, key handling in ``cryptoseal``.
 """
 
 from __future__ import annotations
 
 import calendar
+import heapq
 import re
 import secrets
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -56,12 +58,6 @@ class Instant:
         fields = tuple(map(int, found.groups()))
         datetime(*fields)  # the range checks strptime makes (day of month, second < 60)
         return cls(calendar.timegm(fields))
-
-    @classmethod
-    def from_datetime(cls, dt: datetime) -> Instant:
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        return cls(int(dt.astimezone(timezone.utc).timestamp()))
 
     @classmethod
     def now(cls) -> Instant:
@@ -337,3 +333,77 @@ def check_locality(statement: AuthnStatement, observed_ip: str) -> ValidityVerdi
         Outcome.LOCALITY_MISMATCH,
         f"asserted {statement.locality_address} but observed {observed_ip}",
     )
+
+
+_ABSENT = (None, None)  # the (expiry, value) of a key an ExpiringMap does not hold
+
+
+class ExpiringMap:
+    """Keyed entries with expiry instants, under one lock. Every write first
+    evicts each entry whose expiry is at or before its ``now`` (which may go
+    backwards); reads neither evict nor check expiry. A min-heap gets one
+    ``(expiry, key)`` per write, so eviction pops only what has expired; an
+    item whose key was since taken or rewritten is skipped. Values are never
+    compared."""
+
+    def __init__(self) -> None:
+        self._entries: dict = {}  # key -> (expiry, value)
+        self._expiries: list = []  # heap of (expiry, key)
+        self._lock = threading.Lock()
+
+    def put_if_absent(self, key, value, expiry: Instant, now: Instant) -> bool:
+        """True if ``key`` was not held (and now holds ``value``)."""
+        with self._lock:
+            self._evict(now)
+            if key in self._entries:
+                return False
+            self._store(key, value, expiry)
+            return True
+
+    def put(self, key, value, expiry: Instant, now: Instant) -> None:
+        with self._lock:
+            self._evict(now)
+            self._store(key, value, expiry)
+
+    def take(self, key):
+        """Remove and return the value held under ``key``, or None."""
+        with self._lock:
+            return self._entries.pop(key, _ABSENT)[1]
+
+    def get(self, key):
+        with self._lock:
+            return self._entries.get(key, _ABSENT)[1]
+
+    def evict_expired(self, now: Instant) -> None:
+        with self._lock:
+            self._evict(now)
+
+    def __contains__(self, key) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    # The caller holds the lock.
+
+    def _store(self, key, value, expiry: Instant) -> None:
+        self._entries[key] = (expiry, value)
+        heapq.heappush(self._expiries, (expiry, key))
+
+    def _evict(self, now: Instant) -> None:
+        expiries, entries = self._expiries, self._entries
+        while expiries and expiries[0][0] <= now:
+            _, key = heapq.heappop(expiries)
+            entry = entries.get(key)
+            if entry is not None and entry[0] <= now:
+                del entries[key]
+
+
+class ReplayCache(ExpiringMap):
+    """Consumed-ID store: an unexpired ID blocks re-acceptance."""
+
+    def check_and_record(self, message_id: str, expiry: Instant, now: Instant) -> bool:
+        """True if the ID was fresh (and is now recorded)."""
+        return self.put_if_absent(message_id, True, expiry, now)

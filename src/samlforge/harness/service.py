@@ -38,6 +38,11 @@ from .config import BadConfig, HarnessConfig, build_idp_descriptor, build_sp_des
 
 logger = logging.getLogger(__name__)
 
+
+class BadContentLength(SamlError):
+    pass
+
+
 Clock = Callable[[], Instant]
 
 
@@ -97,20 +102,11 @@ class HarnessService:
             signing_alias=config.sp.signing_alias,
             encryption_alias=config.sp.encryption_alias,
         )
-        idp_registry = register_partner(
-            idp_registry,
-            xmlcodec.emit_metadata(sp_desc),
-            clock_skew=config.skew,
-            validity=config.validity,
-            artifact_mode=config.artifact_mode,
+        policy = dict(
+            clock_skew=config.skew, validity=config.validity, artifact_mode=config.artifact_mode
         )
-        sp_registry = register_partner(
-            sp_registry,
-            xmlcodec.emit_metadata(idp_desc),
-            clock_skew=config.skew,
-            validity=config.validity,
-            artifact_mode=config.artifact_mode,
-        )
+        idp_registry = register_partner(idp_registry, xmlcodec.emit_metadata(sp_desc), **policy)
+        sp_registry = register_partner(sp_registry, xmlcodec.emit_metadata(idp_desc), **policy)
 
         idp = IdpEngine(idp_registry, idp_store, source)
         sp = SpEngine(
@@ -210,6 +206,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(raw)))
         if location is not None:
             self.send_header("Location", location)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(raw)
 
@@ -220,8 +218,12 @@ class _Handler(BaseHTTPRequestHandler):
         return parse_qsl(urlsplit(self.path).query, keep_blank_values=True)
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+        declared = (self.headers.get("Content-Length") or "0").strip(" \t")
+        if not (declared.isascii() and declared.isdigit()):
+            # The body's end is unknown, so the connection cannot carry on.
+            self.close_connection = True
+            raise BadContentLength(f"Content-Length {declared!r} is not a byte count")
+        return self.rfile.read(int(declared))
 
     def _route(self) -> str:
         return urlsplit(self.path).path.rstrip("/") or "/"

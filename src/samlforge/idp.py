@@ -29,8 +29,10 @@ from .core import (
     AuthnStatement,
     Conditions,
     EntityId,
+    ExpiringMap,
     Instant,
     LogoutRequest,
+    ReplayCache,
     Response,
     SamlError,
     Subject,
@@ -45,8 +47,8 @@ from .federation import (
     Partner,
     UnknownIssuer,
     default_acs,
+    register_partner,
 )
-from .sp import ReplayCache
 from .xmlcodec import IdpSsoDescriptor, SpSsoDescriptor
 
 logger = logging.getLogger(__name__)
@@ -185,47 +187,37 @@ class ArtifactEntry:
     pair_handle: bytes | None = None
 
 
-class ArtifactStore:
-    """Single-use artifact entries; consumption is an atomic test-and-set."""
+class ArtifactStore(ExpiringMap):
+    """Single-use artifact entries, each held until ``RETENTION`` seconds
+    after it was issued; consumption is an atomic test-and-set."""
 
     RETENTION = 300  # seconds an artifact stays resolvable
 
-    def __init__(self) -> None:
-        self._entries: dict[bytes, ArtifactEntry] = {}
-        self._lock = threading.Lock()
-
-    def put(self, handle: bytes, entry: ArtifactEntry) -> None:
+    def add(
+        self, handles: tuple[bytes, ...], response_bytes: bytes, issued_at: Instant, partner: str
+    ) -> None:
+        """Hold one artifact, or a pair whose entries name each other."""
+        links = handles[::-1] if len(handles) == 2 else (None,)
+        expiry = issued_at.plus(self.RETENTION)
         with self._lock:
-            self._entries[handle] = entry
-
-    def link(self, first: bytes, second: bytes) -> None:
-        with self._lock:
-            self._entries[first].pair_handle = second
-            self._entries[second].pair_handle = first
+            self._evict(issued_at)
+            for handle, pair_handle in zip(handles, links):
+                entry = ArtifactEntry(response_bytes, issued_at, partner, pair_handle=pair_handle)
+                self._store(handle, entry, expiry)
 
     def consume(self, handles: tuple[bytes, ...], now: Instant) -> bytes:
         """Atomically consume one entry (or one linked pair)."""
         with self._lock:
             entries = []
             for handle in handles:
-                entry = self._entries.get(handle)
-                if entry is None:
+                if handle not in self._entries:
                     raise UnknownArtifact(handle.hex())
-                entries.append(entry)
-            if len(entries) == 1:
-                entry = entries[0]
-                if entry.pair_handle is not None:
-                    raise IncompletePair(
-                        "this artifact is half of a pair; both values are required"
-                    )
-            else:
-                first, second = entries
-                if (
-                    first.pair_handle != handles[1]
-                    or second.pair_handle != handles[0]
-                    or handles[0] == handles[1]
-                ):
-                    raise MismatchedPair("artifacts do not belong to the same pair")
+                entries.append(self._entries[handle][1])
+            links = [entry.pair_handle for entry in entries]
+            if len(handles) == 1 and links[0] is not None:
+                raise IncompletePair("this artifact is half of a pair; both values are required")
+            if len(handles) == 2 and (links != [handles[1], handles[0]] or handles[0] == handles[1]):
+                raise MismatchedPair("artifacts do not belong to the same pair")
             for handle, entry in zip(handles, entries):
                 if now.epoch - entry.issued_at.epoch >= self.RETENTION:
                     raise ArtifactExpired(handle.hex())
@@ -234,16 +226,6 @@ class ArtifactStore:
             for entry in entries:
                 entry.consumed = True
             return entries[0].response_bytes
-
-    def sweep(self, now: Instant) -> None:
-        with self._lock:
-            stale = [
-                h
-                for h, e in self._entries.items()
-                if now.epoch - e.issued_at.epoch >= self.RETENTION
-            ]
-            for handle in stale:
-                del self._entries[handle]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +263,6 @@ class IdpEngine:
         return self.registry.local.entity_id
 
     def register_partner(self, metadata_bytes: bytes, **kwargs) -> None:
-        from .federation import register_partner
-
         with self._lock:
             self.registry = register_partner(self.registry, metadata_bytes, **kwargs)
 
@@ -473,40 +453,28 @@ class IdpEngine:
     def issue_artifact(
         self, response: Response, partner_id: EntityId | str, endpoint_index: int = 0
     ) -> bindings.Artifact:
-        key = partner_id.value if isinstance(partner_id, EntityId) else partner_id
-        if key not in self.registry.partners:
-            raise UnknownPartner(key)
-        artifact = bindings.new_artifact(self.entity_id, endpoint_index, self.token_source)
-        self.artifacts.put(
-            artifact.message_handle,
-            ArtifactEntry(
-                response_bytes=xmlcodec.emit_response(response),
-                issued_at=response.issue_instant,
-                partner=key,
-            ),
-        )
-        return artifact
+        return self._issue_artifacts(response, partner_id, endpoint_index, 1)[0]
 
     def issue_artifact_pair(
         self, response: Response, partner_id: EntityId | str, endpoint_index: int = 0
     ) -> tuple[bindings.Artifact, bindings.Artifact]:
         """Two cross-referencing artifacts; the token is only valid when it
         consists of both values."""
+        return self._issue_artifacts(response, partner_id, endpoint_index, 2)
+
+    def _issue_artifacts(
+        self, response: Response, partner_id: EntityId | str, endpoint_index: int, count: int
+    ) -> tuple[bindings.Artifact, ...]:
         key = partner_id.value if isinstance(partner_id, EntityId) else partner_id
         if key not in self.registry.partners:
             raise UnknownPartner(key)
-        payload = xmlcodec.emit_response(response)
-        first = bindings.new_artifact(self.entity_id, endpoint_index, self.token_source)
-        second = bindings.new_artifact(self.entity_id, endpoint_index, self.token_source)
-        for artifact in (first, second):
-            self.artifacts.put(
-                artifact.message_handle,
-                ArtifactEntry(
-                    response_bytes=payload, issued_at=response.issue_instant, partner=key
-                ),
-            )
-        self.artifacts.link(first.message_handle, second.message_handle)
-        return first, second
+        artifacts = tuple(
+            bindings.new_artifact(self.entity_id, endpoint_index, self.token_source)
+            for _ in range(count)
+        )
+        handles = tuple(a.message_handle for a in artifacts)
+        self.artifacts.add(handles, xmlcodec.emit_response(response), response.issue_instant, key)
+        return artifacts
 
     def resolve_artifact(self, request_bytes: bytes, now: Instant) -> bytes:
         """Resolve an artifact request to the stored response, exactly once."""
@@ -570,12 +538,10 @@ class IdpEngine:
             issued.append((request.id, sp_id))
 
         with self._lock:
-            if issued:
-                for request_id, sp_id in issued:
-                    self._pending_logouts[request_id] = (session_index, sp_id)
-            else:
-                self.sessions.pop(session_index, None)
-                self._terminated.add(session_index)
+            for request_id, sp_id in issued:
+                self._pending_logouts[request_id] = (session_index, sp_id)
+            if not issued:
+                self._end_session(session_index)
         return forms
 
     def handle_logout_response(self, response_bytes: bytes, now: Instant) -> None:
@@ -591,15 +557,16 @@ class IdpEngine:
                 return
             session_index, _sp_id = pending
             if not any(s == session_index for s, _ in self._pending_logouts.values()):
-                self.sessions.pop(session_index, None)
-                self._terminated.add(session_index)
+                self._end_session(session_index)
 
     def finalize_logout(self, session_index: str) -> None:
         """Timeout path: terminate regardless of outstanding responses."""
         with self._lock:
-            for request_id in [
-                r for r, (s, _) in self._pending_logouts.items() if s == session_index
-            ]:
-                del self._pending_logouts[request_id]
-            self.sessions.pop(session_index, None)
-            self._terminated.add(session_index)
+            self._end_session(session_index)
+
+    def _end_session(self, session_index: str) -> None:
+        """End the session and drop its pending logouts; the caller holds the lock."""
+        for request_id in [r for r, (s, _) in self._pending_logouts.items() if s == session_index]:
+            del self._pending_logouts[request_id]
+        self.sessions.pop(session_index, None)
+        self._terminated.add(session_index)

@@ -10,7 +10,6 @@ failure and never creates a partial session.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import logging
 import secrets
 import threading
@@ -24,8 +23,10 @@ from .core import (
     AuthnRequest,
     EncryptedAssertion,
     EntityId,
+    ExpiringMap,
     Instant,
     LogoutResponse,
+    ReplayCache,
     Response,
     SamlError,
     TokenSource,
@@ -44,6 +45,7 @@ from .federation import (
     FederationRegistry,
     Partner,
     UnknownIssuer,
+    register_partner,
 )
 from .xmlcodec import (
     BINDING_HTTP_POST,
@@ -62,51 +64,6 @@ class NoIdpRegistered(SamlError):
 
 class UnsupportedBinding(SamlError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Replay cache
-# ---------------------------------------------------------------------------
-
-
-class ReplayCache:
-    """Consumed-ID store. An ID that is present and unexpired blocks
-    re-acceptance; the insert is an atomic check-and-record.
-
-    A min-heap of ``(expiry, id)`` mirrors the dict one-to-one, so eviction
-    pops only the expired entries instead of scanning every live ID."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, Instant] = {}
-        self._expiries: list[tuple[Instant, str]] = []
-        self._lock = threading.Lock()
-
-    def check_and_record(self, message_id: str, expiry: Instant, now: Instant) -> bool:
-        """True if the ID was fresh (and is now recorded)."""
-        with self._lock:
-            self._evict(now)
-            if message_id in self._entries:
-                return False
-            self._entries[message_id] = expiry
-            heapq.heappush(self._expiries, (expiry, message_id))
-            return True
-
-    def evict_expired(self, now: Instant) -> None:
-        with self._lock:
-            self._evict(now)
-
-    def _evict(self, now: Instant) -> None:
-        while self._expiries and self._expiries[0][0] <= now:
-            _, message_id = heapq.heappop(self._expiries)
-            del self._entries[message_id]
-
-    def __contains__(self, message_id: str) -> bool:
-        with self._lock:
-            return message_id in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +186,11 @@ class SpEngine:
         )
         self.replay = ReplayCache()
         self.sessions: dict[str, list[SsoSession]] = {}
-        self._relay_states: dict[str, tuple[str, Instant]] = {}
+        self._relay_states = ExpiringMap()  # token -> target URL
 
     # -- registry ---------------------------------------------------------
 
     def register_partner(self, metadata_bytes: bytes, **kwargs) -> None:
-        from .federation import register_partner
-
         with self._lock:
             self.registry = register_partner(self.registry, metadata_bytes, **kwargs)
 
@@ -484,11 +439,8 @@ class SpEngine:
             )
         token = self.token_source(9).hex()
         expiry = now.plus(partner.policy.validity + BEARER_GRACE_SECONDS)
-        with self._lock:
-            # Tokens expire with the request they accompany.
-            for stale in [t for t, (_, exp) in self._relay_states.items() if now >= exp]:
-                del self._relay_states[stale]
-            self._relay_states[token] = (target_resource, expiry)
+        # Tokens expire with the request they accompany.
+        self._relay_states.put(token, target_resource, expiry, now)
         redirect = bindings.encode_redirect(
             xmlcodec.emit_authn_request(request), endpoint.location, relay_state=token
         )
@@ -503,11 +455,10 @@ class SpEngine:
         """The redirect target for ``token`` and the report detail."""
         if token is None:
             return self.landing_url, "no relay state; using landing URL"
-        with self._lock:
-            entry = self._relay_states.pop(token, None)
-        if entry is None:
+        target = self._relay_states.take(token)
+        if target is None:
             return self.landing_url, f"unissued relay state {token!r} ignored; using landing URL"
-        return entry[0], ""
+        return target, ""
 
     # -- artifact retrieval --------------------------------------------------
 

@@ -273,6 +273,10 @@ def pretty(elem: XmlElement, indent: int = 2) -> str:
 # NBSP is significant content and must survive round-trips.
 _XML_WS = " \t\n\r"
 
+# Deepest nesting parse_xml accepts: the toolkit writes about ten levels, and
+# the canonical writer recurses once per level.
+MAX_DEPTH = 64
+
 
 def _reject_doctype(name: str, sysid: str | None, pubid: str | None, has_internal: int) -> None:
     # Raised at the doctype's start event, before any entity it declares can
@@ -299,6 +303,7 @@ class _TreeBuilder:
     document order (an element in no namespace at its start tag, mixed
     content at its end tag) is only remembered: it is raised after expat
     has accepted the whole document, so a syntax error anywhere wins.
+    Nesting deeper than ``MAX_DEPTH`` is raised at once and ends the parse.
     """
 
     def __init__(self) -> None:
@@ -308,6 +313,8 @@ class _TreeBuilder:
         self.error: MalformedXml | None = None
 
     def start(self, name: str, attributes: list[str]) -> None:
+        if len(self.stack) > MAX_DEPTH:
+            raise MalformedXml(f"elements nest deeper than {MAX_DEPTH} levels")
         ns, local = _split_name(name)
         if not ns and self.error is None:
             # canonicalize could never write it, so reject it at parse
@@ -341,7 +348,7 @@ class _TreeBuilder:
 
 def parse_xml(data: bytes | str) -> XmlElement:
     """Parse UTF-8 XML into the element model; rejects other encodings,
-    DTDs and mixed content."""
+    DTDs, mixed content and nesting deeper than ``MAX_DEPTH``."""
     raw = data.encode("utf-8") if isinstance(data, str) else data
     if not isinstance(raw, (bytes, bytearray)):
         raise MalformedXml(f"expected bytes, got {type(raw).__name__}")

@@ -1,11 +1,16 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from samlforge.core import (
     AuthnStatement,
     Conditions,
     EntityId,
+    ExpiringMap,
     Instant,
     Outcome,
     Subject,
@@ -172,3 +177,101 @@ def test_subject_and_statement_invariants():
         Subject(name_id="", confirmation=SubjectConfirmation(BEARER_METHOD, NOA, "https://x/"))
     with pytest.raises(ValueError):
         AuthnStatement(NB, session_index="")
+
+
+_KEYS = st.sampled_from("abcd")
+_INSTANTS = st.integers(0, 40).map(Instant)
+
+
+class ExpiringMapMachine(RuleBasedStateMachine):
+    """ExpiringMap against a plain dict that evicts by full scan. Each rule
+    draws its own ``now``, so the clock goes backwards as often as forwards;
+    values are bare objects, which do not order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.store = ExpiringMap()
+        self.model: dict[str, tuple[Instant, object]] = {}
+
+    def _evict(self, now: Instant) -> None:
+        for key in [k for k, (expiry, _) in self.model.items() if expiry <= now]:
+            del self.model[key]
+
+    @rule(key=_KEYS, expiry=_INSTANTS, now=_INSTANTS)
+    def put_if_absent(self, key, expiry, now):
+        self._evict(now)
+        value = object()
+        fresh = key not in self.model
+        if fresh:
+            self.model[key] = (expiry, value)
+        assert self.store.put_if_absent(key, value, expiry, now) == fresh
+
+    @rule(key=_KEYS, expiry=_INSTANTS, now=_INSTANTS)
+    def put(self, key, expiry, now):
+        self._evict(now)
+        value = object()
+        self.model[key] = (expiry, value)
+        self.store.put(key, value, expiry, now)
+
+    @rule(key=_KEYS)
+    def take(self, key):
+        assert self.store.take(key) is self.model.pop(key, (None, None))[1]
+
+    @rule(key=_KEYS, expiry=_INSTANTS, now=_INSTANTS)
+    def take_then_put_again(self, key, expiry, now):
+        """Leaves two heap items for one key at one expiry."""
+        self.put(key, expiry, now)
+        self.take(key)
+        self.put(key, expiry, now)
+
+    @rule(key=_KEYS)
+    def get(self, key):
+        assert self.store.get(key) is self.model.get(key, (None, None))[1]
+
+    @rule(now=_INSTANTS)
+    def evict_expired(self, now):
+        self._evict(now)
+        self.store.evict_expired(now)
+
+    @invariant()
+    def same_keys(self):
+        assert len(self.store) == len(self.model)
+        for key in "abcd":
+            assert (key in self.store) == (key in self.model)
+
+
+TestExpiringMapModel = ExpiringMapMachine.TestCase
+
+
+def test_expiring_map_admits_and_takes_each_key_once_across_threads():
+    store = ExpiringMap()
+    keys = [f"_k{n}" for n in range(500)]
+    admitted: list[tuple[str, int]] = []
+    taken: list[tuple[str, int]] = []
+    results_lock = threading.Lock()
+    start = threading.Barrier(8)
+
+    def race(me: int) -> None:
+        start.wait()
+        mine = [(k, me) for k in keys if store.put_if_absent(k, me, Instant(100), Instant(0))]
+        start.wait()
+        got = [(k, v) for k in keys if (v := store.take(k)) is not None]
+        with results_lock:
+            admitted.extend(mine)
+            taken.extend(got)
+
+    threads = [threading.Thread(target=race, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(k for k, _ in admitted) == sorted(keys)
+    # each key is taken once, holding the value of the thread that admitted it
+    assert sorted(taken) == sorted(admitted)
+    assert len(store) == 0

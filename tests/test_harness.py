@@ -489,3 +489,17 @@ class TestHttpService:
             conn.close()
         # with Nagle on, the body waits ~40 ms for the client's delayed ACK
         assert statistics.median(round_trips) < 20, round_trips
+
+    @pytest.mark.parametrize("declared", ["-1", "abc"])
+    def test_bad_content_length_is_answered_400(self, live_service, declared):
+        service, _, _ = live_service
+        with socket.create_connection(("127.0.0.1", service.port), timeout=5) as conn:
+            conn.sendall(
+                f"POST /acs HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {declared}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := conn.recv(4096):  # the server closes after replying
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400", reply
+        assert b"BadContentLength" in rest

@@ -17,6 +17,7 @@ from samlforge.harness.scenarios import (
 from samlforge.idp import (
     AlreadyConsumed,
     ArtifactExpired,
+    ArtifactStore,
     IncompletePair,
     InvalidRequestSignature,
     MismatchedPair,
@@ -293,6 +294,27 @@ class TestArtifacts:
             t.join()
         assert outcomes.count("ok") == 1
         assert outcomes.count("consumed") == 15
+
+
+class TestArtifactRetention:
+    def test_artifact_issued_a_retention_earlier_is_dropped(self, fed, session):
+        retention = ArtifactStore.RETENTION
+        response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        old = fed.idp.issue_artifact(response, SP_ENTITY)
+        first, second = fed.idp.issue_artifact_pair(response, SP_ENTITY)
+        kept_response = fed.idp.issue_assertion(session, SP_ENTITY, NOW.plus(1))
+        kept = fed.idp.issue_artifact(kept_response, SP_ENTITY)
+        later = NOW.plus(retention)
+        fresh = fed.idp.issue_artifact(fed.idp.issue_assertion(session, SP_ENTITY, later), SP_ENTITY)
+        assert len(fed.idp.artifacts) == 2
+        with pytest.raises(UnknownArtifact):
+            fed.idp._resolve_values((old.encode(),), later)
+        with pytest.raises(UnknownArtifact):
+            fed.idp.resolve_artifact_pair(first.encode(), second.encode(), later)
+        assert fed.idp._resolve_values((kept.encode(),), later) == xmlcodec.emit_response(
+            kept_response
+        )
+        assert fed.idp._resolve_values((fresh.encode(),), later.plus(1))
 
 
 class TestSingleLogout:

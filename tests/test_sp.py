@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from samlforge import bindings, cryptoseal, idp, sp, xmlcodec
 from samlforge.core import EntityId, Instant, SamlError
+from samlforge.federation import BEARER_GRACE_SECONDS
 from samlforge.harness.scenarios import (
     CLIENT_IP,
     IDP_BASE,
@@ -350,6 +351,26 @@ class TestHostileBodies:
         if result.ok:
             received = bindings.decode_post(body).message
             assert xmlcodec.canonicalize(xmlcodec.parse_xml(received)) == message
+
+
+def test_deeply_nested_response_fails_at_parse(fed):
+    """2,000 nested foreign elements end in a report, not RecursionError."""
+    session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+    message = xmlcodec.emit_response(fed.idp.issue_assertion(session, SP_ENTITY, NOW))
+    deep = b'<f:x xmlns:f="urn:foreign">' * 2_000 + b"</f:x>" * 2_000
+    message = message.replace(b"</samlp:Response>", deep + b"</samlp:Response>")
+    result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+    assert result.report.failed_step == "parse"
+    assert "nest deeper" in result.report.checks[-1].detail
+
+
+class TestRelayStateExpiry:
+    def test_token_expires_with_its_request(self, fed):
+        _, stale = fed.sp.build_authn_request("https://sp.internal.test/old", NOW)
+        lifetime = fed.sp.registry.partner(IDP_ENTITY).policy.validity + BEARER_GRACE_SECONDS
+        _, token = fed.sp.build_authn_request("https://sp.internal.test/new", NOW.plus(lifetime))
+        assert fed.sp.resolve_relay_state(stale) == LANDING_URL
+        assert fed.sp.resolve_relay_state(token) == "https://sp.internal.test/new"
 
 
 class TestRelayState:

@@ -27,6 +27,7 @@ from samlforge.xmlcodec import (
     BadTimestamp,
     DuplicateDefaultAcs,
     IdpSsoDescriptor,
+    MAX_DEPTH,
     MalformedXml,
     MissingRequiredElement,
     SpSsoDescriptor,
@@ -104,6 +105,15 @@ class TestCanonicalForm:
     def test_pretty_rejects_what_canonicalize_rejects(self):
         with pytest.raises(MalformedXml):
             pretty(parse_xml(b"<a><b>t</b></a>"))
+
+    def test_nesting_is_bounded(self):
+        def nested(levels):
+            return b'<f:x xmlns:f="urn:x">' * levels + b"</f:x>" * levels
+
+        assert parse_xml(nested(MAX_DEPTH)).local == "x"
+        for levels in (MAX_DEPTH + 1, 2_000):
+            with pytest.raises(MalformedXml, match="nest deeper"):
+                parse_xml(nested(levels))
 
     def test_mixed_content_rejected(self):
         with pytest.raises(MalformedXml):
