@@ -34,6 +34,10 @@ from .xmlcodec import NS_ENVELOPE, MalformedXml, canonicalize, element, parse_xm
 
 MAX_RELAY_STATE_BYTES = 80
 MAX_REDIRECT_URL_BYTES = 2048
+# Largest message decode_redirect inflates. A redirect URL of at most
+# MAX_REDIRECT_URL_BYTES holds a message of a few KiB; without a cap a
+# 64 KiB query inflates to about 66 MB.
+MAX_INFLATED_BYTES = 65536
 ARTIFACT_TYPE_CODE = 0x0004
 ARTIFACT_LENGTH = 44
 
@@ -66,6 +70,10 @@ class UrlTooLong(SamlError):
 
 
 class BadDeflate(SamlError):
+    pass
+
+
+class InflatedTooLarge(SamlError):
     pass
 
 
@@ -298,10 +306,15 @@ def decode_redirect(url: str) -> DecodedMessage:
         deflated = base64.b64decode(fields[field].encode("ascii"), validate=True)
     except (binascii.Error, ValueError, UnicodeEncodeError):
         raise BadBase64(f"{field} is not valid base64") from None
+    inflater = zlib.decompressobj(-15)
     try:
-        message = zlib.decompress(deflated, -15)
+        message = inflater.decompress(deflated, MAX_INFLATED_BYTES + 1)
     except zlib.error:
         raise BadDeflate(f"{field} does not inflate") from None
+    if len(message) > MAX_INFLATED_BYTES:
+        raise InflatedTooLarge(f"{field} inflates to more than {MAX_INFLATED_BYTES} bytes")
+    if not inflater.eof:
+        raise BadDeflate(f"{field} does not inflate")
     relay = fields.get(FIELD_RELAY_STATE) or None
     return DecodedMessage(message, relay, field)
 

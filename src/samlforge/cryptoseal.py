@@ -25,6 +25,7 @@ from __future__ import annotations
 import base64
 import datetime
 import functools
+import hashlib
 import secrets
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -240,9 +241,14 @@ def signed_info_bytes(reference_id: str, digest_value: bytes) -> bytes:
 
 
 def _sha256(data: bytes) -> bytes:
-    digest = hashes.Hash(hashes.SHA256())
-    digest.update(data)
-    return digest.finalize()
+    return hashlib.sha256(data).digest()
+
+
+@functools.lru_cache(maxsize=64)
+def _public_key(der: bytes):
+    """The public key of a pinned DER certificate, parsed once per
+    certificate; a DER that does not parse raises ValueError every time."""
+    return x509.load_der_x509_certificate(der).public_key()
 
 
 def sign_element(
@@ -337,8 +343,7 @@ def verify_signature(
     message = signed_info_bytes(signature.reference_id, signature.digest_value)
     for der in candidates:
         try:
-            cert = x509.load_der_x509_certificate(der)
-            public_key = cert.public_key()
+            public_key = _public_key(der)
             if not isinstance(public_key, rsa.RSAPublicKey):
                 continue
             public_key.verify(
@@ -390,10 +395,9 @@ def encrypt_assertion(
     recipient_key = None
     for der in anchors.encryption:
         try:
-            cert = x509.load_der_x509_certificate(der)
+            public_key = _public_key(der)
         except ValueError:
             continue
-        public_key = cert.public_key()
         if isinstance(public_key, rsa.RSAPublicKey):
             recipient_key = public_key
             break

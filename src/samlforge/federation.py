@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -77,10 +78,12 @@ class Partner:
     def entity_id(self) -> EntityId:
         return self.descriptor.entity_id
 
+    @functools.cached_property
     def signing_cert_ders(self) -> tuple[bytes, ...]:
         """Pinned signing certificates; undecodable placeholder text is skipped."""
         return _decode_certs(self.descriptor.role.signing_certs)
 
+    @functools.cached_property
     def encryption_cert_ders(self) -> tuple[bytes, ...]:
         return _decode_certs(
             tuple(k.certificate for k in self.descriptor.role.encryption_keys)

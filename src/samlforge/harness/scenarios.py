@@ -262,7 +262,7 @@ class SimulatedFederation:
             idp_signing_alias="idp-signing",
             sp_store=sp_store,
             sp_encryption_alias=sp_registry.encryption_alias,
-            encrypt_to=self.idp.registry.partner(SP_ENTITY).encryption_cert_ders(),
+            encrypt_to=self.idp.registry.partner(SP_ENTITY).encryption_cert_ders,
             recipient=EntityId(SP_ENTITY),
         )
 

@@ -252,6 +252,8 @@ class IdpEngine:
         self.source = source
         self.token_source = token_source
         self.sessions: dict[str, IdpSession] = {}
+        # user key -> that user's oldest live session
+        self._first_sessions: dict[str, IdpSession] = {}
         self.artifacts = ArtifactStore()
         self.request_replay = ReplayCache()
         # logout request id -> (session index, partner entity id)
@@ -284,15 +286,15 @@ class IdpEngine:
             client_ip=client_ip,
         )
         with self._lock:
+            self._drop_session(session.session_index)
             self.sessions[session.session_index] = session
+            self._first_sessions.setdefault(user_key, session)
         return session
 
     def session_for_user(self, user_key: str) -> IdpSession | None:
+        """The user's oldest live session."""
         with self._lock:
-            for session in self.sessions.values():
-                if session.user_key == user_key:
-                    return session
-        return None
+            return self._first_sessions.get(user_key)
 
     # -- issuance -----------------------------------------------------------
 
@@ -374,7 +376,7 @@ class IdpEngine:
     def _seal_assertion(self, assertion: Assertion, partner: Partner, policy):
         if not policy.encrypt_assertion:
             return assertion
-        ders = partner.encryption_cert_ders()
+        ders = partner.encryption_cert_ders
         pinned = self.store.with_trust_anchors(partner.entity_id, encryption=ders)
         return cryptoseal.encrypt_assertion(
             xmlcodec.emit_assertion(assertion), partner.entity_id, pinned
@@ -424,7 +426,7 @@ class IdpEngine:
                     f"{partner.entity_id} metadata promises signed requests"
                 )
             result = cryptoseal.verify_message(
-                elem, request, partner.entity_id, partner.signing_cert_ders(), self.store
+                elem, request, partner.entity_id, partner.signing_cert_ders, self.store
             )
             if not result.accepted:
                 raise InvalidRequestSignature(result.reason)
@@ -568,5 +570,15 @@ class IdpEngine:
         """End the session and drop its pending logouts; the caller holds the lock."""
         for request_id in [r for r, (s, _) in self._pending_logouts.items() if s == session_index]:
             del self._pending_logouts[request_id]
-        self.sessions.pop(session_index, None)
+        self._drop_session(session_index)
         self._terminated.add(session_index)
+
+    def _drop_session(self, session_index: str) -> None:
+        """Forget a session in both maps; the caller holds the lock."""
+        session = self.sessions.pop(session_index, None)
+        if session is not None and self._first_sessions.get(session.user_key) is session:
+            del self._first_sessions[session.user_key]
+            for other in self.sessions.values():  # the next oldest, if the user has one
+                if other.user_key == session.user_key:
+                    self._first_sessions[session.user_key] = other
+                    break

@@ -208,7 +208,7 @@ class SpEngine:
 
     def _verify(self, elem: XmlElement, message, signer: Partner) -> cryptoseal.VerifyResult:
         return cryptoseal.verify_message(
-            elem, message, signer.entity_id, signer.signing_cert_ders(), self.store
+            elem, message, signer.entity_id, signer.signing_cert_ders, self.store
         )
 
     # -- consume pipeline ---------------------------------------------------

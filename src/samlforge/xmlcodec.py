@@ -17,7 +17,7 @@ import base64
 import binascii
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from xml.parsers import expat
 
@@ -456,10 +456,11 @@ def _reject_unknown(elem: XmlElement, allowed: set[tuple[str, str]]) -> None:
 _DS_OPEN = f'xmlns:ds="{NS_DSIG}"'
 
 
-def _ds_text(local: str, text: str) -> str:
+def _text(tag: str, text: str, attrs: str = "") -> str:
+    """An element that holds only ``text``; without text it closes itself."""
     if not text:
-        return f"<ds:{local}/>"
-    return f"<ds:{local}>{_escape_text(text)}</ds:{local}>"
+        return f"<{tag}{attrs}/>"
+    return f"<{tag}{attrs}>{_escape_text(text)}</{tag}>"
 
 
 def _signed_info(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes, declare: str) -> str:
@@ -467,7 +468,7 @@ def _signed_info(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes, decl
         f'<ds:SignedInfo{declare}><ds:SignatureMethod Algorithm="{_escape_attr(sig_alg)}"/>'
         f'<ds:Reference URI="{_escape_attr("#" + ref_id)}">'
         f'<ds:DigestMethod Algorithm="{_escape_attr(digest_alg)}"/>'
-        f'{_ds_text("DigestValue", _b64(digest))}</ds:Reference></ds:SignedInfo>'
+        f'{_text("ds:DigestValue", _b64(digest))}</ds:Reference></ds:SignedInfo>'
     )
 
 
@@ -476,29 +477,30 @@ def signed_info_bytes(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes)
     return _signed_info(sig_alg, digest_alg, ref_id, digest, " " + _DS_OPEN).encode("utf-8")
 
 
-def signature_bytes(sig: Signature) -> bytes:
-    """Canonical bytes of ``sig`` as a ds:Signature element."""
+def _signature(sig: Signature | None) -> str:
+    if sig is None:
+        return ""
     parts = [
         f"<ds:Signature {_DS_OPEN}>",
         _signed_info(
             sig.signature_algorithm, sig.digest_algorithm, sig.reference_id, sig.digest_value, ""
         ),
-        _ds_text("SignatureValue", _b64(sig.signature_value)),
+        _text("ds:SignatureValue", _b64(sig.signature_value)),
     ]
     if sig.certificate:
         # KeyInfo is optional; redirect-bound messages omit it to fit the URL
         # budget and the verifier falls back to metadata-pinned certificates.
         parts.append(
-            f"<ds:KeyInfo><ds:X509Data>{_ds_text('X509Certificate', _b64(sig.certificate))}"
+            f"<ds:KeyInfo><ds:X509Data>{_text('ds:X509Certificate', _b64(sig.certificate))}"
             "</ds:X509Data></ds:KeyInfo>"
         )
     parts.append("</ds:Signature>")
-    return "".join(parts).encode("utf-8")
+    return "".join(parts)
 
 
-def signature_element(sig: Signature) -> XmlElement:
-    """``sig`` as an element tree, for callers that build a whole tree."""
-    return parse_xml(signature_bytes(sig))
+def signature_bytes(sig: Signature) -> bytes:
+    """Canonical bytes of ``sig`` as a ds:Signature element."""
+    return _signature(sig).encode("utf-8")
 
 
 def signature_from_element(elem: XmlElement) -> Signature:
@@ -582,32 +584,58 @@ def _emit_once(message, render) -> bytes:
     return data
 
 
-def encrypted_assertion_element(enc: EncryptedAssertion) -> XmlElement:
-    encrypted_key = element(
-        NS_XMLENC,
-        "EncryptedKey",
-        children=[
-            element(
-                NS_XMLENC,
-                "CipherData",
-                children=[element(NS_XMLENC, "CipherValue", text=_b64(enc.encrypted_key))],
-            )
-        ],
+# The protocol messages are rendered straight to the bytes canonicalize
+# writes for their element trees: attributes in (namespace, local name)
+# order, which for these unqualified attributes is name order; an element
+# with neither text nor children closed in its start tag; and each
+# namespace declared on every element that uses it below an ancestor that
+# did not. A protocol root declares only samlp, so each saml child of it
+# declares saml again.
+_SAML_NS = f' xmlns:saml="{NS_ASSERTION}"'
+_SAMLP_NS = f' xmlns:samlp="{NS_PROTOCOL}"'
+
+
+def _attr(name: str, value: str) -> str:
+    return f' {name}="{_escape_attr(value)}"'
+
+
+def _opt(name: str, value: str | None) -> str:
+    """An optional attribute: nothing when it is absent."""
+    return "" if value is None else _attr(name, value)
+
+
+def _parent(tag: str, attrs: str, children: str) -> str:
+    """An element that holds only ``children``; without them it closes itself."""
+    if not children:
+        return f"<{tag}{attrs}/>"
+    return f"<{tag}{attrs}>{children}</{tag}>"
+
+
+def _protocol(local: str, attrs: str, instant: Instant, issuer: str,
+              signature: Signature | None, body: str = "") -> bytes:
+    """A samlp message: the root with ``attrs`` (every attribute that sorts
+    before IssueInstant), IssueInstant and Version; then its Issuer, its
+    signature if any, and ``body``."""
+    return (
+        f'<samlp:{local}{_SAMLP_NS}{attrs} IssueInstant="{instant.isoformat()}" Version="2.0">'
+        f"{_text('saml:Issuer', issuer, _SAML_NS)}{_signature(signature)}{body}</samlp:{local}>"
+    ).encode("utf-8")
+
+
+def _status(value: str) -> str:
+    return f"<samlp:Status><samlp:StatusCode{_attr('Value', value)}/></samlp:Status>"
+
+
+def _encrypted_assertion(enc: EncryptedAssertion) -> str:
+    return (
+        f'<saml:EncryptedAssertion{_SAML_NS}><xenc:EncryptedData xmlns:xenc="{NS_XMLENC}">'
+        f"<xenc:EncryptionMethod{_attr('Algorithm', enc.algorithm)}/>"
+        f"<ds:KeyInfo {_DS_OPEN}><xenc:EncryptedKey><xenc:CipherData>"
+        f"{_text('xenc:CipherValue', _b64(enc.encrypted_key))}"
+        "</xenc:CipherData></xenc:EncryptedKey></ds:KeyInfo><xenc:CipherData>"
+        f"{_text('xenc:CipherValue', _b64(enc.iv + enc.ciphertext))}"
+        "</xenc:CipherData></xenc:EncryptedData></saml:EncryptedAssertion>"
     )
-    data = element(
-        NS_XMLENC,
-        "EncryptedData",
-        children=[
-            element(NS_XMLENC, "EncryptionMethod", {"Algorithm": enc.algorithm}),
-            element(NS_DSIG, "KeyInfo", children=[encrypted_key]),
-            element(
-                NS_XMLENC,
-                "CipherData",
-                children=[element(NS_XMLENC, "CipherValue", text=_b64(enc.iv + enc.ciphertext))],
-            ),
-        ],
-    )
-    return element(NS_ASSERTION, "EncryptedAssertion", children=[data])
 
 
 def encrypted_assertion_from_element(elem: XmlElement) -> EncryptedAssertion:
@@ -638,118 +666,58 @@ def encrypted_assertion_from_element(elem: XmlElement) -> EncryptedAssertion:
 # ---------------------------------------------------------------------------
 
 
-def assertion_element(assertion: Assertion) -> XmlElement:
-    children: list[XmlElement] = [element(NS_ASSERTION, "Issuer", text=assertion.issuer)]
-    if assertion.signature is not None:
-        children.append(signature_element(assertion.signature))
-
-    subject = assertion.subject
-    name_attrs: dict[str | AttrKey, str] = {}
-    if subject.name_id_format:
-        name_attrs["Format"] = subject.name_id_format
-    children.append(
-        element(
-            NS_ASSERTION,
-            "Subject",
-            children=[
-                element(NS_ASSERTION, "NameID", name_attrs, text=subject.name_id),
-                element(
-                    NS_ASSERTION,
-                    "SubjectConfirmation",
-                    {"Method": subject.confirmation.method},
-                    children=[
-                        element(
-                            NS_ASSERTION,
-                            "SubjectConfirmationData",
-                            {
-                                "NotOnOrAfter": subject.confirmation.not_on_or_after.isoformat(),
-                                "Recipient": subject.confirmation.recipient,
-                            },
-                        )
-                    ],
-                ),
-            ],
+def _render_assertion(assertion: Assertion) -> bytes:
+    subject, stmt = assertion.subject, assertion.authn_statement
+    confirmation, conditions = subject.confirmation, assertion.conditions
+    audiences = "".join(_text("saml:Audience", a.value) for a in conditions.audiences)
+    locality = ""
+    if stmt.locality_address is not None or stmt.locality_dns is not None:
+        locality = (
+            f"<saml:SubjectLocality{_opt('Address', stmt.locality_address)}"
+            f"{_opt('DNSName', stmt.locality_dns)}/>"
         )
-    )
-
-    cond_children: list[XmlElement] = []
-    if assertion.conditions.audiences:
-        cond_children.append(
-            element(
-                NS_ASSERTION,
-                "AudienceRestriction",
-                children=[
-                    element(NS_ASSERTION, "Audience", text=a.value)
-                    for a in assertion.conditions.audiences
-                ],
-            )
-        )
-    children.append(
-        element(
-            NS_ASSERTION,
-            "Conditions",
-            {
-                "NotBefore": assertion.conditions.not_before.isoformat(),
-                "NotOnOrAfter": assertion.conditions.not_on_or_after.isoformat(),
-            },
-            children=cond_children,
-        )
-    )
-
-    stmt = assertion.authn_statement
-    locality_attrs: dict[str | AttrKey, str] = {}
-    if stmt.locality_address is not None:
-        locality_attrs["Address"] = stmt.locality_address
-    if stmt.locality_dns is not None:
-        locality_attrs["DNSName"] = stmt.locality_dns
-    children.append(
-        element(
-            NS_ASSERTION,
-            "AuthnStatement",
-            {"AuthnInstant": stmt.authn_instant.isoformat(), "SessionIndex": stmt.session_index},
-            children=[element(NS_ASSERTION, "SubjectLocality", locality_attrs)]
-            if locality_attrs
-            else [],
-        )
-    )
-
+    parts = [
+        f"<saml:Assertion{_SAML_NS}{_attr('ID', assertion.id)}"
+        f' IssueInstant="{assertion.issue_instant.isoformat()}" Version="2.0">',
+        _text("saml:Issuer", assertion.issuer),
+        _signature(assertion.signature),
+        "<saml:Subject>",
+        _text("saml:NameID", subject.name_id, _opt("Format", subject.name_id_format or None)),
+        f"<saml:SubjectConfirmation{_attr('Method', confirmation.method)}>"
+        "<saml:SubjectConfirmationData"
+        f' NotOnOrAfter="{confirmation.not_on_or_after.isoformat()}"'
+        f"{_attr('Recipient', confirmation.recipient)}/></saml:SubjectConfirmation></saml:Subject>",
+        _parent(
+            "saml:Conditions",
+            f' NotBefore="{conditions.not_before.isoformat()}"'
+            f' NotOnOrAfter="{conditions.not_on_or_after.isoformat()}"',
+            f"<saml:AudienceRestriction>{audiences}</saml:AudienceRestriction>" if audiences else "",
+        ),
+        _parent(
+            "saml:AuthnStatement",
+            f' AuthnInstant="{stmt.authn_instant.isoformat()}"'
+            f"{_attr('SessionIndex', stmt.session_index)}",
+            locality,
+        ),
+    ]
     if assertion.attributes:
-        children.append(
-            element(
-                NS_ASSERTION,
-                "AttributeStatement",
-                children=[_attribute_element(attr) for attr in assertion.attributes],
+        parts.append("<saml:AttributeStatement>")
+        for attr in assertion.attributes:
+            parts.append(
+                _parent(
+                    "saml:Attribute",
+                    f"{_opt('FriendlyName', attr.friendly_name)}{_attr('Name', attr.name)}"
+                    f"{_opt('NameFormat', attr.name_format)}",
+                    "".join(_text("saml:AttributeValue", v) for v in attr.values),
+                )
             )
-        )
-
-    return element(
-        NS_ASSERTION,
-        "Assertion",
-        {
-            "ID": assertion.id,
-            "IssueInstant": assertion.issue_instant.isoformat(),
-            "Version": "2.0",
-        },
-        children=children,
-    )
-
-
-def _attribute_element(attr: Attribute) -> XmlElement:
-    attrs: dict[str | AttrKey, str] = {"Name": attr.name}
-    if attr.friendly_name is not None:
-        attrs["FriendlyName"] = attr.friendly_name
-    if attr.name_format is not None:
-        attrs["NameFormat"] = attr.name_format
-    return element(
-        NS_ASSERTION,
-        "Attribute",
-        attrs,
-        children=[element(NS_ASSERTION, "AttributeValue", text=v) for v in attr.values],
-    )
+        parts.append("</saml:AttributeStatement>")
+    parts.append("</saml:Assertion>")
+    return "".join(parts).encode("utf-8")
 
 
 def emit_assertion(assertion: Assertion) -> bytes:
-    return _emit_once(assertion, lambda a: canonicalize(assertion_element(a)))
+    return _emit_once(assertion, _render_assertion)
 
 
 _ASSERTION_CHILDREN = {
@@ -843,43 +811,26 @@ def parse_assertion(data: bytes | str) -> Assertion:
 # ---------------------------------------------------------------------------
 
 
-def response_element(response: Response) -> XmlElement:
-    attrs: dict[str | AttrKey, str] = {
-        "ID": response.id,
-        "IssueInstant": response.issue_instant.isoformat(),
-        "Version": "2.0",
-        "Destination": response.destination,
-    }
-    if response.consent is not None:
-        attrs["Consent"] = response.consent
-    children: list[XmlElement] = [element(NS_ASSERTION, "Issuer", text=response.issuer)]
-    if response.signature is not None:
-        children.append(signature_element(response.signature))
-    children.append(
-        element(
-            NS_PROTOCOL,
-            "Status",
-            children=[element(NS_PROTOCOL, "StatusCode", {"Value": response.status})],
-        )
-    )
-    if isinstance(response.assertion, Assertion):
-        children.append(assertion_element(response.assertion))
-    elif isinstance(response.assertion, EncryptedAssertion):
-        children.append(encrypted_assertion_element(response.assertion))
-    return element(NS_PROTOCOL, "Response", attrs, children=children)
-
-
 _RESPONSE_END = b"</samlp:Response>"
 
 
 def _render_response(response: Response) -> bytes:
-    if not isinstance(response.assertion, Assertion):
-        return canonicalize(response_element(response))
-    # The Response root declares only samlp, which no assertion element
-    # uses, so the assertion's own bytes are its bytes in place: render the
-    # shell and put them in as its last child.
-    shell = canonicalize(response_element(replace(response, assertion=None)))
-    return shell[: -len(_RESPONSE_END)] + emit_assertion(response.assertion) + _RESPONSE_END
+    inner = response.assertion
+    body = _encrypted_assertion(inner) if isinstance(inner, EncryptedAssertion) else ""
+    data = _protocol(
+        "Response",
+        f"{_opt('Consent', response.consent)}{_attr('Destination', response.destination)}"
+        f"{_attr('ID', response.id)}",
+        response.issue_instant,
+        response.issuer,
+        response.signature,
+        _status(response.status) + body,
+    )
+    if not isinstance(inner, Assertion):
+        return data
+    # The assertion declares its own namespace, so its kept bytes are its
+    # bytes in place: they go in as the Response's last child.
+    return data[: -len(_RESPONSE_END)] + emit_assertion(inner) + _RESPONSE_END
 
 
 def emit_response(response: Response) -> bytes:
@@ -933,25 +884,18 @@ def parse_response(data: bytes | str) -> Response:
 # ---------------------------------------------------------------------------
 
 
-def authn_request_element(request: AuthnRequest) -> XmlElement:
-    children: list[XmlElement] = [element(NS_ASSERTION, "Issuer", text=request.issuer.value)]
-    if request.signature is not None:
-        children.append(signature_element(request.signature))
-    return element(
-        NS_PROTOCOL,
+def _render_authn_request(request: AuthnRequest) -> bytes:
+    return _protocol(
         "AuthnRequest",
-        {
-            "ID": request.id,
-            "IssueInstant": request.issue_instant.isoformat(),
-            "Version": "2.0",
-            "AssertionConsumerServiceURL": request.acs_url,
-        },
-        children=children,
+        f"{_attr('AssertionConsumerServiceURL', request.acs_url)}{_attr('ID', request.id)}",
+        request.issue_instant,
+        request.issuer.value,
+        request.signature,
     )
 
 
 def emit_authn_request(request: AuthnRequest) -> bytes:
-    return _emit_once(request, lambda m: canonicalize(authn_request_element(m)))
+    return _emit_once(request, _render_authn_request)
 
 
 def authn_request_from_element(elem: XmlElement) -> AuthnRequest:
@@ -970,22 +914,20 @@ def parse_authn_request(data: bytes | str) -> AuthnRequest:
     return authn_request_from_element(parse_xml(data))
 
 
-def logout_request_element(request: LogoutRequest) -> XmlElement:
-    children: list[XmlElement] = [element(NS_ASSERTION, "Issuer", text=request.issuer.value)]
-    if request.signature is not None:
-        children.append(signature_element(request.signature))
-    children.append(element(NS_ASSERTION, "NameID", text=request.name_id))
-    children.append(element(NS_PROTOCOL, "SessionIndex", text=request.session_index))
-    return element(
-        NS_PROTOCOL,
+def _render_logout_request(request: LogoutRequest) -> bytes:
+    return _protocol(
         "LogoutRequest",
-        {"ID": request.id, "IssueInstant": request.issue_instant.isoformat(), "Version": "2.0"},
-        children=children,
+        _attr("ID", request.id),
+        request.issue_instant,
+        request.issuer.value,
+        request.signature,
+        _text("saml:NameID", request.name_id, _SAML_NS)
+        + _text("samlp:SessionIndex", request.session_index),
     )
 
 
 def emit_logout_request(request: LogoutRequest) -> bytes:
-    return _emit_once(request, lambda m: canonicalize(logout_request_element(m)))
+    return _emit_once(request, _render_logout_request)
 
 
 def logout_request_from_element(elem: XmlElement) -> LogoutRequest:
@@ -1013,29 +955,19 @@ def parse_logout_request(data: bytes | str) -> LogoutRequest:
     return logout_request_from_element(parse_xml(data))
 
 
-def logout_response_element(response: LogoutResponse) -> XmlElement:
-    attrs: dict[str | AttrKey, str] = {
-        "ID": response.id,
-        "IssueInstant": response.issue_instant.isoformat(),
-        "Version": "2.0",
-    }
-    if response.in_response_to is not None:
-        attrs["InResponseTo"] = response.in_response_to
-    children: list[XmlElement] = [element(NS_ASSERTION, "Issuer", text=response.issuer.value)]
-    if response.signature is not None:
-        children.append(signature_element(response.signature))
-    children.append(
-        element(
-            NS_PROTOCOL,
-            "Status",
-            children=[element(NS_PROTOCOL, "StatusCode", {"Value": response.status})],
-        )
+def _render_logout_response(response: LogoutResponse) -> bytes:
+    return _protocol(
+        "LogoutResponse",
+        f"{_attr('ID', response.id)}{_opt('InResponseTo', response.in_response_to)}",
+        response.issue_instant,
+        response.issuer.value,
+        response.signature,
+        _status(response.status),
     )
-    return element(NS_PROTOCOL, "LogoutResponse", attrs, children=children)
 
 
 def emit_logout_response(response: LogoutResponse) -> bytes:
-    return _emit_once(response, lambda m: canonicalize(logout_response_element(m)))
+    return _emit_once(response, _render_logout_response)
 
 
 def logout_response_from_element(elem: XmlElement) -> LogoutResponse:
@@ -1059,21 +991,16 @@ def parse_logout_response(data: bytes | str) -> LogoutResponse:
     return logout_response_from_element(parse_xml(data))
 
 
-def artifact_resolve_element(request_id: str, issue_instant: Instant, issuer: EntityId,
-                             artifacts: tuple[str, ...]) -> XmlElement:
-    children: list[XmlElement] = [element(NS_ASSERTION, "Issuer", text=issuer.value)]
-    children.extend(element(NS_PROTOCOL, "Artifact", text=a) for a in artifacts)
-    return element(
-        NS_PROTOCOL,
-        "ArtifactResolve",
-        {"ID": request_id, "IssueInstant": issue_instant.isoformat(), "Version": "2.0"},
-        children=children,
-    )
-
-
 def emit_artifact_resolve(request_id: str, issue_instant: Instant, issuer: EntityId,
                           artifacts: tuple[str, ...]) -> bytes:
-    return canonicalize(artifact_resolve_element(request_id, issue_instant, issuer, artifacts))
+    return _protocol(
+        "ArtifactResolve",
+        _attr("ID", request_id),
+        issue_instant,
+        issuer.value,
+        None,
+        "".join(_text("samlp:Artifact", a) for a in artifacts),
+    )
 
 
 def parse_artifact_resolve(data: bytes | str) -> tuple[EntityId, tuple[str, ...]]:

@@ -4,8 +4,9 @@ These deliberately avoid the libraries the package itself uses for the
 same operation: SHA-1 and base64 are implemented from scratch, RSA
 signing/verification uses plain modular arithmetic over the key numbers.
 The XML oracles are the straightforward forms of xmlcodec's writer,
-parser (ElementTree, then a tree walk) and signature fragments (element
-trees), which xmlcodec replaced with faster equivalents.
+parser (ElementTree, then a tree walk), signature fragments and protocol
+messages (element trees), which xmlcodec replaced with faster
+equivalents.
 """
 
 from __future__ import annotations
@@ -16,8 +17,17 @@ import re
 import struct
 import xml.etree.ElementTree as ET
 
-from samlforge.core import Signature
-from samlforge.xmlcodec import NS_DSIG, NS_XML, PREFERRED_PREFIXES, MalformedXml, XmlElement
+from samlforge.core import Assertion, EncryptedAssertion, Signature
+from samlforge.xmlcodec import (
+    NS_ASSERTION,
+    NS_DSIG,
+    NS_PROTOCOL,
+    NS_XML,
+    NS_XMLENC,
+    PREFERRED_PREFIXES,
+    MalformedXml,
+    XmlElement,
+)
 
 # ---------------------------------------------------------------------------
 # SHA-1 (pure Python)
@@ -350,3 +360,236 @@ def signature_element(sig: Signature):
             )
         )
     return element(NS_DSIG, "Signature", children=children)
+
+
+# ---------------------------------------------------------------------------
+# Protocol messages: the element-tree builders whose canonical bytes the
+# direct renderers in xmlcodec (emit_*) write
+# ---------------------------------------------------------------------------
+
+
+def encrypted_assertion_element(enc):
+    encrypted_key = element(
+        NS_XMLENC,
+        "EncryptedKey",
+        children=[
+            element(
+                NS_XMLENC,
+                "CipherData",
+                children=[element(NS_XMLENC, "CipherValue", text=_b64(enc.encrypted_key))],
+            )
+        ],
+    )
+    data = element(
+        NS_XMLENC,
+        "EncryptedData",
+        children=[
+            element(NS_XMLENC, "EncryptionMethod", {"Algorithm": enc.algorithm}),
+            element(NS_DSIG, "KeyInfo", children=[encrypted_key]),
+            element(
+                NS_XMLENC,
+                "CipherData",
+                children=[element(NS_XMLENC, "CipherValue", text=_b64(enc.iv + enc.ciphertext))],
+            ),
+        ],
+    )
+    return element(NS_ASSERTION, "EncryptedAssertion", children=[data])
+
+
+def assertion_element(assertion):
+    children = [element(NS_ASSERTION, "Issuer", text=assertion.issuer)]
+    if assertion.signature is not None:
+        children.append(signature_element(assertion.signature))
+
+    subject = assertion.subject
+    name_attrs = {}
+    if subject.name_id_format:
+        name_attrs["Format"] = subject.name_id_format
+    children.append(
+        element(
+            NS_ASSERTION,
+            "Subject",
+            children=[
+                element(NS_ASSERTION, "NameID", name_attrs, text=subject.name_id),
+                element(
+                    NS_ASSERTION,
+                    "SubjectConfirmation",
+                    {"Method": subject.confirmation.method},
+                    children=[
+                        element(
+                            NS_ASSERTION,
+                            "SubjectConfirmationData",
+                            {
+                                "NotOnOrAfter": subject.confirmation.not_on_or_after.isoformat(),
+                                "Recipient": subject.confirmation.recipient,
+                            },
+                        )
+                    ],
+                ),
+            ],
+        )
+    )
+
+    cond_children = []
+    if assertion.conditions.audiences:
+        cond_children.append(
+            element(
+                NS_ASSERTION,
+                "AudienceRestriction",
+                children=[
+                    element(NS_ASSERTION, "Audience", text=a.value)
+                    for a in assertion.conditions.audiences
+                ],
+            )
+        )
+    children.append(
+        element(
+            NS_ASSERTION,
+            "Conditions",
+            {
+                "NotBefore": assertion.conditions.not_before.isoformat(),
+                "NotOnOrAfter": assertion.conditions.not_on_or_after.isoformat(),
+            },
+            children=cond_children,
+        )
+    )
+
+    stmt = assertion.authn_statement
+    locality_attrs = {}
+    if stmt.locality_address is not None:
+        locality_attrs["Address"] = stmt.locality_address
+    if stmt.locality_dns is not None:
+        locality_attrs["DNSName"] = stmt.locality_dns
+    children.append(
+        element(
+            NS_ASSERTION,
+            "AuthnStatement",
+            {"AuthnInstant": stmt.authn_instant.isoformat(), "SessionIndex": stmt.session_index},
+            children=[element(NS_ASSERTION, "SubjectLocality", locality_attrs)]
+            if locality_attrs
+            else [],
+        )
+    )
+
+    if assertion.attributes:
+        children.append(
+            element(
+                NS_ASSERTION,
+                "AttributeStatement",
+                children=[_attribute_element(attr) for attr in assertion.attributes],
+            )
+        )
+
+    return element(
+        NS_ASSERTION,
+        "Assertion",
+        {
+            "ID": assertion.id,
+            "IssueInstant": assertion.issue_instant.isoformat(),
+            "Version": "2.0",
+        },
+        children=children,
+    )
+
+
+def _attribute_element(attr):
+    attrs = {"Name": attr.name}
+    if attr.friendly_name is not None:
+        attrs["FriendlyName"] = attr.friendly_name
+    if attr.name_format is not None:
+        attrs["NameFormat"] = attr.name_format
+    return element(
+        NS_ASSERTION,
+        "Attribute",
+        attrs,
+        children=[element(NS_ASSERTION, "AttributeValue", text=v) for v in attr.values],
+    )
+
+
+def response_element(response):
+    attrs = {
+        "ID": response.id,
+        "IssueInstant": response.issue_instant.isoformat(),
+        "Version": "2.0",
+        "Destination": response.destination,
+    }
+    if response.consent is not None:
+        attrs["Consent"] = response.consent
+    children = [element(NS_ASSERTION, "Issuer", text=response.issuer)]
+    if response.signature is not None:
+        children.append(signature_element(response.signature))
+    children.append(
+        element(
+            NS_PROTOCOL,
+            "Status",
+            children=[element(NS_PROTOCOL, "StatusCode", {"Value": response.status})],
+        )
+    )
+    if isinstance(response.assertion, Assertion):
+        children.append(assertion_element(response.assertion))
+    elif isinstance(response.assertion, EncryptedAssertion):
+        children.append(encrypted_assertion_element(response.assertion))
+    return element(NS_PROTOCOL, "Response", attrs, children=children)
+
+
+def authn_request_element(request):
+    children = [element(NS_ASSERTION, "Issuer", text=request.issuer.value)]
+    if request.signature is not None:
+        children.append(signature_element(request.signature))
+    return element(
+        NS_PROTOCOL,
+        "AuthnRequest",
+        {
+            "ID": request.id,
+            "IssueInstant": request.issue_instant.isoformat(),
+            "Version": "2.0",
+            "AssertionConsumerServiceURL": request.acs_url,
+        },
+        children=children,
+    )
+
+
+def logout_request_element(request):
+    children = [element(NS_ASSERTION, "Issuer", text=request.issuer.value)]
+    if request.signature is not None:
+        children.append(signature_element(request.signature))
+    children.append(element(NS_ASSERTION, "NameID", text=request.name_id))
+    children.append(element(NS_PROTOCOL, "SessionIndex", text=request.session_index))
+    return element(
+        NS_PROTOCOL,
+        "LogoutRequest",
+        {"ID": request.id, "IssueInstant": request.issue_instant.isoformat(), "Version": "2.0"},
+        children=children,
+    )
+
+
+def logout_response_element(response):
+    attrs = {
+        "ID": response.id,
+        "IssueInstant": response.issue_instant.isoformat(),
+        "Version": "2.0",
+    }
+    if response.in_response_to is not None:
+        attrs["InResponseTo"] = response.in_response_to
+    children = [element(NS_ASSERTION, "Issuer", text=response.issuer.value)]
+    if response.signature is not None:
+        children.append(signature_element(response.signature))
+    children.append(
+        element(
+            NS_PROTOCOL,
+            "Status",
+            children=[element(NS_PROTOCOL, "StatusCode", {"Value": response.status})],
+        )
+    )
+    return element(NS_PROTOCOL, "LogoutResponse", attrs, children=children)
+
+
+def artifact_resolve_element(request_id, issue_instant, issuer, artifacts):
+    children = [element(NS_ASSERTION, "Issuer", text=issuer.value)]
+    children.extend(element(NS_PROTOCOL, "Artifact", text=a) for a in artifacts)
+    return element(
+        NS_PROTOCOL,
+        "ArtifactResolve",
+        {"ID": request_id, "IssueInstant": issue_instant.isoformat(), "Version": "2.0"},
+        children=children,
+    )

@@ -1,7 +1,10 @@
+import base64
 import re
 import socket
 import string
 import threading
+import tracemalloc
+import zlib
 from urllib.parse import quote_plus
 
 import pytest
@@ -20,6 +23,8 @@ from samlforge.bindings import (
     BadUrlEncoding,
     ConnectFailed,
     FaultResponse,
+    InflatedTooLarge,
+    MAX_INFLATED_BYTES,
     MissingField,
     PostForm,
     RedirectUrl,
@@ -212,12 +217,44 @@ class TestRedirectBinding:
         with pytest.raises(MissingField):
             decode_redirect("http://x/sso?RelayState=abc")
 
+    @staticmethod
+    def _query(deflated: bytes) -> str:
+        return "SAMLRequest=" + quote_plus(base64.b64encode(deflated).decode())
+
+    @staticmethod
+    def _deflate(*chunks: bytes) -> bytes:
+        compressor = zlib.compressobj(9, zlib.DEFLATED, -15)
+        return b"".join(map(compressor.compress, chunks)) + compressor.flush()
+
+    def test_inflate_cap(self):
+        at_limit = b"<a/>" + b"x" * (MAX_INFLATED_BYTES - 4)
+        assert decode_redirect(self._query(self._deflate(at_limit))).message == at_limit
+        with pytest.raises(InflatedTooLarge):
+            decode_redirect(self._query(self._deflate(at_limit, b"x")))
+
+    def test_deflate_bomb_is_refused_before_it_inflates(self):
+        query = self._query(self._deflate(*[bytes(1 << 20)] * 50))  # 50 MiB of zeros
+        assert len(query) < 70_000  # about the 64 KiB request line GET /sso accepts
+        tracemalloc.start()
+        try:
+            with pytest.raises(InflatedTooLarge):
+                decode_redirect(query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * MAX_INFLATED_BYTES + 4 * len(query)
+
+    def test_truncated_deflate(self):
+        deflated = self._deflate(b"<a>" + b"y" * 100 + b"</a>")
+        with pytest.raises(BadDeflate):
+            decode_redirect(self._query(deflated[:-2]))
+
     @given(st.text(max_size=200))
     @settings(max_examples=200)
     def test_decode_total_over_arbitrary_queries(self, query):
         try:
             decode_redirect("http://x/sso?" + query)
-        except (MissingField, BadBase64, BadDeflate, BadUrlEncoding):
+        except (MissingField, BadBase64, BadDeflate, BadUrlEncoding, InflatedTooLarge):
             pass
 
 

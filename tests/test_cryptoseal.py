@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 import oracles
 import strategies as strat
-from samlforge import xmlcodec
+from samlforge import cryptoseal, xmlcodec
 from samlforge.core import Assertion, EncryptedAssertion, EntityId
 from samlforge.cryptoseal import (
     BadPassphrase,
@@ -206,6 +206,32 @@ class TestSigning:
         other = dataclasses.replace(signed, subject=dataclasses.replace(signed.subject, name_id="x"))
         assert reason(signed, elem=parse_xml(xmlcodec.emit_assertion(other))) == "DigestMismatch"
 
+    def test_pinned_certificates_are_parsed_once(
+        self, store, signer_entry, rogue_key, monkeypatch
+    ):
+        # No KeyInfo, so every verify tries both pinned certificates.
+        signature = dataclasses.replace(
+            sign_element(PAYLOAD, "1234", "signing", store), certificate=b""
+        )
+        pinned = store.with_trust_anchors(
+            SIGNER, signing=(rogue_key.cert_der, b"not a certificate", signer_entry.cert_der)
+        )
+        loads = []
+        load = cryptoseal.x509.load_der_x509_certificate
+
+        def counting(der):
+            loads.append(der)
+            return load(der)
+
+        monkeypatch.setattr(cryptoseal.x509, "load_der_x509_certificate", counting)
+        cryptoseal._public_key.cache_clear()
+        for _ in range(50):
+            assert verify_signature(PAYLOAD, signature, SIGNER, pinned).accepted
+        assert loads.count(rogue_key.cert_der) == 1
+        assert loads.count(signer_entry.cert_der) == 1
+        # a DER that does not parse is not remembered: it fails, and is skipped, every time
+        assert loads.count(b"not a certificate") == 50
+
     def test_unknown_alias(self, store):
         with pytest.raises(UnknownAlias):
             sign_element(PAYLOAD, "1234", "nope", store)
@@ -314,17 +340,17 @@ _encrypted_assertions = st.builds(
     ciphertext=st.binary(min_size=16, max_size=96),
 )
 
-# (emitter, element function, messages) per signable kind; Assertion and Response
+# (emitter, reference element builder, messages) per signable kind; Assertion and Response
 # carry the issuer as text, so both also cover a self-closing <saml:Issuer/>.
 _SIGNABLE = {
     "Assertion": (
         xmlcodec.emit_assertion,
-        xmlcodec.assertion_element,
+        oracles.assertion_element,
         strat.assertions | strat.assertions.map(lambda a: dataclasses.replace(a, issuer="")),
     ),
     "Response": (
         xmlcodec.emit_response,
-        xmlcodec.response_element,
+        oracles.response_element,
         st.builds(
             dataclasses.replace,
             strat.responses,
@@ -334,17 +360,17 @@ _SIGNABLE = {
     ),
     "AuthnRequest": (
         xmlcodec.emit_authn_request,
-        xmlcodec.authn_request_element,
+        oracles.authn_request_element,
         strat.authn_requests,
     ),
     "LogoutRequest": (
         xmlcodec.emit_logout_request,
-        xmlcodec.logout_request_element,
+        oracles.logout_request_element,
         strat.logout_requests,
     ),
     "LogoutResponse": (
         xmlcodec.emit_logout_response,
-        xmlcodec.logout_response_element,
+        oracles.logout_response_element,
         strat.logout_responses,
     ),
 }
@@ -389,11 +415,11 @@ class TestSignedBytes:
         assert "emitted" not in repr(signed)
 
         moved = dataclasses.replace(signed, destination="https://elsewhere.example/acs")
-        assert xmlcodec.emit_response(moved) == canonicalize(xmlcodec.response_element(moved))
+        assert xmlcodec.emit_response(moved) == canonicalize(oracles.response_element(moved))
         assert b"elsewhere.example" in xmlcodec.emit_response(moved)
 
         renamed = dataclasses.replace(assertion, issuer="other:saml2.0")
-        assert xmlcodec.emit_assertion(renamed) == canonicalize(xmlcodec.assertion_element(renamed))
+        assert xmlcodec.emit_assertion(renamed) == canonicalize(oracles.assertion_element(renamed))
         rewrapped = dataclasses.replace(signed, assertion=renamed)
         assert b"other:saml2.0" in xmlcodec.emit_response(rewrapped)
         assert xmlcodec.emit_response(signed) == before

@@ -83,7 +83,7 @@ class TestRegisterPartner:
         registry = register_partner(idp_registry, sp_metadata_bytes)
         partner = registry.partner("mypartner:saml2.0")
         assert partner.descriptor.role.signing_certs == ("CERTIFICATE",)
-        assert partner.signing_cert_ders() == ()
+        assert partner.signing_cert_ders == ()
 
 
 class TestExportMetadata:

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import http.client
 import re
@@ -7,6 +8,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import zlib
 from html import unescape
 from pathlib import Path
 
@@ -489,6 +491,20 @@ class TestHttpService:
             conn.close()
         # with Nagle on, the body waits ~40 ms for the client's delayed ACK
         assert statistics.median(round_trips) < 20, round_trips
+
+    def test_oversized_redirect_message_is_answered_400(self, live_service):
+        service, _, _ = live_service
+        compressor = zlib.compressobj(9, zlib.DEFLATED, -15)
+        bomb = b"".join(compressor.compress(bytes(1 << 20)) for _ in range(4)) + compressor.flush()
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        try:
+            conn.request("GET", "/sso?" + urllib.parse.urlencode({"SAMLRequest": base64.b64encode(bomb)}))
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert body.startswith(b"InflatedTooLarge")
 
     @pytest.mark.parametrize("declared", ["-1", "abc"])
     def test_bad_content_length_is_answered_400(self, live_service, declared):

@@ -345,6 +345,25 @@ class TestSingleLogout:
         # idempotent for the already-terminated session
         assert fed.idp.initiate_single_logout(session.session_index, NOW) == []
 
+    def test_session_for_user_is_the_oldest_live_one(self, fed):
+        assert fed.idp.session_for_user("the.user") is None
+        first = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        other = fed.idp.create_session("j.doe", CLIENT_IP, NOW)
+        second = fed.idp.create_session("the.user", CLIENT_IP, NOW.plus(1))
+        assert fed.idp.session_for_user("the.user") is first
+        assert fed.idp.initiate_single_logout(first.session_index, NOW.plus(2)) == []
+        assert fed.idp.session_for_user("the.user") is second
+        assert fed.idp.session_for_user("j.doe") is other
+        # a session created again under its index is the user's newest
+        again = fed.idp.create_session("the.user", CLIENT_IP, NOW.plus(3), second.session_index)
+        third = fed.idp.create_session("the.user", CLIENT_IP, NOW.plus(4))
+        assert fed.idp.session_for_user("the.user") is again
+        assert fed.idp.initiate_single_logout(again.session_index, NOW.plus(5)) == []
+        assert fed.idp.session_for_user("the.user") is third
+        assert fed.idp.initiate_single_logout(third.session_index, NOW.plus(6)) == []
+        assert fed.idp.session_for_user("the.user") is None
+        assert list(fed.idp.sessions) == [other.session_index]
+
     def test_unknown_session(self, fed):
         with pytest.raises(UnknownSession):
             fed.idp.initiate_single_logout("never-existed", NOW)
