@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 from urllib.parse import quote_plus, unquote_to_bytes, urlsplit
 
 from .core import EntityId, SamlError, TokenSource
-from .xmlcodec import NS_ENVELOPE, MalformedXml, canonicalize, element, parse_xml
+from .xmlcodec import NS_ENVELOPE, MalformedXml, XmlElement, canonicalize, parse_xml
 
 MAX_RELAY_STATE_BYTES = 80
 MAX_REDIRECT_URL_BYTES = 2048
@@ -389,25 +389,19 @@ def parse_artifact(encoded: str) -> Artifact:
 # ---------------------------------------------------------------------------
 
 
+def _envelope(inner: XmlElement) -> bytes:
+    body = XmlElement(NS_ENVELOPE, "Body", children=(inner,))
+    return canonicalize(XmlElement(NS_ENVELOPE, "Envelope", children=(body,)))
+
+
 def wrap_envelope(payload: bytes) -> bytes:
-    inner = parse_xml(payload)
-    return canonicalize(
-        element(NS_ENVELOPE, "Envelope", children=[element(NS_ENVELOPE, "Body", children=[inner])])
-    )
+    return _envelope(parse_xml(payload))
 
 
 def make_fault(code: str, detail: str = "") -> bytes:
-    fault = element(
-        NS_ENVELOPE,
-        "Fault",
-        children=[
-            element(NS_ENVELOPE, "Code", text=code),
-            element(NS_ENVELOPE, "Detail", text=detail),
-        ],
-    )
-    return canonicalize(
-        element(NS_ENVELOPE, "Envelope", children=[element(NS_ENVELOPE, "Body", children=[fault])])
-    )
+    code_elem = XmlElement(NS_ENVELOPE, "Code", text=code)
+    detail_elem = XmlElement(NS_ENVELOPE, "Detail", text=detail)
+    return _envelope(XmlElement(NS_ENVELOPE, "Fault", children=(code_elem, detail_elem)))
 
 
 def unwrap_envelope(data: bytes) -> bytes:

@@ -116,10 +116,6 @@ class FederationRegistry:
         except KeyError:
             raise UnknownIssuer(key) from None
 
-    def has_partner(self, entity_id: EntityId | str) -> bool:
-        key = entity_id.value if isinstance(entity_id, EntityId) else entity_id
-        return key in self.partners
-
     def idp_partners(self) -> tuple[Partner, ...]:
         return tuple(p for p in self.partners.values() if p.descriptor.is_idp)
 

@@ -43,6 +43,15 @@ class BadContentLength(SamlError):
     pass
 
 
+class BodyTooLarge(SamlError):
+    pass
+
+
+# The largest request body read: four times the largest inflated redirect
+# message, far above a real form (about 10 KB sealed).
+MAX_BODY_BYTES = 4 * bindings.MAX_INFLATED_BYTES
+
+
 Clock = Callable[[], Instant]
 
 
@@ -223,7 +232,13 @@ class _Handler(BaseHTTPRequestHandler):
             # The body's end is unknown, so the connection cannot carry on.
             self.close_connection = True
             raise BadContentLength(f"Content-Length {declared!r} is not a byte count")
-        return self.rfile.read(int(declared))
+        digits = declared.lstrip("0") or "0"
+        # The length decides first: int() refuses thousands of digits.
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            # Refused before reading: a buffered read allocates what is claimed.
+            self.close_connection = True
+            raise BodyTooLarge(f"Content-Length exceeds {MAX_BODY_BYTES} bytes")
+        return self.rfile.read(int(digits))
 
     def _route(self) -> str:
         return urlsplit(self.path).path.rstrip("/") or "/"
@@ -240,8 +255,8 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             status = self._handle(method)
         except SamlError as exc:
-            status = 400
-            self._reply(400, f"{type(exc).__name__}: {exc}\n")
+            status = 413 if isinstance(exc, BodyTooLarge) else 400
+            self._reply(status, f"{type(exc).__name__}: {exc}\n")
         except Exception:
             logger.exception("unhandled error path=%s", self.path)
             status = 500

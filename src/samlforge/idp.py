@@ -410,11 +410,15 @@ class IdpEngine:
     ) -> bindings.PostForm:
         """Validate an inbound request and answer with a fresh response.
 
-        Accepts a redirect URL, a POST form body, or raw request XML; the
-        inbound RelayState is echoed back verbatim and never dereferenced.
+        Accepts a redirect URL (``str``) or a POST form body (``bytes``);
+        the inbound RelayState is echoed back verbatim and never
+        dereferenced.
         """
-        request_bytes, relay_state = self._decode_request(request_input)
-        elem = xmlcodec.parse_xml(request_bytes)
+        if isinstance(request_input, str):
+            decoded = bindings.decode_redirect(request_input)
+        else:
+            decoded = bindings.decode_post(request_input)
+        elem = xmlcodec.parse_xml(decoded.message)
         request = xmlcodec.authn_request_from_element(elem)
         partner = self.registry.partners.get(request.issuer.value)
         if partner is None or not isinstance(partner.descriptor.role, SpSsoDescriptor):
@@ -437,18 +441,8 @@ class IdpEngine:
 
         response = self.issue_assertion(session, request.issuer, now)
         return bindings.encode_post(
-            xmlcodec.emit_response(response), "response", response.destination, relay_state
+            xmlcodec.emit_response(response), "response", response.destination, decoded.relay_state
         )
-
-    @staticmethod
-    def _decode_request(request_input: bytes | str) -> tuple[bytes, str | None]:
-        if isinstance(request_input, str):
-            decoded = bindings.decode_redirect(request_input)
-            return decoded.message, decoded.relay_state
-        if request_input.lstrip()[:1] == b"<":
-            return request_input, None
-        decoded = bindings.decode_post(request_input)
-        return decoded.message, decoded.relay_state
 
     # -- artifact profile ------------------------------------------------------
 
@@ -479,14 +473,9 @@ class IdpEngine:
         return artifacts
 
     def resolve_artifact(self, request_bytes: bytes, now: Instant) -> bytes:
-        """Resolve an artifact request to the stored response, exactly once."""
+        """Resolve an ArtifactResolve (one artifact or a pair) to the stored
+        response, exactly once."""
         _issuer, values = xmlcodec.parse_artifact_resolve(request_bytes)
-        return self._resolve_values(values, now)
-
-    def resolve_artifact_pair(self, first: str, second: str, now: Instant) -> bytes:
-        return self._resolve_values((first, second), now)
-
-    def _resolve_values(self, values: tuple[str, ...], now: Instant) -> bytes:
         if len(values) > 2:
             raise MismatchedPair("at most two artifact values are accepted")
         artifacts = [bindings.parse_artifact(v) for v in values]
@@ -560,11 +549,6 @@ class IdpEngine:
             session_index, _sp_id = pending
             if not any(s == session_index for s, _ in self._pending_logouts.values()):
                 self._end_session(session_index)
-
-    def finalize_logout(self, session_index: str) -> None:
-        """Timeout path: terminate regardless of outstanding responses."""
-        with self._lock:
-            self._end_session(session_index)
 
     def _end_session(self, session_index: str) -> None:
         """End the session and drop its pending logouts; the caller holds the lock."""

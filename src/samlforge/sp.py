@@ -374,8 +374,16 @@ class SpEngine:
         return verdict.ok, verdict.detail
 
     def _relay_state(self, x: _Exchange) -> tuple[bool, str]:
-        x.redirect_url, detail = self._relay_target(x.relay_state)
-        return True, detail
+        """Known token -> stored URL (single use); anything else -> the
+        configured landing URL. Never an open redirect."""
+        x.redirect_url = self.landing_url
+        if x.relay_state is None:
+            return True, "no relay state; using landing URL"
+        target = self._relay_states.take(x.relay_state)
+        if target is None:
+            return True, f"unissued relay state {x.relay_state!r} ignored; using landing URL"
+        x.redirect_url = target
+        return True, ""
 
     _RESPONSE_STEPS = (
         ("parse", _parse),
@@ -445,20 +453,6 @@ class SpEngine:
             xmlcodec.emit_authn_request(request), endpoint.location, relay_state=token
         )
         return redirect, token
-
-    def resolve_relay_state(self, token: str | None) -> str:
-        """Known token -> stored URL (single use); anything else -> the
-        configured landing URL. Never an open redirect."""
-        return self._relay_target(token)[0]
-
-    def _relay_target(self, token: str | None) -> tuple[str, str]:
-        """The redirect target for ``token`` and the report detail."""
-        if token is None:
-            return self.landing_url, "no relay state; using landing URL"
-        target = self._relay_states.take(token)
-        if target is None:
-            return self.landing_url, f"unissued relay state {token!r} ignored; using landing URL"
-        return target, ""
 
     # -- artifact retrieval --------------------------------------------------
 

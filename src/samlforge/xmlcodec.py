@@ -18,7 +18,6 @@ import binascii
 import functools
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 from xml.parsers import expat
 
 from .core import (
@@ -134,23 +133,6 @@ class XmlElement:
         if found is None:
             raise MissingRequiredElement(local)
         return found
-
-
-def element(
-    ns: str,
-    local: str,
-    attrs: dict[str | AttrKey, str] | None = None,
-    children: tuple[XmlElement, ...] | list[XmlElement] = (),
-    text: str = "",
-) -> XmlElement:
-    """Build an XmlElement; plain-string attribute keys mean "no namespace"."""
-    normalized = sorted(
-        ((("", key) if isinstance(key, str) else key, value) for key, value in (attrs or {}).items()),
-        key=itemgetter(0),
-    )
-    if text and children:
-        raise ValueError("element cannot carry both text and children")
-    return XmlElement(ns, local, tuple(normalized), tuple(children), text)
 
 
 _ILLEGAL = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
@@ -463,6 +445,14 @@ def _text(tag: str, text: str, attrs: str = "") -> str:
     return f"<{tag}{attrs}>{_escape_text(text)}</{tag}>"
 
 
+def _keyinfo(cert_text: str, declare: str = "") -> str:
+    """A ds:KeyInfo holding one certificate as base64 ``cert_text``."""
+    return (
+        f"<ds:KeyInfo{declare}><ds:X509Data>{_text('ds:X509Certificate', cert_text)}"
+        "</ds:X509Data></ds:KeyInfo>"
+    )
+
+
 def _signed_info(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes, declare: str) -> str:
     return (
         f'<ds:SignedInfo{declare}><ds:SignatureMethod Algorithm="{_escape_attr(sig_alg)}"/>'
@@ -490,10 +480,7 @@ def _signature(sig: Signature | None) -> str:
     if sig.certificate:
         # KeyInfo is optional; redirect-bound messages omit it to fit the URL
         # budget and the verifier falls back to metadata-pinned certificates.
-        parts.append(
-            f"<ds:KeyInfo><ds:X509Data>{_text('ds:X509Certificate', _b64(sig.certificate))}"
-            "</ds:X509Data></ds:KeyInfo>"
-        )
+        parts.append(_keyinfo(_b64(sig.certificate)))
     parts.append("</ds:Signature>")
     return "".join(parts)
 
@@ -910,10 +897,6 @@ def authn_request_from_element(elem: XmlElement) -> AuthnRequest:
     )
 
 
-def parse_authn_request(data: bytes | str) -> AuthnRequest:
-    return authn_request_from_element(parse_xml(data))
-
-
 def _render_logout_request(request: LogoutRequest) -> bytes:
     return _protocol(
         "LogoutRequest",
@@ -949,10 +932,6 @@ def logout_request_from_element(elem: XmlElement) -> LogoutRequest:
         session_index=session_index.text or "",
         signature=_signature_of(elem),
     )
-
-
-def parse_logout_request(data: bytes | str) -> LogoutRequest:
-    return logout_request_from_element(parse_xml(data))
 
 
 def _render_logout_response(response: LogoutResponse) -> bytes:
@@ -1111,156 +1090,88 @@ class EntityDescriptor:
         return isinstance(self.role, IdpSsoDescriptor)
 
 
-def _key_descriptor_elements(
+# Metadata is rendered straight to the bytes canonicalize writes for its
+# element tree, as the protocol messages are: the root declares md, each
+# ds:KeyInfo and xenc:KeySize declares its own namespace (siblings share no
+# scope), and xml:lang is bound without a declaration.
+_MD_NS = f' xmlns:md="{NS_METADATA}"'
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _key_descriptors(
     signing_certs: tuple[str, ...], encryption_keys: tuple[EncryptionKey, ...]
-) -> list[XmlElement]:
-    out: list[XmlElement] = []
-    for cert in signing_certs:
-        out.append(
-            element(
-                NS_METADATA,
-                "KeyDescriptor",
-                {"use": "signing"},
-                children=[_key_info(cert)],
-            )
-        )
+) -> str:
+    parts = [
+        f'<md:KeyDescriptor use="signing">{_keyinfo(cert, " " + _DS_OPEN)}</md:KeyDescriptor>'
+        for cert in signing_certs
+    ]
     for key in encryption_keys:
-        children = [_key_info(key.certificate)]
+        method = ""
         if key.algorithm is not None:
-            method_children = []
+            size = ""
             if key.key_size is not None:
-                method_children.append(element(NS_XMLENC, "KeySize", text=str(key.key_size)))
-            children.append(
-                element(
-                    NS_METADATA,
-                    "EncryptionMethod",
-                    {"Algorithm": key.algorithm},
-                    children=method_children,
-                )
-            )
-        out.append(
-            element(NS_METADATA, "KeyDescriptor", {"use": "encryption"}, children=children)
+                size = _text("xenc:KeySize", str(key.key_size), f' xmlns:xenc="{NS_XMLENC}"')
+            method = _parent("md:EncryptionMethod", _attr("Algorithm", key.algorithm), size)
+        parts.append(
+            f'<md:KeyDescriptor use="encryption">{_keyinfo(key.certificate, " " + _DS_OPEN)}'
+            f"{method}</md:KeyDescriptor>"
         )
-    return out
+    return "".join(parts)
 
 
-def _key_info(cert_text: str) -> XmlElement:
-    return element(
-        NS_DSIG,
-        "KeyInfo",
-        children=[
-            element(
-                NS_DSIG,
-                "X509Data",
-                children=[element(NS_DSIG, "X509Certificate", text=cert_text)],
-            )
-        ],
+def _endpoints(tag: str, endpoints: tuple[Endpoint, ...] | tuple[IndexedEndpoint, ...]) -> str:
+    parts = []
+    for ep in endpoints:
+        attrs = f"{_attr('Binding', ep.binding)}{_attr('Location', ep.location)}"
+        if isinstance(ep, IndexedEndpoint):
+            attrs += _attr("index", str(ep.index)) + (' isDefault="true"' if ep.is_default else "")
+        parts.append(f"<md:{tag}{attrs}/>")
+    return "".join(parts)
+
+
+def _role(role: IdpSsoDescriptor | SpSsoDescriptor) -> str:
+    keys = _key_descriptors(role.signing_certs, role.encryption_keys)
+    if isinstance(role, IdpSsoDescriptor):
+        return _parent(
+            "md:IDPSSODescriptor",
+            f' WantAuthnRequestsSigned="{_flag(role.want_authn_requests_signed)}"'
+            f"{_attr('protocolSupportEnumeration', role.protocol_support)}",
+            keys
+            + _endpoints("ArtifactResolutionService", role.artifact_resolution_endpoints)
+            + _endpoints("SingleLogoutService", role.single_logout_endpoints)
+            + _endpoints("SingleSignOnService", role.sso_endpoints),
+        )
+    return _parent(
+        "md:SPSSODescriptor",
+        f' AuthnRequestsSigned="{_flag(role.authn_requests_signed)}"'
+        f' WantAssertionsSigned="{_flag(role.want_assertions_signed)}"'
+        f"{_attr('protocolSupportEnumeration', role.protocol_support)}",
+        keys
+        + _endpoints("SingleLogoutService", role.single_logout_endpoints)
+        + "".join(_text("md:NameIDFormat", fmt) for fmt in role.name_id_formats)
+        + _endpoints("AssertionConsumerService", role.acs_endpoints),
     )
 
 
-def metadata_element(entity: EntityDescriptor) -> XmlElement:
-    role = entity.role
-    if isinstance(role, IdpSsoDescriptor):
-        role_children = _key_descriptor_elements(role.signing_certs, role.encryption_keys)
-        for ep in role.artifact_resolution_endpoints:
-            attrs: dict[str | AttrKey, str] = {
-                "index": str(ep.index),
-                "Binding": ep.binding,
-                "Location": ep.location,
-            }
-            if ep.is_default:
-                attrs["isDefault"] = "true"
-            role_children.append(element(NS_METADATA, "ArtifactResolutionService", attrs))
-        for ep in role.single_logout_endpoints:
-            role_children.append(
-                element(
-                    NS_METADATA,
-                    "SingleLogoutService",
-                    {"Binding": ep.binding, "Location": ep.location},
-                )
-            )
-        for ep in role.sso_endpoints:
-            role_children.append(
-                element(
-                    NS_METADATA,
-                    "SingleSignOnService",
-                    {"Binding": ep.binding, "Location": ep.location},
-                )
-            )
-        role_elem = element(
-            NS_METADATA,
-            "IDPSSODescriptor",
-            {
-                "WantAuthnRequestsSigned": "true" if role.want_authn_requests_signed else "false",
-                "protocolSupportEnumeration": role.protocol_support,
-            },
-            children=role_children,
-        )
-    else:
-        role_children = _key_descriptor_elements(role.signing_certs, role.encryption_keys)
-        for ep in role.single_logout_endpoints:
-            role_children.append(
-                element(
-                    NS_METADATA,
-                    "SingleLogoutService",
-                    {"Binding": ep.binding, "Location": ep.location},
-                )
-            )
-        for fmt in role.name_id_formats:
-            role_children.append(element(NS_METADATA, "NameIDFormat", text=fmt))
-        for ep in role.acs_endpoints:
-            attrs = {"index": str(ep.index), "Binding": ep.binding, "Location": ep.location}
-            if ep.is_default:
-                attrs["isDefault"] = "true"
-            role_children.append(element(NS_METADATA, "AssertionConsumerService", attrs))
-        role_elem = element(
-            NS_METADATA,
-            "SPSSODescriptor",
-            {
-                "AuthnRequestsSigned": "true" if role.authn_requests_signed else "false",
-                "WantAssertionsSigned": "true" if role.want_assertions_signed else "false",
-                "protocolSupportEnumeration": role.protocol_support,
-            },
-            children=role_children,
-        )
-
-    attrs = {"entityID": entity.entity_id.value}
-    if entity.document_id is not None:
-        attrs["ID"] = entity.document_id
-    children = [role_elem]
-    if entity.organization is not None:
-        org = entity.organization
-        children.append(
-            element(
-                NS_METADATA,
-                "Organization",
-                children=[
-                    element(
-                        NS_METADATA,
-                        "OrganizationName",
-                        {(NS_XML, "lang"): org.name_lang},
-                        text=org.name,
-                    ),
-                    element(
-                        NS_METADATA,
-                        "OrganizationDisplayName",
-                        {(NS_XML, "lang"): org.display_name_lang},
-                        text=org.display_name,
-                    ),
-                    element(
-                        NS_METADATA,
-                        "OrganizationURL",
-                        {(NS_XML, "lang"): org.url_lang},
-                        text=org.url,
-                    ),
-                ],
-            )
-        )
-    return element(NS_METADATA, "EntityDescriptor", attrs, children=children)
-
-
 def emit_metadata(entity: EntityDescriptor) -> bytes:
-    return canonicalize(metadata_element(entity))
+    body = _role(entity.role)
+    org = entity.organization
+    if org is not None:
+        body += (
+            "<md:Organization>"
+            + _text("md:OrganizationName", org.name, _attr("xml:lang", org.name_lang))
+            + _text("md:OrganizationDisplayName", org.display_name, _attr("xml:lang", org.display_name_lang))
+            + _text("md:OrganizationURL", org.url, _attr("xml:lang", org.url_lang))
+            + "</md:Organization>"
+        )
+    return _parent(
+        "md:EntityDescriptor",
+        f"{_MD_NS}{_opt('ID', entity.document_id)}{_attr('entityID', entity.entity_id.value)}",
+        body,
+    ).encode("utf-8")
 
 
 def _parse_bool(value: str | None, default: bool = False) -> bool:

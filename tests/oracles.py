@@ -4,9 +4,9 @@ These deliberately avoid the libraries the package itself uses for the
 same operation: SHA-1 and base64 are implemented from scratch, RSA
 signing/verification uses plain modular arithmetic over the key numbers.
 The XML oracles are the straightforward forms of xmlcodec's writer,
-parser (ElementTree, then a tree walk), signature fragments and protocol
-messages (element trees), which xmlcodec replaced with faster
-equivalents.
+parser (ElementTree, then a tree walk), signature fragments, protocol
+messages and metadata (element trees), which xmlcodec replaced with
+faster equivalents.
 """
 
 from __future__ import annotations
@@ -21,10 +21,15 @@ from samlforge.core import Assertion, EncryptedAssertion, Signature
 from samlforge.xmlcodec import (
     NS_ASSERTION,
     NS_DSIG,
+    NS_METADATA,
     NS_PROTOCOL,
     NS_XML,
     NS_XMLENC,
     PREFERRED_PREFIXES,
+    AttrKey,
+    EncryptionKey,
+    EntityDescriptor,
+    IdpSsoDescriptor,
     MalformedXml,
     XmlElement,
 )
@@ -593,3 +598,151 @@ def artifact_resolve_element(request_id, issue_instant, issuer, artifacts):
         {"ID": request_id, "IssueInstant": issue_instant.isoformat(), "Version": "2.0"},
         children=children,
     )
+
+
+def _key_descriptor_elements(
+    signing_certs: tuple[str, ...], encryption_keys: tuple[EncryptionKey, ...]
+) -> list[XmlElement]:
+    out: list[XmlElement] = []
+    for cert in signing_certs:
+        out.append(
+            element(
+                NS_METADATA,
+                "KeyDescriptor",
+                {"use": "signing"},
+                children=[_key_info(cert)],
+            )
+        )
+    for key in encryption_keys:
+        children = [_key_info(key.certificate)]
+        if key.algorithm is not None:
+            method_children = []
+            if key.key_size is not None:
+                method_children.append(element(NS_XMLENC, "KeySize", text=str(key.key_size)))
+            children.append(
+                element(
+                    NS_METADATA,
+                    "EncryptionMethod",
+                    {"Algorithm": key.algorithm},
+                    children=method_children,
+                )
+            )
+        out.append(
+            element(NS_METADATA, "KeyDescriptor", {"use": "encryption"}, children=children)
+        )
+    return out
+
+
+def _key_info(cert_text: str) -> XmlElement:
+    return element(
+        NS_DSIG,
+        "KeyInfo",
+        children=[
+            element(
+                NS_DSIG,
+                "X509Data",
+                children=[element(NS_DSIG, "X509Certificate", text=cert_text)],
+            )
+        ],
+    )
+
+
+def metadata_element(entity: EntityDescriptor) -> XmlElement:
+    role = entity.role
+    if isinstance(role, IdpSsoDescriptor):
+        role_children = _key_descriptor_elements(role.signing_certs, role.encryption_keys)
+        for ep in role.artifact_resolution_endpoints:
+            attrs: dict[str | AttrKey, str] = {
+                "index": str(ep.index),
+                "Binding": ep.binding,
+                "Location": ep.location,
+            }
+            if ep.is_default:
+                attrs["isDefault"] = "true"
+            role_children.append(element(NS_METADATA, "ArtifactResolutionService", attrs))
+        for ep in role.single_logout_endpoints:
+            role_children.append(
+                element(
+                    NS_METADATA,
+                    "SingleLogoutService",
+                    {"Binding": ep.binding, "Location": ep.location},
+                )
+            )
+        for ep in role.sso_endpoints:
+            role_children.append(
+                element(
+                    NS_METADATA,
+                    "SingleSignOnService",
+                    {"Binding": ep.binding, "Location": ep.location},
+                )
+            )
+        role_elem = element(
+            NS_METADATA,
+            "IDPSSODescriptor",
+            {
+                "WantAuthnRequestsSigned": "true" if role.want_authn_requests_signed else "false",
+                "protocolSupportEnumeration": role.protocol_support,
+            },
+            children=role_children,
+        )
+    else:
+        role_children = _key_descriptor_elements(role.signing_certs, role.encryption_keys)
+        for ep in role.single_logout_endpoints:
+            role_children.append(
+                element(
+                    NS_METADATA,
+                    "SingleLogoutService",
+                    {"Binding": ep.binding, "Location": ep.location},
+                )
+            )
+        for fmt in role.name_id_formats:
+            role_children.append(element(NS_METADATA, "NameIDFormat", text=fmt))
+        for ep in role.acs_endpoints:
+            attrs = {"index": str(ep.index), "Binding": ep.binding, "Location": ep.location}
+            if ep.is_default:
+                attrs["isDefault"] = "true"
+            role_children.append(element(NS_METADATA, "AssertionConsumerService", attrs))
+        role_elem = element(
+            NS_METADATA,
+            "SPSSODescriptor",
+            {
+                "AuthnRequestsSigned": "true" if role.authn_requests_signed else "false",
+                "WantAssertionsSigned": "true" if role.want_assertions_signed else "false",
+                "protocolSupportEnumeration": role.protocol_support,
+            },
+            children=role_children,
+        )
+
+    attrs = {"entityID": entity.entity_id.value}
+    if entity.document_id is not None:
+        attrs["ID"] = entity.document_id
+    children = [role_elem]
+    if entity.organization is not None:
+        org = entity.organization
+        children.append(
+            element(
+                NS_METADATA,
+                "Organization",
+                children=[
+                    element(
+                        NS_METADATA,
+                        "OrganizationName",
+                        {(NS_XML, "lang"): org.name_lang},
+                        text=org.name,
+                    ),
+                    element(
+                        NS_METADATA,
+                        "OrganizationDisplayName",
+                        {(NS_XML, "lang"): org.display_name_lang},
+                        text=org.display_name,
+                    ),
+                    element(
+                        NS_METADATA,
+                        "OrganizationURL",
+                        {(NS_XML, "lang"): org.url_lang},
+                        text=org.url,
+                    ),
+                ],
+            )
+        )
+    return element(NS_METADATA, "EntityDescriptor", attrs, children=children)

@@ -27,6 +27,7 @@ from samlforge.xmlcodec import (
     BINDING_HTTP_ARTIFACT,
     BINDING_HTTP_POST,
     BINDING_HTTP_REDIRECT,
+    BINDING_SOAP,
     NS_PROTOCOL,
     EncryptionKey,
     Endpoint,
@@ -194,7 +195,16 @@ idp_roles = st.builds(
     signing_certs=st.lists(_cert_text, max_size=2).map(tuple),
     encryption_keys=st.lists(encryption_keys, max_size=2).map(tuple),
     single_logout_endpoints=st.lists(endpoints, max_size=1).map(tuple),
-    artifact_resolution_endpoints=st.just(()),
+    artifact_resolution_endpoints=st.lists(
+        st.builds(
+            IndexedEndpoint,
+            index=st.integers(0, 3),
+            binding=st.just(BINDING_SOAP),
+            location=urls,
+            is_default=st.booleans(),
+        ),
+        max_size=2,
+    ).map(tuple),
 )
 
 sp_roles = st.builds(

@@ -244,6 +244,12 @@ def test_criterion_5_replay_window_boundaries(shared_keys):
     print(f"\nACCEPTANCE 5 PASS: replay window boundaries ({timer.elapsed:.2f}s)")
 
 
+def _resolve(fed, now, *values):
+    """Resolve artifact values through an ArtifactResolve from the SP."""
+    request = xmlcodec.emit_artifact_resolve("_resolver", now, EntityId(SP_ENTITY), values)
+    return fed.idp.resolve_artifact(request, now)
+
+
 def test_criterion_6_artifact_profile(shared_keys):
     with _timed(10.0) as timer:
         fed = SimulatedFederation(keys=shared_keys)
@@ -276,14 +282,14 @@ def test_criterion_6_artifact_profile(shared_keys):
 
         for lone in (a1, a2, b1, b2):
             with pytest.raises(IncompletePair):
-                fed.idp._resolve_values((lone.encode(),), SIM_EPOCH.plus(1))
+                _resolve(fed, SIM_EPOCH.plus(1), lone.encode())
         for left, right in [(a1, b1), (a1, b2), (a2, b1), (a2, b2)]:
             with pytest.raises(MismatchedPair):
-                fed.idp.resolve_artifact_pair(left.encode(), right.encode(), SIM_EPOCH.plus(1))
+                _resolve(fed, SIM_EPOCH.plus(1), left.encode(), right.encode())
 
-        assert fed.idp.resolve_artifact_pair(a1.encode(), a2.encode(), SIM_EPOCH.plus(1))
+        assert _resolve(fed, SIM_EPOCH.plus(1), a1.encode(), a2.encode())
         with pytest.raises(AlreadyConsumed):
-            fed.idp.resolve_artifact_pair(a1.encode(), a2.encode(), SIM_EPOCH.plus(2))
+            _resolve(fed, SIM_EPOCH.plus(2), a1.encode(), a2.encode())
     print(f"\nACCEPTANCE 6 PASS: artifact profile ({timer.elapsed:.2f}s)")
 
 

@@ -38,7 +38,14 @@ from samlforge.xmlcodec import (
     NS_PROTOCOL,
     NS_XML,
     NS_XMLENC,
+    EncryptionKey,
+    Endpoint,
+    EntityDescriptor,
+    IdpSsoDescriptor,
+    IndexedEndpoint,
     MalformedXml,
+    Organization,
+    SpSsoDescriptor,
 )
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -106,26 +113,24 @@ def _trees(draw, depth=3):
         children = tuple(draw(st.lists(_trees(depth=depth - 1), max_size=3)))
     else:
         text = draw(_values)
-    new = xmlcodec.element(ns, local, attrs, children, text)
-    assert new == oracles.element(ns, local, attrs, children, text)
-    return new
+    return oracles.element(ns, local, attrs, children, text)
 
 
-_SIBLINGS_SHARE_AN_ATTRIBUTE_NAMESPACE = xmlcodec.element(
+_SIBLINGS_SHARE_AN_ATTRIBUTE_NAMESPACE = oracles.element(
     NS_ASSERTION,
     "a",
     children=[
-        xmlcodec.element(NS_ASSERTION, "b", {("urn:b", "x"): "1"}),
-        xmlcodec.element(NS_ASSERTION, "c", {("urn:b", "y"): "2"}),
+        oracles.element(NS_ASSERTION, "b", {("urn:b", "x"): "1"}),
+        oracles.element(NS_ASSERTION, "c", {("urn:b", "y"): "2"}),
     ],
 )
 
 
 @given(_trees())
 @example(_SIBLINGS_SHARE_AN_ATTRIBUTE_NAMESPACE)
-@example(xmlcodec.element("urn:a", "a", {("urn:b", "x"): "1", ("urn:a", "x"): "2", "x": "3"}))
-@example(xmlcodec.element(NS_ASSERTION, "a", children=[xmlcodec.element("", "Bare")]))
-@example(xmlcodec.element(NS_ASSERTION, "a", {("urn:a", "x"): "\x00"}, text="<\r"))
+@example(oracles.element("urn:a", "a", {("urn:b", "x"): "1", ("urn:a", "x"): "2", "x": "3"}))
+@example(oracles.element(NS_ASSERTION, "a", children=[oracles.element("", "Bare")]))
+@example(oracles.element(NS_ASSERTION, "a", {("urn:a", "x"): "\x00"}, text="<\r"))
 def test_canonicalize_matches_the_reference_writer(tree):
     assert outcome(xmlcodec.canonicalize, tree) == outcome(oracles.canonicalize, tree)
 
@@ -539,6 +544,147 @@ def test_issuing_a_post_form_canonicalizes_nothing(shared_keys, monkeypatch):
         form = fed.idp.idp_initiated_post(session, SP_ENTITY, SIM_EPOCH)
         assert form.saml_value
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# emit_metadata
+# ---------------------------------------------------------------------------
+
+
+def _descriptors(chars):
+    """Entity descriptors of both roles with free text drawn from ``chars``,
+    every optional part present or not."""
+    values = st.text(alphabet=st.sampled_from(chars), max_size=6)
+    entity_ids = (
+        st.text(alphabet=st.sampled_from(chars), min_size=1, max_size=6)
+        .filter(lambda t: t == t.strip(" \t\n\r"))
+        .map(EntityId)
+    )
+    endpoint = st.builds(Endpoint, binding=values, location=values)
+    endpoints = st.lists(endpoint, max_size=2).map(tuple)
+    indexed = st.builds(
+        IndexedEndpoint,
+        index=st.integers(0, 1000),
+        binding=values,
+        location=values,
+        is_default=st.booleans(),
+    )
+    keys = st.lists(
+        st.builds(EncryptionKey, certificate=values, algorithm=st.none(), key_size=st.none())
+        | st.builds(
+            EncryptionKey, certificate=values, algorithm=values, key_size=st.none() | st.integers(0, 4096)
+        ),
+        max_size=2,
+    ).map(tuple)
+    certs = st.lists(values, max_size=2).map(tuple)
+    idp_roles = st.builds(
+        IdpSsoDescriptor,
+        want_authn_requests_signed=st.booleans(),
+        protocol_support=values,
+        sso_endpoints=st.lists(endpoint, min_size=1, max_size=2).map(tuple),
+        signing_certs=certs,
+        encryption_keys=keys,
+        single_logout_endpoints=endpoints,
+        artifact_resolution_endpoints=st.lists(indexed, max_size=2).map(tuple),
+    )
+    sp_roles = st.builds(
+        SpSsoDescriptor,
+        authn_requests_signed=st.booleans(),
+        want_assertions_signed=st.booleans(),
+        protocol_support=values,
+        acs_endpoints=st.lists(indexed, min_size=1, max_size=2, unique_by=lambda e: e.index).map(tuple),
+        name_id_formats=st.lists(values, max_size=2).map(tuple),
+        signing_certs=certs,
+        encryption_keys=keys,
+        single_logout_endpoints=endpoints,
+    )
+    organizations = st.builds(
+        Organization,
+        name=values,
+        display_name=values,
+        url=values,
+        name_lang=values,
+        display_name_lang=values,
+        url_lang=values,
+    )
+    return st.builds(
+        EntityDescriptor,
+        entity_id=entity_ids,
+        role=idp_roles | sp_roles,
+        document_id=st.none() | values,
+        organization=st.none() | organizations,
+    )
+
+
+_URL = "https://idp.example/sso"
+_IDP_ROLE = IdpSsoDescriptor(False, NS_PROTOCOL, (Endpoint(xmlcodec.BINDING_HTTP_POST, _URL),))
+_SP_ROLE = SpSsoDescriptor(True, False, NS_PROTOCOL, (IndexedEndpoint(0, xmlcodec.BINDING_HTTP_POST, _URL),))
+_ORG = Organization("Org", "The Org", "https://org.example")
+_HOSTILE = '& < > " \t \n \r'
+
+
+def _entity(role, **fields):
+    return EntityDescriptor(EntityId("urn:entity"), role, **fields)
+
+
+@given(_descriptors([c for c in _CHARS if not oracles._ILLEGAL_CHARS.match(c)]) | _descriptors(_CHARS))
+@example(_entity(_IDP_ROLE))
+@example(_entity(_SP_ROLE, document_id="_doc", organization=_ORG))
+@example(_entity(_SP_ROLE, document_id=""))
+# text and attribute values that need escapes, or that XML 1.0 cannot hold
+@example(_entity(replace(_IDP_ROLE, signing_certs=(_HOSTILE, "MII\x00"))))
+@example(_entity(replace(_IDP_ROLE, encryption_keys=(EncryptionKey("\ufffe"),))))
+@example(_entity(replace(_IDP_ROLE, sso_endpoints=(Endpoint(xmlcodec.BINDING_HTTP_POST, _HOSTILE),))))
+@example(_entity(replace(_IDP_ROLE, sso_endpoints=(Endpoint(xmlcodec.BINDING_HTTP_POST, "a\x1fb"),))))
+@example(_entity(_SP_ROLE, organization=replace(_ORG, name=_HOSTILE, display_name=_HOSTILE)))
+@example(_entity(_SP_ROLE, organization=replace(_ORG, display_name="\x00")))
+@example(_entity(replace(_SP_ROLE, name_id_formats=(_HOSTILE, "urn:format"))))
+@example(_entity(replace(_SP_ROLE, name_id_formats=("\uffff",))))
+# empty texts close themselves
+@example(_entity(replace(_SP_ROLE, name_id_formats=("",), signing_certs=("",))))
+@example(_entity(_IDP_ROLE, organization=Organization("", "", "")))
+# EncryptionMethod with and without KeySize, and no EncryptionMethod
+@example(
+    _entity(
+        replace(
+            _SP_ROLE,
+            encryption_keys=(
+                EncryptionKey("MIIC", xmlcodec.ALG_AES128_CBC, 128),
+                EncryptionKey("MIIC", xmlcodec.ALG_AES128_CBC),
+                EncryptionKey("MIIC"),
+            ),
+        )
+    )
+)
+# a non-default xml:lang
+@example(_entity(_IDP_ROLE, organization=replace(_ORG, name_lang="de", url_lang='x"y')))
+# ArtifactResolutionService and AssertionConsumerService, isDefault both ways
+@example(
+    _entity(
+        replace(
+            _IDP_ROLE,
+            artifact_resolution_endpoints=(
+                IndexedEndpoint(0, xmlcodec.BINDING_SOAP, "https://idp.example/ars", True),
+                IndexedEndpoint(1, xmlcodec.BINDING_SOAP, "https://idp.example/ars"),
+            ),
+        )
+    )
+)
+@example(
+    _entity(
+        replace(
+            _SP_ROLE,
+            acs_endpoints=(
+                IndexedEndpoint(2, xmlcodec.BINDING_HTTP_ARTIFACT, _URL),
+                IndexedEndpoint(1, xmlcodec.BINDING_HTTP_POST, _URL, True),
+            ),
+        )
+    )
+)
+def test_metadata_renderer_matches_the_reference_tree(entity):
+    assert outcome(xmlcodec.emit_metadata, entity) == outcome(
+        _reference, oracles.metadata_element, entity
+    )
 
 
 # ---------------------------------------------------------------------------

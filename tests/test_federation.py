@@ -131,6 +131,6 @@ class TestRegistryPersistence:
 
 def test_entity_id_helper(idp_registry, sp_metadata_bytes):
     registry = register_partner(idp_registry, sp_metadata_bytes)
-    assert registry.has_partner(EntityId("mypartner:saml2.0"))
-    assert not registry.has_partner("absent")
+    assert EntityId("mypartner:saml2.0").value in registry.partners
+    assert "absent" not in registry.partners
     assert registry.idp_partners() == ()

@@ -519,3 +519,19 @@ class TestHttpService:
         status_line, _, rest = reply.partition(b"\r\n")
         assert status_line.split()[1] == b"400", reply
         assert b"BadContentLength" in rest
+
+    @pytest.mark.parametrize("declared", ["1000000000", "9" * 5000], ids=["1GB", "5000-digits"])
+    def test_oversized_content_length_is_answered_413_unread(self, live_service, declared):
+        service, _, _ = live_service
+        with socket.create_connection(("127.0.0.1", service.port), timeout=5) as conn:
+            conn.sendall(
+                f"POST /acs HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {declared}\r\n\r\n".encode()
+                + b"SAMLRespon"
+            )
+            reply = b""
+            while chunk := conn.recv(4096):  # the server closes after replying
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"413", reply
+        assert b"Connection: close" in rest
+        assert b"BodyTooLarge" in rest

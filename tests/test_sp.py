@@ -364,28 +364,36 @@ def test_deeply_nested_response_fails_at_parse(fed):
     assert "nest deeper" in result.report.checks[-1].detail
 
 
+def _landing(fed, token, now=NOW):
+    """Where a genuine IdP-initiated POST carrying RelayState ``token`` sends the browser."""
+    result = fed.sp.consume(issue_body(fed, now, relay=token), CLIENT_IP, now.plus(1))
+    assert result.ok
+    return result.redirect_url
+
+
 class TestRelayStateExpiry:
     def test_token_expires_with_its_request(self, fed):
         _, stale = fed.sp.build_authn_request("https://sp.internal.test/old", NOW)
         lifetime = fed.sp.registry.partner(IDP_ENTITY).policy.validity + BEARER_GRACE_SECONDS
-        _, token = fed.sp.build_authn_request("https://sp.internal.test/new", NOW.plus(lifetime))
-        assert fed.sp.resolve_relay_state(stale) == LANDING_URL
-        assert fed.sp.resolve_relay_state(token) == "https://sp.internal.test/new"
+        later = NOW.plus(lifetime)
+        _, token = fed.sp.build_authn_request("https://sp.internal.test/new", later)
+        assert _landing(fed, stale, later) == LANDING_URL
+        assert _landing(fed, token, later) == "https://sp.internal.test/new"
 
 
 class TestRelayState:
     def test_issued_token_resolves_once(self, fed):
         _, token = fed.sp.build_authn_request("https://sp.internal.test/deep", NOW)
-        assert fed.sp.resolve_relay_state(token) == "https://sp.internal.test/deep"
+        assert _landing(fed, token) == "https://sp.internal.test/deep"
         # single use: the second resolution downgrades to the landing page
-        assert fed.sp.resolve_relay_state(token) == LANDING_URL
+        assert _landing(fed, token) == LANDING_URL
 
     def test_absent_token_lands_home(self, fed):
-        assert fed.sp.resolve_relay_state(None) == LANDING_URL
+        assert _landing(fed, None) == LANDING_URL
 
     def test_unissued_token_never_redirects(self, fed):
-        assert fed.sp.resolve_relay_state("../../evil") == LANDING_URL
-        assert fed.sp.resolve_relay_state("https://evil.example") == LANDING_URL
+        assert _landing(fed, "../../evil") == LANDING_URL
+        assert _landing(fed, "https://evil.example") == LANDING_URL
 
     def test_only_configured_or_issued_urls_are_returned(self, fed):
         issued = {}
@@ -394,7 +402,7 @@ class TestRelayState:
             _, token = fed.sp.build_authn_request(url, NOW)
             issued[token] = url
         for token, url in issued.items():
-            assert fed.sp.resolve_relay_state(token) in (url, LANDING_URL)
+            assert _landing(fed, token) in (url, LANDING_URL)
 
 
 class TestBuildAuthnRequest:
@@ -409,15 +417,13 @@ class TestBuildAuthnRequest:
         assert t1 != t2
         m1 = bindings.decode_redirect(r1.url).message
         m2 = bindings.decode_redirect(r2.url).message
-        from samlforge.xmlcodec import parse_authn_request
-
-        assert parse_authn_request(m1).id != parse_authn_request(m2).id
+        parse = xmlcodec.authn_request_from_element
+        assert parse(xmlcodec.parse_xml(m1)).id != parse(xmlcodec.parse_xml(m2)).id
 
     def test_request_is_signed_per_local_metadata(self, fed):
         redirect, _ = fed.sp.build_authn_request("https://sp.internal.test/app", NOW)
-        from samlforge.xmlcodec import parse_authn_request
-
-        request = parse_authn_request(bindings.decode_redirect(redirect.url).message)
+        message = bindings.decode_redirect(redirect.url).message
+        request = xmlcodec.authn_request_from_element(xmlcodec.parse_xml(message))
         assert request.signature is not None
         assert request.signature.certificate == b""  # resolved from metadata
 
@@ -501,7 +507,7 @@ class TestLogoutEndpoint:
         result = fed.sp.consume(issue_body(fed), CLIENT_IP, NOW.plus(1))
         forms = fed.idp.initiate_single_logout(result.session.session_index, NOW.plus(2))
         message = bindings.decode_post(bindings.serialize_post_body(forms[0])).message
-        request_id = xmlcodec.parse_logout_request(message).id
+        request_id = xmlcodec.logout_request_from_element(xmlcodec.parse_xml(message)).id
         moved = message.replace(f'ID="{request_id}"'.encode(), b'ID="_elsewhere"', 1)
         with pytest.raises(sp.InvalidRequestSignature, match="^WrongReference$"):
             fed.sp.handle_logout_request(moved, NOW.plus(3))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import oracles
 import strategies as strat
 from samlforge.core import (
     AuthnRequest,
@@ -18,6 +19,7 @@ from samlforge.core import (
     STATUS_RESPONDER,
     STATUS_SUCCESS,
 )
+from samlforge.harness.scenarios import SimulatedFederation
 from samlforge.xmlcodec import (
     ALG_AES128_CBC,
     BINDING_HTTP_ARTIFACT,
@@ -33,8 +35,8 @@ from samlforge.xmlcodec import (
     SpSsoDescriptor,
     UnknownRole,
     XmlElement,
+    authn_request_from_element,
     canonicalize,
-    element,
     emit_assertion,
     emit_artifact_resolve,
     emit_authn_request,
@@ -44,8 +46,7 @@ from samlforge.xmlcodec import (
     emit_response,
     parse_artifact_resolve,
     parse_assertion,
-    parse_authn_request,
-    parse_logout_request,
+    logout_request_from_element,
     parse_logout_response,
     parse_metadata,
     parse_response,
@@ -58,23 +59,23 @@ CORPUS = Path(__file__).parent / "corpus"
 
 class TestCanonicalForm:
     def test_attribute_order_is_normalized(self):
-        one = element(NS_ASSERTION, "Thing", {"b": "2", "a": "1"})
-        other = element(NS_ASSERTION, "Thing", {"a": "1", "b": "2"})
+        one = oracles.element(NS_ASSERTION, "Thing", {"b": "2", "a": "1"})
+        other = oracles.element(NS_ASSERTION, "Thing", {"a": "1", "b": "2"})
         assert canonicalize(one) == canonicalize(other)
 
     def test_namespace_declared_on_first_use(self):
-        inner = element("urn:other", "Inner")
-        outer = element(NS_ASSERTION, "Outer", children=[inner])
+        inner = oracles.element("urn:other", "Inner")
+        outer = oracles.element(NS_ASSERTION, "Outer", children=[inner])
         raw = canonicalize(outer)
         assert b'<saml:Outer xmlns:saml="urn:oasis:names:tc:SAML:2.0:assertion">' in raw
         assert b'<ns0:Inner xmlns:ns0="urn:other"/>' in raw
 
     def test_text_is_escaped(self):
-        raw = canonicalize(element(NS_ASSERTION, "T", text='x & <y> "q"'))
+        raw = canonicalize(oracles.element(NS_ASSERTION, "T", text='x & <y> "q"'))
         assert b"&amp;" in raw and b"&lt;" in raw and b'"q"' in raw
 
     def test_attr_newlines_are_preserved_via_char_refs(self):
-        raw = canonicalize(element(NS_ASSERTION, "T", {"a": "line1\nline2"}))
+        raw = canonicalize(oracles.element(NS_ASSERTION, "T", {"a": "line1\nline2"}))
         parsed = parse_xml(raw)
         assert parsed.attr("a") == "line1\nline2"
 
@@ -121,7 +122,7 @@ class TestCanonicalForm:
 
     def test_unprefixed_element_rejected_at_emit(self):
         with pytest.raises(MalformedXml):
-            canonicalize(element("", "Bare"))
+            canonicalize(oracles.element("", "Bare"))
 
     @given(st.binary(max_size=400))
     def test_parse_total_over_arbitrary_bytes(self, raw):
@@ -257,12 +258,12 @@ class TestRequestAndLogoutCodec:
     @given(strat.authn_requests)
     @settings(max_examples=200)
     def test_authn_request_round_trip(self, request):
-        assert parse_authn_request(emit_authn_request(request)) == request
+        assert authn_request_from_element(parse_xml(emit_authn_request(request))) == request
 
     @given(strat.logout_requests)
     @settings(max_examples=100)
     def test_logout_request_round_trip(self, request):
-        assert parse_logout_request(emit_logout_request(request)) == request
+        assert logout_request_from_element(parse_xml(emit_logout_request(request))) == request
 
     @given(strat.logout_responses)
     @settings(max_examples=100)
@@ -279,7 +280,7 @@ class TestRequestAndLogoutCodec:
             name_id="the.user@mycompany.com",
             session_index="ccda16bc322adf4f74d556bd",
         )
-        parsed = parse_logout_request(emit_logout_request(request))
+        parsed = logout_request_from_element(parse_xml(emit_logout_request(request)))
         assert parsed.session_index == "ccda16bc322adf4f74d556bd"
 
 
@@ -382,6 +383,35 @@ def test_corpus_output_is_pinned(corpus):
     assert hashlib.sha256(pretty(elem).encode("utf-8")).hexdigest() == pretty_pin
 
 
+# SHA-256 of emit_metadata for the corpus descriptors and for the simulated
+# federation's own, plain and sealed. Keys are generated per process, so each
+# certificate's base64 is replaced by its key alias before hashing.
+METADATA_PINS = {
+    "idp_metadata.xml": "85b0c6bd1bd74751564981e949ea87d7ee373429122fbcc82bd8fa0de4721995",
+    "sp_metadata.xml": "cac7f31f4614ae2675f28fe0ca5f2e795bdf9dc3a9e7fc9809369c66989cbf9d",
+    ("idp", False): "c3cf3f484968a7b608da79f5a9e6ad8f9a7054c106f209e523b21912c78fc15a",
+    ("sp", False): "569c344a7a8cebabd5545f1de43af20516278609fd501b97e21a8f037adcaaab",
+    ("idp", True): "c3cf3f484968a7b608da79f5a9e6ad8f9a7054c106f209e523b21912c78fc15a",
+    ("sp", True): "a4c1cf4be203f19f19f9ef10339f2b26b9d4ec3606b94a44161e74f2c7fe9a07",
+}
+
+
+@pytest.mark.parametrize("corpus", ["idp_metadata.xml", "sp_metadata.xml"])
+def test_corpus_metadata_emission_is_pinned(corpus):
+    emitted = emit_metadata(parse_metadata((CORPUS / corpus).read_bytes()))
+    assert hashlib.sha256(emitted).hexdigest() == METADATA_PINS[corpus]
+
+
+@pytest.mark.parametrize("encrypt", [False, True])
+def test_federation_metadata_emission_is_pinned(shared_keys, encrypt):
+    fed = SimulatedFederation(encrypt=encrypt, keys=shared_keys)
+    for role, engine in (("idp", fed.idp), ("sp", fed.sp)):
+        emitted = emit_metadata(engine.registry.local)
+        for alias, key in shared_keys.items():
+            emitted = emitted.replace(key.cert_b64.encode(), alias.encode())
+        assert hashlib.sha256(emitted).hexdigest() == METADATA_PINS[role, encrypt]
+
+
 # ---------------------------------------------------------------------------
 # Protocol-message prologue: root tag, Version, unknown children, Issuer
 # ---------------------------------------------------------------------------
@@ -395,11 +425,11 @@ PROTOCOL_MESSAGES = {
     "Assertion": (parse_assertion, emit_assertion(_SAMPLE.assertion)),
     "Response": (parse_response, emit_response(_SAMPLE)),
     "AuthnRequest": (
-        parse_authn_request,
+        lambda raw: authn_request_from_element(parse_xml(raw)),
         emit_authn_request(AuthnRequest("_a1", _AT, _FROM, "https://sp.example/acs")),
     ),
     "LogoutRequest": (
-        parse_logout_request,
+        lambda raw: logout_request_from_element(parse_xml(raw)),
         emit_logout_request(LogoutRequest("_l1", _AT, _FROM, "someone", "s1")),
     ),
     "LogoutResponse": (
@@ -429,7 +459,8 @@ def _without_child(elem: XmlElement, local: str) -> XmlElement:
 
 
 def _with_unknown_child(elem: XmlElement) -> XmlElement:
-    return dataclasses.replace(elem, children=elem.children + (element(NS_PROTOCOL, "Surprise"),))
+    surprise = oracles.element(NS_PROTOCOL, "Surprise")
+    return dataclasses.replace(elem, children=elem.children + (surprise,))
 
 
 # Each case also carries the faults checked after it, so the expected error
