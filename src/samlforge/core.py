@@ -12,8 +12,9 @@ import heapq
 import re
 import secrets
 import threading
+import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
 from typing import Callable
 
@@ -61,10 +62,10 @@ class Instant:
 
     @classmethod
     def now(cls) -> Instant:
-        return cls(int(datetime.now(timezone.utc).timestamp()))
+        return cls(int(time.time()))
 
     def isoformat(self) -> str:
-        return datetime.fromtimestamp(self.epoch, timezone.utc).strftime(_INSTANT_FORMAT)
+        return time.strftime(_INSTANT_FORMAT, time.gmtime(self.epoch))
 
     def plus(self, seconds: int) -> Instant:
         return Instant(self.epoch + seconds)

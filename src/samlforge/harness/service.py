@@ -1,23 +1,9 @@
 """Embedded HTTP service hosting both federation roles in one process.
 
-Endpoints
----------
-    GET  /sso?user=U[&partner=E][&binding=artifact][&RelayState=R]
-                          identity-provider-initiated kick-off
-    GET  /sso?SAMLRequest=...      service-provider-initiated arrival (redirect)
-    POST /sso                      same, POST binding
-    POST /acs                      assertion consumer service (form body)
-    GET  /acs?SAMLart=...          artifact binding arrival (repeat param for pairs)
-    POST /artifact-resolve         back-channel resolution (enveloped)
-    POST /slo                      logout: SAMLRequest -> SP, SAMLResponse -> IdP
-    GET  /slo?user=U               start single logout for the user's session
-    GET  /metadata/idp, /metadata/sp
-    GET  /login?target=URL         protected-resource entry, redirects to the IdP
-    GET  /app                      stub application page (redirect target)
-    GET  /last-report              most recent ACS validation report (text)
-
-Failures never leak stack traces: protocol errors become HTTP 400 with the
-validation report summary, back-channel errors become enveloped faults.
+The endpoints are the keys of ``_ROUTES``; README "HTTP service endpoints"
+describes each one. Failures never leak stack traces: protocol errors
+become HTTP 400 with the validation report summary, back-channel errors
+become enveloped faults.
 """
 
 from __future__ import annotations
@@ -25,6 +11,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
@@ -71,9 +58,10 @@ class HarnessService:
         self.sp = sp
         self.clock: Clock = clock or Instant.now
         self.default_partner = default_partner or next(iter(idp.registry.partners), None)
-        self._report_lock = threading.Lock()
+        self._lock = threading.Lock()
         self.last_acs_report: str = ""
-        self._slo_queue: list[bindings.PostForm] = []
+        # session index -> the logout forms still to send
+        self._logout_forms: dict[str, list[bindings.PostForm]] = {}
         self._server = ThreadingHTTPServer((host, port), _Handler)
         self._server.daemon_threads = True
         self._server.service = self  # type: ignore[attr-defined]
@@ -171,62 +159,104 @@ class HarnessService:
     # -- shared state -------------------------------------------------------
 
     def set_last_report(self, text: str) -> None:
-        with self._report_lock:
+        with self._lock:
             self.last_acs_report = text
 
     def get_last_report(self) -> str:
-        with self._report_lock:
+        with self._lock:
             return self.last_acs_report
 
-    def queue_logout_forms(self, forms: list[bindings.PostForm]) -> bindings.PostForm | None:
-        with self._report_lock:
-            self._slo_queue = list(forms)
-            return self._slo_queue.pop(0) if self._slo_queue else None
+    def queue_logout_forms(
+        self, session_index: str, forms: list[bindings.PostForm]
+    ) -> bindings.PostForm | None:
+        """Keep the session's logout forms; returns the first, to send now."""
+        with self._lock:
+            self._logout_forms[session_index] = list(forms)
+        return self.next_logout_form(session_index)
 
-    def next_logout_form(self) -> bindings.PostForm | None:
-        with self._report_lock:
-            return self._slo_queue.pop(0) if self._slo_queue else None
+    def next_logout_form(self, session_index: str | None) -> bindings.PostForm | None:
+        with self._lock:
+            forms = self._logout_forms.pop(session_index, [])
+            if len(forms) > 1:
+                self._logout_forms[session_index] = forms[1:]
+            return forms[0] if forms else None
+
+
+@dataclass(frozen=True)
+class _Reply:
+    status: int
+    body: bytes | str = ""
+    content_type: str = "text/plain; charset=utf-8"
+    location: str | None = None
+
+
+def _form(form: bindings.PostForm) -> _Reply:
+    return _Reply(200, bindings.render_post_html(form), "text/html; charset=utf-8")
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """HTTP adapter: finds the route, turns exceptions into replies, writes
+    the one reply and logs the request line."""
+
     protocol_version = "HTTP/1.1"
     # TCP_NODELAY: a reply goes out as headers, then body; without it the
     # body waits for a keep-alive client's delayed ACK of the headers.
     disable_nagle_algorithm = True
 
-    @property
-    def service(self) -> HarnessService:
-        return self.server.service  # type: ignore[attr-defined]
-
     # stdlib logging goes through our logger instead of stderr
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         logger.debug("http " + format, *args)
 
-    def _reply(
-        self,
-        status: int,
-        body: bytes | str,
-        content_type: str = "text/plain; charset=utf-8",
-        location: str | None = None,
-    ) -> None:
-        raw = body.encode("utf-8") if isinstance(body, str) else body
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        self._dispatch("POST")
+
+    def _dispatch(self, method: str) -> None:
+        started = time.monotonic()
+        path = self.path
+        try:
+            self.target = urlsplit(self.path)
+            path = self.target.path
+            route = _ROUTES.get((method, path.rstrip("/") or "/"), _not_found)
+            reply = route(self.server.service, self)  # type: ignore[attr-defined]
+        except SamlError as exc:
+            status = 413 if isinstance(exc, BodyTooLarge) else 400
+            reply = _Reply(status, f"{type(exc).__name__}: {exc}\n")
+        except Exception:
+            logger.exception("unhandled error path=%s", self.path)
+            reply = _Reply(500, "internal error\n")
+        try:
+            self._reply(reply)
+        finally:
+            logger.info(
+                "request method=%s path=%s status=%d duration_ms=%.1f peer=%s",
+                method,
+                path,
+                reply.status,
+                (time.monotonic() - started) * 1000,
+                self.client_address[0],
+            )
+
+    def _reply(self, reply: _Reply) -> None:
+        raw = reply.body.encode("utf-8") if isinstance(reply.body, str) else reply.body
+        self.send_response(reply.status)
+        self.send_header("Content-Type", reply.content_type)
         self.send_header("Content-Length", str(len(raw)))
-        if location is not None:
-            self.send_header("Location", location)
+        if reply.location is not None:
+            self.send_header("Location", reply.location)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(raw)
 
-    def _observed_ip(self) -> str:
-        return self.client_address[0]
+    # -- what the routes read -------------------------------------------------
 
-    def _query(self) -> list[tuple[str, str]]:
-        return parse_qsl(urlsplit(self.path).query, keep_blank_values=True)
+    def query(self) -> list[tuple[str, str]]:
+        return parse_qsl(self.target.query, keep_blank_values=True)
 
-    def _body(self) -> bytes:
+    def body(self) -> bytes:
         declared = (self.headers.get("Content-Length") or "0").strip(" \t")
         if not (declared.isascii() and declared.isdigit()):
             # The body's end is unknown, so the connection cannot carry on.
@@ -240,223 +270,146 @@ class _Handler(BaseHTTPRequestHandler):
             raise BodyTooLarge(f"Content-Length exceeds {MAX_BODY_BYTES} bytes")
         return self.rfile.read(int(digits))
 
-    def _route(self) -> str:
-        return urlsplit(self.path).path.rstrip("/") or "/"
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("GET")
+# -- routes: each takes the service and the request and returns the reply ----
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("POST")
 
-    def _dispatch(self, method: str) -> None:
-        started = time.monotonic()
-        status = 500
-        try:
-            status = self._handle(method)
-        except SamlError as exc:
-            status = 413 if isinstance(exc, BodyTooLarge) else 400
-            self._reply(status, f"{type(exc).__name__}: {exc}\n")
-        except Exception:
-            logger.exception("unhandled error path=%s", self.path)
-            status = 500
-            self._reply(500, "internal error\n")
-        finally:
-            logger.info(
-                "request method=%s path=%s status=%d duration_ms=%.1f peer=%s",
-                method,
-                urlsplit(self.path).path,
-                status,
-                (time.monotonic() - started) * 1000,
-                self.client_address[0],
-            )
+def _not_found(service: HarnessService, request: _Handler) -> _Reply:
+    return _Reply(404, "not found\n")
 
-    def _handle(self, method: str) -> int:
-        service = self.service
-        route = self._route()
-        if method == "GET":
-            if route == "/metadata/idp":
-                self._reply(
-                    200,
-                    xmlcodec.emit_metadata(service.idp.registry.local),
-                    "application/samlmetadata+xml",
-                )
-                return 200
-            if route == "/metadata/sp":
-                self._reply(
-                    200,
-                    xmlcodec.emit_metadata(service.sp.registry.local),
-                    "application/samlmetadata+xml",
-                )
-                return 200
-            if route == "/sso":
-                return self._handle_sso_get()
-            if route == "/acs":
-                return self._handle_acs_artifact()
-            if route == "/slo":
-                return self._handle_slo_kickoff()
-            if route == "/login":
-                return self._handle_login()
-            if route == "/app":
-                self._reply(200, "application stub: signed in\n")
-                return 200
-            if route == "/last-report":
-                self._reply(200, service.get_last_report() + "\n")
-                return 200
-            self._reply(404, "not found\n")
-            return 404
 
-        if route == "/sso":
-            return self._handle_sso_post()
-        if route == "/acs":
-            return self._handle_acs_post()
-        if route == "/artifact-resolve":
-            return self._handle_artifact_resolve()
-        if route == "/slo":
-            return self._handle_slo_post()
-        self._reply(404, "not found\n")
-        return 404
+def _metadata(descriptor: xmlcodec.EntityDescriptor) -> _Reply:
+    return _Reply(200, xmlcodec.emit_metadata(descriptor), "application/samlmetadata+xml")
 
-    # -- IdP endpoints ------------------------------------------------------
 
-    def _session_for(self, user: str):
-        service = self.service
-        session = service.idp.session_for_user(user)
-        if session is None:
-            session = service.idp.create_session(user, self._observed_ip(), service.clock())
-        return session
+# -- IdP routes ---------------------------------------------------------------
 
-    def _handle_sso_get(self) -> int:
-        service = self.service
-        query = dict(self._query())
-        if bindings.FIELD_REQUEST in query:
-            session = self._session_for(query.get("user", "the.user"))
-            form = service.idp.handle_authn_request(
-                urlsplit(self.path).query, session, service.clock()
-            )
-            self._reply(200, bindings.render_post_html(form), "text/html; charset=utf-8")
-            return 200
-        user = query.get("user")
-        partner = query.get("partner") or service.default_partner
-        if not user or not partner:
-            self._reply(400, "expected ?user= and ?partner= (or a SAMLRequest)\n")
-            return 400
-        session = self._session_for(user)
-        now = service.clock()
-        if query.get("binding") == "artifact":
-            response = service.idp.issue_assertion(session, partner, now)
-            policy = service.idp.registry.partner(partner).policy
-            if policy.artifact_mode == "pair":
-                pair = service.idp.issue_artifact_pair(response, partner, endpoint_index=0)
-                artifacts = [a.encode() for a in pair]
-            else:
-                artifacts = [service.idp.issue_artifact(response, partner, endpoint_index=0).encode()]
-            acs = response.destination
-            pairs = [(bindings.FIELD_ARTIFACT, a) for a in artifacts]
-            relay = query.get(bindings.FIELD_RELAY_STATE)
-            if relay:
-                pairs.append((bindings.FIELD_RELAY_STATE, relay))
-            location = bindings.RedirectUrl(acs, tuple(pairs)).url
-            self._reply(303, "", location=location)
-            return 303
-        form = service.idp.idp_initiated_post(
+
+def _session_for(service: HarnessService, request: _Handler, user: str):
+    session = service.idp.session_for_user(user)
+    if session is None:
+        session = service.idp.create_session(user, request.client_address[0], service.clock())
+    return session
+
+
+def _sso_get(service: HarnessService, request: _Handler) -> _Reply:
+    query = dict(request.query())
+    if bindings.FIELD_REQUEST in query:
+        session = _session_for(service, request, query.get("user", "the.user"))
+        form = service.idp.handle_authn_request(request.target.query, session, service.clock())
+        return _form(form)
+    user = query.get("user")
+    partner = query.get("partner") or service.default_partner
+    if not user or not partner:
+        return _Reply(400, "expected ?user= and ?partner= (or a SAMLRequest)\n")
+    session = _session_for(service, request, user)
+    now = service.clock()
+    if query.get("binding") == "artifact":
+        response = service.idp.issue_assertion(session, partner, now)
+        policy = service.idp.registry.partner(partner).policy
+        if policy.artifact_mode == "pair":
+            pair = service.idp.issue_artifact_pair(response, partner, endpoint_index=0)
+            artifacts = [a.encode() for a in pair]
+        else:
+            artifacts = [service.idp.issue_artifact(response, partner, endpoint_index=0).encode()]
+        pairs = [(bindings.FIELD_ARTIFACT, a) for a in artifacts]
+        relay = query.get(bindings.FIELD_RELAY_STATE)
+        if relay:
+            pairs.append((bindings.FIELD_RELAY_STATE, relay))
+        return _Reply(303, location=bindings.RedirectUrl(response.destination, tuple(pairs)).url)
+    return _form(
+        service.idp.idp_initiated_post(
             session, partner, now, relay_state=query.get(bindings.FIELD_RELAY_STATE)
         )
-        self._reply(200, bindings.render_post_html(form), "text/html; charset=utf-8")
-        return 200
+    )
 
-    def _handle_sso_post(self) -> int:
-        service = self.service
-        body = self._body()
-        decoded = bindings.decode_post(body)
-        if decoded.field != bindings.FIELD_REQUEST:
-            self._reply(400, "expected a SAMLRequest form\n")
-            return 400
-        session = self._session_for("the.user")
-        form = service.idp.handle_authn_request(body, session, service.clock())
-        self._reply(200, bindings.render_post_html(form), "text/html; charset=utf-8")
-        return 200
 
-    def _handle_artifact_resolve(self) -> int:
-        service = self.service
-        try:
-            payload = bindings.unwrap_envelope(self._body())
-            response_bytes = service.idp.resolve_artifact(payload, service.clock())
-        except SamlError as exc:
-            self._reply(500, bindings.make_fault(type(exc).__name__, str(exc)), "text/xml")
-            return 500
-        self._reply(200, bindings.wrap_envelope(response_bytes), "text/xml")
-        return 200
+def _sso_post(service: HarnessService, request: _Handler) -> _Reply:
+    body = request.body()
+    session = _session_for(service, request, "the.user")
+    return _form(service.idp.handle_authn_request(body, session, service.clock()))
 
-    # -- SP endpoints ---------------------------------------------------------
 
-    def _finish_consume(self, result) -> int:
-        service = self.service
-        service.set_last_report(result.report.render())
-        if result.ok:
-            self._reply(303, "", location=result.redirect_url)
-            return 303
-        self._reply(400, result.report.render() + "\n")
-        return 400
+def _artifact_resolve(service: HarnessService, request: _Handler) -> _Reply:
+    try:
+        payload = bindings.unwrap_envelope(request.body())
+        response_bytes = service.idp.resolve_artifact(payload, service.clock())
+    except SamlError as exc:
+        return _Reply(500, bindings.make_fault(type(exc).__name__, str(exc)), "text/xml")
+    return _Reply(200, bindings.wrap_envelope(response_bytes), "text/xml")
 
-    def _handle_acs_post(self) -> int:
-        service = self.service
-        result = service.sp.consume(self._body(), self._observed_ip(), service.clock())
-        return self._finish_consume(result)
 
-    def _handle_acs_artifact(self) -> int:
-        service = self.service
-        artifacts = [v for k, v in self._query() if k == bindings.FIELD_ARTIFACT]
-        if not artifacts:
-            self._reply(400, "expected one or two SAMLart parameters\n")
-            return 400
-        result = service.sp.fetch_via_artifact(artifacts, self._observed_ip(), service.clock())
-        return self._finish_consume(result)
+# -- SP routes ----------------------------------------------------------------
 
-    def _handle_login(self) -> int:
-        service = self.service
-        query = dict(self._query())
-        target = query.get("target", service.sp.landing_url)
-        redirect, _token = service.sp.build_authn_request(target, service.clock())
-        self._reply(303, "", location=redirect.url)
-        return 303
 
-    # -- logout --------------------------------------------------------------
+def _finish_consume(service: HarnessService, result) -> _Reply:
+    service.set_last_report(result.report.render())
+    if result.ok:
+        return _Reply(303, location=result.redirect_url)
+    return _Reply(400, result.report.render() + "\n")
 
-    def _handle_slo_kickoff(self) -> int:
-        service = self.service
-        query = dict(self._query())
-        user = query.get("user")
-        if not user:
-            self._reply(400, "expected ?user=\n")
-            return 400
-        session = service.idp.session_for_user(user)
-        if session is None:
-            self._reply(200, "no live session\n")
-            return 200
-        forms = service.idp.initiate_single_logout(session.session_index, service.clock())
-        first = service.queue_logout_forms(forms)
-        if first is None:
-            self._reply(200, "signed out (no participating services)\n")
-            return 200
-        self._reply(200, bindings.render_post_html(first), "text/html; charset=utf-8")
-        return 200
 
-    def _handle_slo_post(self) -> int:
-        service = self.service
-        body = self._body()
-        decoded = bindings.decode_post(body)
-        now = service.clock()
-        if decoded.field == bindings.FIELD_REQUEST:
-            response_bytes = service.sp.handle_logout_request(decoded.message, now)
-            idp_slo = service.idp.registry.local.role.single_logout_endpoints[0].location
-            form = bindings.encode_post(response_bytes, "response", idp_slo)
-            self._reply(200, bindings.render_post_html(form), "text/html; charset=utf-8")
-            return 200
-        service.idp.handle_logout_response(decoded.message, now)
-        next_form = service.next_logout_form()
-        if next_form is not None:
-            self._reply(200, bindings.render_post_html(next_form), "text/html; charset=utf-8")
-            return 200
-        self._reply(200, "signed out everywhere\n")
-        return 200
+def _acs_post(service: HarnessService, request: _Handler) -> _Reply:
+    result = service.sp.consume(request.body(), request.client_address[0], service.clock())
+    return _finish_consume(service, result)
+
+
+def _acs_artifact(service: HarnessService, request: _Handler) -> _Reply:
+    artifacts = [v for k, v in request.query() if k == bindings.FIELD_ARTIFACT]
+    if not artifacts:
+        return _Reply(400, "expected one or two SAMLart parameters\n")
+    result = service.sp.fetch_via_artifact(artifacts, request.client_address[0], service.clock())
+    return _finish_consume(service, result)
+
+
+def _login(service: HarnessService, request: _Handler) -> _Reply:
+    target = dict(request.query()).get("target", service.sp.landing_url)
+    redirect, _token = service.sp.build_authn_request(target, service.clock())
+    return _Reply(303, location=redirect.url)
+
+
+# -- logout -------------------------------------------------------------------
+
+
+def _slo_kickoff(service: HarnessService, request: _Handler) -> _Reply:
+    user = dict(request.query()).get("user")
+    if not user:
+        return _Reply(400, "expected ?user=\n")
+    session = service.idp.session_for_user(user)
+    if session is None:
+        return _Reply(200, "no live session\n")
+    forms = service.idp.initiate_single_logout(session.session_index, service.clock())
+    first = service.queue_logout_forms(session.session_index, forms)
+    if first is None:
+        return _Reply(200, "signed out (no participating services)\n")
+    return _form(first)
+
+
+def _slo_post(service: HarnessService, request: _Handler) -> _Reply:
+    decoded = bindings.decode_post(request.body())
+    now = service.clock()
+    if decoded.field == bindings.FIELD_REQUEST:
+        response_bytes = service.sp.handle_logout_request(decoded.message, now)
+        idp_slo = service.idp.registry.local.role.single_logout_endpoints[0].location
+        return _form(bindings.encode_post(response_bytes, "response", idp_slo))
+    session_index = service.idp.handle_logout_response(decoded.message, now)
+    next_form = service.next_logout_form(session_index)
+    if next_form is None:
+        return _Reply(200, "signed out everywhere\n")
+    return _form(next_form)
+
+
+_ROUTES: dict[tuple[str, str], Callable[[HarnessService, _Handler], _Reply]] = {
+    ("GET", "/metadata/idp"): lambda service, request: _metadata(service.idp.registry.local),
+    ("GET", "/metadata/sp"): lambda service, request: _metadata(service.sp.registry.local),
+    ("GET", "/sso"): _sso_get,
+    ("POST", "/sso"): _sso_post,
+    ("POST", "/artifact-resolve"): _artifact_resolve,
+    ("POST", "/acs"): _acs_post,
+    ("GET", "/acs"): _acs_artifact,
+    ("GET", "/login"): _login,
+    ("GET", "/app"): lambda service, request: _Reply(200, "application stub: signed in\n"),
+    ("GET", "/last-report"): lambda service, request: _Reply(200, service.get_last_report() + "\n"),
+    ("GET", "/slo"): _slo_kickoff,
+    ("POST", "/slo"): _slo_post,
+}

@@ -410,14 +410,16 @@ class IdpEngine:
     ) -> bindings.PostForm:
         """Validate an inbound request and answer with a fresh response.
 
-        Accepts a redirect URL (``str``) or a POST form body (``bytes``);
-        the inbound RelayState is echoed back verbatim and never
-        dereferenced.
+        Accepts a redirect URL (``str``) or a POST form body (``bytes``)
+        whose message field is ``SAMLRequest``; the inbound RelayState is
+        echoed back verbatim and never dereferenced.
         """
         if isinstance(request_input, str):
             decoded = bindings.decode_redirect(request_input)
         else:
             decoded = bindings.decode_post(request_input)
+        if decoded.field != bindings.FIELD_REQUEST:
+            raise bindings.MissingField(bindings.FIELD_REQUEST)
         elem = xmlcodec.parse_xml(decoded.message)
         request = xmlcodec.authn_request_from_element(elem)
         partner = self.registry.partners.get(request.issuer.value)
@@ -535,20 +537,24 @@ class IdpEngine:
                 self._end_session(session_index)
         return forms
 
-    def handle_logout_response(self, response_bytes: bytes, now: Instant) -> None:
-        """Count a partner's logout response toward session termination."""
+    def handle_logout_response(self, response_bytes: bytes, now: Instant) -> str | None:
+        """Count a partner's logout response toward session termination.
+
+        Returns the index of the session it counted toward, or ``None`` when
+        it answers no pending logout request."""
         response = xmlcodec.parse_logout_response(response_bytes)
         if response.issuer.value not in self.registry.partners:
             raise UnknownIssuer(response.issuer.value)
         if response.in_response_to is None:
-            return
+            return None
         with self._lock:
             pending = self._pending_logouts.pop(response.in_response_to, None)
             if pending is None:
-                return
+                return None
             session_index, _sp_id = pending
             if not any(s == session_index for s, _ in self._pending_logouts.values()):
                 self._end_session(session_index)
+            return session_index
 
     def _end_session(self, session_index: str) -> None:
         """End the session and drop its pending logouts; the caller holds the lock."""

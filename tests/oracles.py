@@ -6,7 +6,8 @@ signing/verification uses plain modular arithmetic over the key numbers.
 The XML oracles are the straightforward forms of xmlcodec's writer,
 parser (ElementTree, then a tree walk), signature fragments, protocol
 messages and metadata (element trees), which xmlcodec replaced with
-faster equivalents.
+faster equivalents. The timestamp oracle is the ``datetime`` form of
+``Instant.isoformat``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import hashlib
 import re
 import struct
 import xml.etree.ElementTree as ET
+from datetime import datetime, timezone
 
-from samlforge.core import Assertion, EncryptedAssertion, Signature
+from samlforge.core import Assertion, EncryptedAssertion, Instant, Signature
 from samlforge.xmlcodec import (
     NS_ASSERTION,
     NS_DSIG,
@@ -168,6 +170,15 @@ def rsa_verify(message: bytes, signature: bytes, n: int, e: int) -> bool:
         return False
     decoded = pow(int.from_bytes(signature, "big"), e, n).to_bytes(em_len, "big")
     return decoded == _emsa_pkcs1_v15(message, em_len)
+
+
+# ---------------------------------------------------------------------------
+# Timestamps: the datetime form of Instant.isoformat
+# ---------------------------------------------------------------------------
+
+
+def isoformat(instant: Instant) -> str:
+    return datetime.fromtimestamp(instant.epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +436,7 @@ def assertion_element(assertion):
                             NS_ASSERTION,
                             "SubjectConfirmationData",
                             {
-                                "NotOnOrAfter": subject.confirmation.not_on_or_after.isoformat(),
+                                "NotOnOrAfter": isoformat(subject.confirmation.not_on_or_after),
                                 "Recipient": subject.confirmation.recipient,
                             },
                         )
@@ -452,8 +463,8 @@ def assertion_element(assertion):
             NS_ASSERTION,
             "Conditions",
             {
-                "NotBefore": assertion.conditions.not_before.isoformat(),
-                "NotOnOrAfter": assertion.conditions.not_on_or_after.isoformat(),
+                "NotBefore": isoformat(assertion.conditions.not_before),
+                "NotOnOrAfter": isoformat(assertion.conditions.not_on_or_after),
             },
             children=cond_children,
         )
@@ -469,7 +480,7 @@ def assertion_element(assertion):
         element(
             NS_ASSERTION,
             "AuthnStatement",
-            {"AuthnInstant": stmt.authn_instant.isoformat(), "SessionIndex": stmt.session_index},
+            {"AuthnInstant": isoformat(stmt.authn_instant), "SessionIndex": stmt.session_index},
             children=[element(NS_ASSERTION, "SubjectLocality", locality_attrs)]
             if locality_attrs
             else [],
@@ -490,7 +501,7 @@ def assertion_element(assertion):
         "Assertion",
         {
             "ID": assertion.id,
-            "IssueInstant": assertion.issue_instant.isoformat(),
+            "IssueInstant": isoformat(assertion.issue_instant),
             "Version": "2.0",
         },
         children=children,
@@ -514,7 +525,7 @@ def _attribute_element(attr):
 def response_element(response):
     attrs = {
         "ID": response.id,
-        "IssueInstant": response.issue_instant.isoformat(),
+        "IssueInstant": isoformat(response.issue_instant),
         "Version": "2.0",
         "Destination": response.destination,
     }
@@ -546,7 +557,7 @@ def authn_request_element(request):
         "AuthnRequest",
         {
             "ID": request.id,
-            "IssueInstant": request.issue_instant.isoformat(),
+            "IssueInstant": isoformat(request.issue_instant),
             "Version": "2.0",
             "AssertionConsumerServiceURL": request.acs_url,
         },
@@ -563,7 +574,7 @@ def logout_request_element(request):
     return element(
         NS_PROTOCOL,
         "LogoutRequest",
-        {"ID": request.id, "IssueInstant": request.issue_instant.isoformat(), "Version": "2.0"},
+        {"ID": request.id, "IssueInstant": isoformat(request.issue_instant), "Version": "2.0"},
         children=children,
     )
 
@@ -571,7 +582,7 @@ def logout_request_element(request):
 def logout_response_element(response):
     attrs = {
         "ID": response.id,
-        "IssueInstant": response.issue_instant.isoformat(),
+        "IssueInstant": isoformat(response.issue_instant),
         "Version": "2.0",
     }
     if response.in_response_to is not None:
@@ -595,7 +606,7 @@ def artifact_resolve_element(request_id, issue_instant, issuer, artifacts):
     return element(
         NS_PROTOCOL,
         "ArtifactResolve",
-        {"ID": request_id, "IssueInstant": issue_instant.isoformat(), "Version": "2.0"},
+        {"ID": request_id, "IssueInstant": isoformat(issue_instant), "Version": "2.0"},
         children=children,
     )
 

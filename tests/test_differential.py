@@ -688,7 +688,7 @@ def test_metadata_renderer_matches_the_reference_tree(entity):
 
 
 # ---------------------------------------------------------------------------
-# Instant.parse
+# Instant.parse and Instant.isoformat
 # ---------------------------------------------------------------------------
 
 _DIGITS = st.sampled_from(list("0123456789") + ["٣", "３", "߁", " "])
@@ -754,3 +754,20 @@ def _instant_epoch(text: str):
 @example("2009-04-22T12:33:36Z\n")
 def test_instant_parse_accepts_what_strptime_accepts(text):
     assert _instant_epoch(text) == _strptime_epoch(text)
+
+
+# The epochs Instant.parse accepts: years 1 to 9999.
+_FIRST_EPOCH = Instant.parse("0001-01-01T00:00:00Z").epoch
+_LAST_EPOCH = Instant.parse("9999-12-31T23:59:59Z").epoch
+
+
+@given(st.integers(_FIRST_EPOCH, _LAST_EPOCH))
+@example(_FIRST_EPOCH)
+@example(_LAST_EPOCH)
+@example(-1)
+@example(0)
+@example(Instant.parse("1000-01-01T00:00:00Z").epoch - 1)
+@example(Instant.parse("1900-03-01T00:00:00Z").epoch - 1)
+@example(Instant.parse("2038-01-19T03:14:08Z").epoch)
+def test_instant_isoformat_matches_the_datetime_formatter(epoch):
+    assert Instant(epoch).isoformat() == oracles.isoformat(Instant(epoch))

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from samlforge import bindings, cryptoseal
+from samlforge import bindings, cryptoseal, xmlcodec
 from samlforge.harness.cli import main
+from samlforge.harness.config import build_sp_descriptor
 from samlforge.harness.scenarios import (
     BadScenario,
     CLIENT_IP,
@@ -28,9 +29,10 @@ from samlforge.harness.scenarios import (
     run_scenario,
     run_scenarios,
 )
-from samlforge.harness.service import HarnessService
+from samlforge.harness.service import _ROUTES, HarnessService
 
 MATRIX_FILE = Path(__file__).parent.parent / "scripts" / "matrix.scenarios"
+README = Path(__file__).parent.parent / "README.md"
 
 MATRIX_REPORT_SHA256 = {
     "idp-clean": "11b338c14da150bfd92c220542a36099241533b7b87496586c352cbb2fea6f25",
@@ -333,6 +335,22 @@ class _Browser:
         return self.post(action, fields)
 
 
+def _follow_logout(browser, page):
+    """Submit logout forms until a page carries none; returns that page and
+    the SessionIndex of each LogoutRequest submitted on the way."""
+    indexes = []
+    for _ in range(10):
+        if "<form" not in page:
+            return page, indexes
+        request = re.search(r'name="SAMLRequest" value="([^"]+)"', page)
+        if request:
+            message = base64.b64decode(unescape(request.group(1)))
+            parsed = xmlcodec.logout_request_from_element(xmlcodec.parse_xml(message))
+            indexes.append(parsed.session_index)
+        _, _, page = browser.submit_form(page)
+    raise AssertionError(f"logout did not end: {page}")
+
+
 def _service_workspace(tmp_path, shared_keys, port):
     cryptoseal.save_keystore(
         cryptoseal.make_keystore({"idp-signing": shared_keys["idp-signing"]}),
@@ -351,6 +369,7 @@ def _service_workspace(tmp_path, shared_keys, port):
     )
     (tmp_path / "users.records").write_text(
         "the.user the.user@mycompany.com clientId=1234 uid=the.user@mycompany.com\n"
+        "j.doe jane.doe@mycompany.com clientId=1234 uid=jane.doe@mycompany.com\n"
     )
     base = f"http://127.0.0.1:{port}"
     (tmp_path / "service.conf").write_text(
@@ -457,6 +476,53 @@ class TestHttpService:
         assert "signed out everywhere" in final
         assert service.sp.live_sessions() == ()
 
+    @pytest.mark.parametrize(
+        "order", [("the.user", "j.doe"), ("j.doe", "the.user")], ids=["A-ends-first", "B-ends-first"]
+    )
+    def test_single_logout_forms_are_kept_per_session(self, live_service, shared_keys, order):
+        service, base, _ = live_service
+        other_sp = build_sp_descriptor("second:sp", base, shared_keys["sp-signing"].cert_b64, None)
+        service.idp.register_partner(xmlcodec.emit_metadata(other_sp))
+        browsers = {"the.user": _Browser(), "j.doe": _Browser()}
+        for user, browser in browsers.items():
+            for partner in ("mypartner:saml2.0", "second:sp"):
+                status, _, _ = browser.get(f"{base}/sso?user={user}&partner={partner}")
+                assert status == 200
+        index = {user: service.idp.session_for_user(user).session_index for user in browsers}
+        # A starts logout (A1 sent, A2 kept), then B does (B1 sent, B2 kept)
+        pages = {user: b.get(f"{base}/slo?user={user}")[2] for user, b in browsers.items()}
+        # each user's LogoutResponse is answered with that user's next form
+        for user in order:
+            final, indexes = _follow_logout(browsers[user], pages[user])
+            assert "signed out everywhere" in final
+            assert indexes == [index[user]] * 2
+            assert service.idp.session_for_user(user) is None
+        assert service._logout_forms == {}
+
+    def test_post_sso_with_a_response_form_is_missing_field(self, live_service):
+        service, base, clock = live_service
+        redirect, _ = service.sp.build_authn_request(f"{base}/app", clock["now"])
+        message = bindings.decode_redirect(redirect.url).message
+        status, _, body = _Browser().post(
+            f"{base}/sso", {bindings.FIELD_RESPONSE: base64.b64encode(message).decode()}
+        )
+        assert (status, body) == (400, "MissingField: SAMLRequest\n")
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [("GET", "/nope"), ("GET", "/artifact-resolve"), ("POST", "/metadata/idp"), ("POST", "/")],
+    )
+    def test_unrouted_request_is_not_found(self, live_service, method, path):
+        service, _, _ = live_service
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        try:
+            conn.request(method, path, body=b"" if method == "POST" else None)
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert (response.status, body) == (404, b"not found\n")
+
     def test_service_and_simulator_reports_are_identical(self, live_service, shared_keys):
         service, base, clock = live_service
         browser = _Browser()
@@ -535,3 +601,11 @@ class TestHttpService:
         assert status_line.split()[1] == b"413", reply
         assert b"Connection: close" in rest
         assert b"BodyTooLarge" in rest
+
+
+def test_readme_endpoint_table_is_the_route_table():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## HTTP service endpoints", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    listed = {route for row in rows for route in re.findall(r"`(GET|POST) (/[^`?\s]*)", row)}
+    assert listed == set(_ROUTES)

@@ -225,6 +225,19 @@ class TestHandleAuthnRequest:
         fed.idp.handle_authn_request(redirect.url, session, NOW)
         assert parsed == [bindings.decode_redirect(redirect.url).message]
 
+    @pytest.mark.parametrize("binding", ["redirect", "post"])
+    def test_a_response_field_is_missing_field(self, fed, session, binding):
+        redirect, _ = fed.sp.build_authn_request("https://sp.internal.test/app", NOW)
+        message = bindings.decode_redirect(redirect.url).message
+        sso = f"{IDP_BASE}/sso"
+        if binding == "redirect":
+            request_input = bindings.encode_redirect(message, sso, kind="response").url
+        else:
+            form = bindings.encode_post(message, "response", sso)
+            request_input = bindings.serialize_post_body(form)
+        with pytest.raises(bindings.MissingField, match="^SAMLRequest$"):
+            fed.idp.handle_authn_request(request_input, session, NOW)
+
     def test_signature_over_another_id_is_wrong_reference(self, fed, session):
         redirect, _ = fed.sp.build_authn_request("https://sp.internal.test/app", NOW)
         message = bindings.decode_redirect(redirect.url).message
@@ -391,8 +404,11 @@ class TestSingleLogout:
         for form in forms:
             message = bindings.decode_post(bindings.serialize_post_body(form)).message
             response_bytes = fed.sp.handle_logout_request(message, NOW.plus(2))
-            fed.idp.handle_logout_response(response_bytes, NOW.plus(3))
+            counted = fed.idp.handle_logout_response(response_bytes, NOW.plus(3))
+            assert counted == session.session_index
         assert session.session_index not in fed.idp.sessions
+        # a response already counted counts toward no session
+        assert fed.idp.handle_logout_response(response_bytes, NOW.plus(4)) is None
 
 
 def decrypt_and_parse(fed, response):
