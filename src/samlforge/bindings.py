@@ -22,8 +22,6 @@ import re
 import secrets
 import socket
 import string
-import urllib.error
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -427,6 +425,11 @@ Transport = Callable[[str, bytes, float], tuple[int, bytes]]
 
 
 def _http_transport(endpoint: str, body: bytes, timeout: float) -> tuple[int, bytes]:
+    # Imported here, its only use: the HTTP client loads ssl, and most
+    # processes never open a back channel.
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "text/xml; charset=utf-8"}, method="POST"
     )

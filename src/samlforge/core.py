@@ -344,12 +344,13 @@ class ExpiringMap:
     evicts each entry whose expiry is at or before its ``now`` (which may go
     backwards); reads neither evict nor check expiry. A min-heap gets one
     ``(expiry, key)`` per write, so eviction pops only what has expired; an
-    item whose key was since taken or rewritten is skipped. Values are never
-    compared."""
+    item whose key was since taken or rewritten is skipped. Expiries are
+    held as epoch seconds, not ``Instant`` objects: an int per live entry,
+    compared in C. Values are never compared."""
 
     def __init__(self) -> None:
-        self._entries: dict = {}  # key -> (expiry, value)
-        self._expiries: list = []  # heap of (expiry, key)
+        self._entries: dict = {}  # key -> (expiry epoch, value)
+        self._expiries: list = []  # heap of (expiry epoch, key)
         self._lock = threading.Lock()
 
     def put_if_absent(self, key, value, expiry: Instant, now: Instant) -> bool:
@@ -390,11 +391,11 @@ class ExpiringMap:
     # The caller holds the lock.
 
     def _store(self, key, value, expiry: Instant) -> None:
-        self._entries[key] = (expiry, value)
-        heapq.heappush(self._expiries, (expiry, key))
+        self._entries[key] = (expiry.epoch, value)
+        heapq.heappush(self._expiries, (expiry.epoch, key))
 
     def _evict(self, now: Instant) -> None:
-        expiries, entries = self._expiries, self._entries
+        expiries, entries, now = self._expiries, self._entries, now.epoch
         while expiries and expiries[0][0] <= now:
             _, key = heapq.heappop(expiries)
             entry = entries.get(key)

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .. import bindings, cryptoseal, xmlcodec
 from ..core import EntityId, Instant, SamlError
 from ..federation import FederationRegistry, register_partner
 from ..idp import AttributeSource, IdpEngine, parse_attribute_records
-from ..sp import PIPELINE_STEPS, ConsumeResult, SpEngine, ValidationReport
+from ..sp import PIPELINE_STEPS, BackChannel, ConsumeResult, SpEngine, ValidationReport
 from . import faults as faults_mod
 from .config import build_idp_descriptor, build_sp_descriptor
 from .faults import FAULT_STEP, FaultKit, apply_message_fault
@@ -255,7 +256,7 @@ class SimulatedFederation:
             sp_store,
             landing_url=LANDING_URL,
             token_source=token_source,
-            back_channel=self._back_channel,
+            back_channel=_weak_back_channel(self._back_channel),
         )
         self.fault_kit = FaultKit(
             idp_store=idp_store,
@@ -284,6 +285,20 @@ class SimulatedFederation:
             raise bindings.FaultResponse(type(exc).__name__, str(exc)) from exc
         self.record("idp", "send", "response", response, "resolved artifact")
         return response
+
+
+def _weak_back_channel(method: BackChannel) -> BackChannel:
+    """The SP's back channel to ``method``'s federation; it does not keep the
+    federation alive, so dropping the federation frees both engines."""
+    ref = weakref.WeakMethod(method)
+
+    def send(endpoint: str, payload: bytes) -> bytes:
+        target = ref()
+        if target is None:
+            raise bindings.ConnectFailed(f"{endpoint}: the simulated federation is gone")
+        return target(endpoint, payload)
+
+    return send
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -64,7 +65,9 @@ class HarnessService:
         self._logout_forms: dict[str, list[bindings.PostForm]] = {}
         self._server = ThreadingHTTPServer((host, port), _Handler)
         self._server.daemon_threads = True
-        self._server.service = self  # type: ignore[attr-defined]
+        # weak, so the service and its server form no cycle and a dropped
+        # service is freed at once
+        self._server.service = weakref.ref(self)  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
         self._serving = False
 
@@ -134,7 +137,9 @@ class HarnessService:
 
     def start(self) -> None:
         self._serving = True
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # The target holds the service, so a running service outlives its
+        # last reference; the thread lets go of it once serving stops.
+        self._thread = threading.Thread(target=lambda: self._server.serve_forever(), daemon=True)
         self._thread.start()
 
     def serve_forever(self) -> None:
@@ -216,17 +221,21 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         started = time.monotonic()
         path = self.path
+        self._body_read = False
         try:
             self.target = urlsplit(self.path)
             path = self.target.path
             route = _ROUTES.get((method, path.rstrip("/") or "/"), _not_found)
-            reply = route(self.server.service, self)  # type: ignore[attr-defined]
+            reply = route(self.server.service(), self)  # type: ignore[attr-defined]
         except SamlError as exc:
             status = 413 if isinstance(exc, BodyTooLarge) else 400
             reply = _Reply(status, f"{type(exc).__name__}: {exc}\n")
         except Exception:
             logger.exception("unhandled error path=%s", self.path)
             reply = _Reply(500, "internal error\n")
+        if self._leaves_body_unread():
+            # The unread body would be read as the next request.
+            self.close_connection = True
         try:
             self._reply(reply)
         finally:
@@ -251,6 +260,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(raw)
 
+    def _leaves_body_unread(self) -> bool:
+        if "Transfer-Encoding" in self.headers:
+            return True  # chunked bodies are never read
+        declared = (self.headers.get("Content-Length") or "0").strip(" \t")
+        return not self._body_read and declared.lstrip("0") != ""
+
     # -- what the routes read -------------------------------------------------
 
     def query(self) -> list[tuple[str, str]]:
@@ -268,6 +283,7 @@ class _Handler(BaseHTTPRequestHandler):
             # Refused before reading: a buffered read allocates what is claimed.
             self.close_connection = True
             raise BodyTooLarge(f"Content-Length exceeds {MAX_BODY_BYTES} bytes")
+        self._body_read = True
         return self.rfile.read(int(digits))
 
 

@@ -283,8 +283,10 @@ class _TreeBuilder:
     A node's text is every character-data event between its tags, comments
     and processing instructions dropped. The first semantic error in
     document order (an element in no namespace at its start tag, mixed
-    content at its end tag) is only remembered: it is raised after expat
-    has accepted the whole document, so a syntax error anywhere wins.
+    content at its end tag) is only remembered, as text: it is raised after
+    expat has accepted the whole document, so a syntax error anywhere wins.
+    (A kept exception would hold, through its traceback, the frame that
+    holds this builder: a cycle only the collector frees.)
     Nesting deeper than ``MAX_DEPTH`` is raised at once and ends the parse.
     """
 
@@ -292,7 +294,7 @@ class _TreeBuilder:
         # Open elements as [ns, local, attrs, children, text chunks], under
         # a frame whose one child is the root.
         self.stack: list[list] = [["", "", (), [], []]]
-        self.error: MalformedXml | None = None
+        self.error: str | None = None
 
     def start(self, name: str, attributes: list[str]) -> None:
         if len(self.stack) > MAX_DEPTH:
@@ -300,7 +302,7 @@ class _TreeBuilder:
         ns, local = _split_name(name)
         if not ns and self.error is None:
             # canonicalize could never write it, so reject it at parse
-            self.error = MalformedXml(f"element {local!r} has no namespace")
+            self.error = f"element {local!r} has no namespace"
         attrs = ()
         if attributes:
             # expat rejects a repeated (namespace, name), so the sort never
@@ -314,7 +316,7 @@ class _TreeBuilder:
         text = "".join(chunks).strip(_XML_WS) if chunks else ""
         if children:
             if text and self.error is None:
-                self.error = MalformedXml(f"mixed content inside <{local}> is not accepted")
+                self.error = f"mixed content inside <{local}> is not accepted"
             children, text = tuple(children), ""
         else:
             children = ()
@@ -355,7 +357,7 @@ def parse_xml(data: bytes | str) -> XmlElement:
     except expat.ExpatError as exc:
         raise MalformedXml(str(exc)) from None
     if builder.error is not None:
-        raise builder.error
+        raise MalformedXml(builder.error)
     return builder.stack[0][3][0]
 
 

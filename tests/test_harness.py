@@ -586,6 +586,28 @@ class TestHttpService:
         assert status_line.split()[1] == b"400", reply
         assert b"BadContentLength" in rest
 
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            "POST /nope HTTP/1.1\r\nContent-Length: 30\r\n",
+            "GET /app HTTP/1.1\r\nContent-Length: 30\r\n",
+            "GET /metadata/idp HTTP/1.1\r\nContent-Length: 30\r\n",
+            "POST /acs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n",
+        ],
+        ids=["not-found", "app", "metadata", "chunked"],
+    )
+    def test_unread_body_is_not_read_as_the_next_request(self, live_service, request_head):
+        service, _, _ = live_service
+        smuggled = b"GET /app HTTP/1.1\r\nHost: x\r\n\r\n"
+        body = smuggled if "chunked" not in request_head else b"1e\r\n" + smuggled + b"\r\n0\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", service.port), timeout=5) as conn:
+            conn.sendall(f"{request_head}Host: 127.0.0.1\r\n\r\n".encode() + body)
+            reply = b""
+            while chunk := conn.recv(4096):  # the server closes after one reply
+                reply += chunk
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        assert b"\r\nConnection: close\r\n" in reply
+
     @pytest.mark.parametrize("declared", ["1000000000", "9" * 5000], ids=["1GB", "5000-digits"])
     def test_oversized_content_length_is_answered_413_unread(self, live_service, declared):
         service, _, _ = live_service
