@@ -22,8 +22,6 @@ BEARER_METHOD = "urn:oasis:names:tc:SAML:2.0:cm:bearer"
 STATUS_SUCCESS = "urn:oasis:names:tc:SAML:2.0:status:Success"
 STATUS_RESPONDER = "urn:oasis:names:tc:SAML:2.0:status:Responder"
 ATTRNAME_FORMAT_BASIC = "urn:oasis:names:tc:SAML:2.0:attrname-format:basic"
-NAMEID_FORMAT_TRANSIENT = "urn:oasis:names:tc:SAML:2.0:nameid-format:transient"
-CONSENT_UNSPECIFIED = "urn:oasis:names:tc:SAML:2.0:consent:unspecified"
 
 _INSTANT_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 

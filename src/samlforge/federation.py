@@ -26,7 +26,6 @@ from typing import Mapping
 
 from .core import EntityId, SamlError
 from .xmlcodec import (
-    BINDING_HTTP_POST,
     EntityDescriptor,
     IdpSsoDescriptor,
     IndexedEndpoint,
@@ -63,7 +62,6 @@ class PartnerPolicy:
 
     sign_assertion: bool = False
     encrypt_assertion: bool = False
-    default_binding: str = BINDING_HTTP_POST
     clock_skew: int = 0
     validity: int = DEFAULT_VALIDITY_SECONDS
     artifact_mode: str = "single"  # or "pair"
@@ -128,17 +126,10 @@ def derive_policy(descriptor: EntityDescriptor, clock_skew: int = 0,
         return PartnerPolicy(
             sign_assertion=role.want_assertions_signed,
             encrypt_assertion=bool(role.encryption_keys),
-            default_binding=role.default_acs().binding,
             clock_skew=clock_skew,
             validity=validity,
         )
-    return PartnerPolicy(
-        sign_assertion=False,
-        encrypt_assertion=False,
-        default_binding=role.sso_endpoints[0].binding,
-        clock_skew=clock_skew,
-        validity=validity,
-    )
+    return PartnerPolicy(clock_skew=clock_skew, validity=validity)
 
 
 def register_partner(
@@ -199,7 +190,6 @@ def _emit_policy(policy: PartnerPolicy, entity_id: str) -> str:
         f"entity_id = {entity_id}\n"
         f"sign_assertion = {'true' if policy.sign_assertion else 'false'}\n"
         f"encrypt_assertion = {'true' if policy.encrypt_assertion else 'false'}\n"
-        f"default_binding = {policy.default_binding}\n"
         f"clock_skew = {policy.clock_skew}\n"
         f"validity = {policy.validity}\n"
         f"artifact_mode = {policy.artifact_mode}\n"
@@ -225,7 +215,6 @@ def _parse_policy(text: str) -> tuple[str, PartnerPolicy]:
     return values["entity_id"], PartnerPolicy(
         sign_assertion=values.get("sign_assertion") == "true",
         encrypt_assertion=values.get("encrypt_assertion") == "true",
-        default_binding=values.get("default_binding", BINDING_HTTP_POST),
         clock_skew=int(values.get("clock_skew", "0")),
         validity=int(values.get("validity", str(DEFAULT_VALIDITY_SECONDS))),
         artifact_mode=values.get("artifact_mode", "single"),

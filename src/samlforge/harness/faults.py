@@ -1,46 +1,95 @@
-"""Fault injection for scenario runs.
+"""The fault alphabet of scenario runs, one row per fault.
 
-Message faults rebuild an issued response with one field corrupted. Faults
-that target post-signature pipeline steps re-sign the mutated assertion
-(the attack model is a confused or hostile asserting party, not a broken
-signature); the two signature faults deliberately leave a stale or absent
-signature behind. Timing and transport faults carry no message mutation
-and are interpreted by the scenario runner instead.
+A row names the pipeline step the fault must trip and the flows through
+which that can be observed. Message faults also carry a rewrite of the
+issued response and its (unsealed) assertion. Faults that target
+post-signature steps sign again what was signed (the attack model is a
+confused or hostile asserting party, not a broken signature); the two
+signature faults deliberately leave a stale or absent signature behind.
+Faults without a rewrite are timing, addressing or repetition faults,
+which the scenario runner interprets.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 from .. import cryptoseal, xmlcodec
 from ..core import Assertion, EncryptedAssertion, EntityId, Response
 
-# Message-mutating faults and the pipeline step each one must trip.
-MESSAGE_FAULT_STEP = {
-    "tamper_signature": "signature",
-    "strip_signature": "signature",
-    "wrong_audience": "audience",
-    "wrong_recipient": "bearer",
-    "wrong_destination": "destination",
-}
+Rewrite = Callable[[Response, Assertion], tuple[Response, Assertion]]
 
-# Faults the runner realizes through timing, addressing, or repetition.
-BEHAVIOUR_FAULT_STEP = {
-    "expire_window": "window",
-    "not_yet_valid": "window",
-    "replay_assertion": "replay",
-    "wrong_locality": "locality",
-    "replay_artifact": "fetch",
-    "single_token_of_pair": "fetch",
-    "cross_pair_tokens": "fetch",
-}
-
-FAULT_STEP = {**MESSAGE_FAULT_STEP, **BEHAVIOUR_FAULT_STEP}
+POST_FLOWS = ("idp_initiated", "sp_initiated")
+ARTIFACT_FLOWS = ("artifact", "artifact_pair")
+SIGNON_FLOWS = POST_FLOWS + ARTIFACT_FLOWS
 
 WRONG_URL = "https://evil.example/acs"
 WRONG_AUDIENCE = EntityId("evil.example:saml2.0")
 WRONG_IP = "10.0.0.7"
+
+
+@dataclass(frozen=True)
+class Fault:
+    """One fault of the alphabet; adding a fault is adding a row."""
+
+    step: str  # the pipeline step the fault must trip
+    flows: tuple[str, ...]  # the flows through which it can be observed
+    combinable: bool = True  # may share a scenario with other faults
+    rewrite: Rewrite | None = None  # message faults only
+    resign: bool = False  # sign again what was signed before the rewrite
+
+
+def _tamper_signed_content(response: Response, assertion: Assertion) -> tuple[Response, Assertion]:
+    """Corrupt signed content while keeping the original signature."""
+    attrs = assertion.attributes
+    if attrs:
+        first = attrs[0]
+        mutated = dataclasses.replace(first, values=(first.values[0] + "0",) + first.values[1:])
+        return response, dataclasses.replace(assertion, attributes=(mutated,) + attrs[1:])
+    subject = dataclasses.replace(assertion.subject, name_id=assertion.subject.name_id + "0")
+    return response, dataclasses.replace(assertion, subject=subject)
+
+
+def _wrong_audience(response: Response, assertion: Assertion) -> tuple[Response, Assertion]:
+    conditions = dataclasses.replace(assertion.conditions, audiences=(WRONG_AUDIENCE,))
+    return response, dataclasses.replace(assertion, conditions=conditions)
+
+
+def _wrong_recipient(response: Response, assertion: Assertion) -> tuple[Response, Assertion]:
+    subject = assertion.subject
+    confirmation = dataclasses.replace(subject.confirmation, recipient=WRONG_URL)
+    return response, dataclasses.replace(
+        assertion, subject=dataclasses.replace(subject, confirmation=confirmation)
+    )
+
+
+FAULTS: dict[str, Fault] = {
+    "tamper_signature": Fault("signature", SIGNON_FLOWS, rewrite=_tamper_signed_content),
+    "strip_signature": Fault(
+        "signature", SIGNON_FLOWS, rewrite=lambda r, a: (r, dataclasses.replace(a, signature=None))
+    ),
+    # artifact retention equals assertion validity, so through an artifact
+    # flow the artifact always expires first and the window step is unreachable
+    "expire_window": Fault("window", POST_FLOWS),
+    "not_yet_valid": Fault("window", SIGNON_FLOWS),
+    "wrong_audience": Fault("audience", SIGNON_FLOWS, rewrite=_wrong_audience, resign=True),
+    "wrong_recipient": Fault("bearer", SIGNON_FLOWS, rewrite=_wrong_recipient, resign=True),
+    "wrong_destination": Fault(
+        "destination",
+        SIGNON_FLOWS,
+        rewrite=lambda r, a: (dataclasses.replace(r, destination=WRONG_URL), a),
+        resign=True,
+    ),
+    "replay_assertion": Fault("replay", POST_FLOWS, combinable=False),
+    "wrong_locality": Fault("locality", SIGNON_FLOWS),
+    "replay_artifact": Fault("fetch", ARTIFACT_FLOWS, combinable=False),
+    "single_token_of_pair": Fault("fetch", ("artifact_pair",), combinable=False),
+    "cross_pair_tokens": Fault("fetch", ("artifact_pair",), combinable=False),
+}
+
+FAULT_STEP = {name: row.step for name, row in FAULTS.items()}
 
 
 @dataclass(frozen=True)
@@ -55,114 +104,38 @@ class FaultKit:
     recipient: EntityId | None = None
 
 
-def _open_assertion(response: Response, kit: FaultKit) -> tuple[Assertion, bool]:
-    assertion = response.assertion
-    if isinstance(assertion, EncryptedAssertion):
-        plain = cryptoseal.decrypt_assertion(assertion, kit.sp_encryption_alias, kit.sp_store)
-        return xmlcodec.parse_assertion(plain), True
-    if isinstance(assertion, Assertion):
-        return assertion, False
-    raise ValueError("response carries no assertion to mutate")
+def apply_message_fault(fault: str, response_bytes: bytes, kit: FaultKit) -> bytes:
+    """Return the response bytes with ``fault`` injected."""
+    row = FAULTS[fault]
+    if row.rewrite is None:
+        raise ValueError(f"{fault!r} is not a message fault")
+    response = xmlcodec.parse_response(response_bytes)
+    sealed = response.assertion
+    assertion = sealed
+    if isinstance(sealed, EncryptedAssertion):
+        plain = cryptoseal.decrypt_assertion(sealed, kit.sp_encryption_alias, kit.sp_store)
+        assertion = xmlcodec.parse_assertion(plain)
+    if not isinstance(assertion, Assertion):
+        raise ValueError("response carries no assertion to mutate")
+    resign_assertion = row.resign and assertion.signature is not None
+    resign_response = row.resign and response.signature is not None
 
-
-def _reissue(
-    response: Response,
-    assertion: Assertion,
-    was_encrypted: bool,
-    kit: FaultKit,
-    resign_assertion: bool,
-    resign_response: bool,
-) -> Response:
+    response, assertion = row.rewrite(response, assertion)
     if resign_assertion:
         assertion = cryptoseal.sign_message(
             assertion, xmlcodec.emit_assertion, kit.idp_signing_alias, kit.idp_store
         )
-
-    sealed: Assertion | EncryptedAssertion = assertion
-    if was_encrypted:
+    carried: Assertion | EncryptedAssertion = assertion
+    if isinstance(sealed, EncryptedAssertion):
         if kit.recipient is None or not kit.encrypt_to:
             raise ValueError("fault kit lacks the recipient certificates for re-encryption")
         pinned = kit.idp_store.with_trust_anchors(kit.recipient, encryption=kit.encrypt_to)
-        sealed = cryptoseal.encrypt_assertion(
+        carried = cryptoseal.encrypt_assertion(
             xmlcodec.emit_assertion(assertion), kit.recipient, pinned
         )
-
-    rebuilt = dataclasses.replace(response, assertion=sealed, signature=None)
+    response = dataclasses.replace(response, assertion=carried, signature=None)
     if resign_response:
-        rebuilt = cryptoseal.sign_message(
-            rebuilt, xmlcodec.emit_response, kit.idp_signing_alias, kit.idp_store
+        response = cryptoseal.sign_message(
+            response, xmlcodec.emit_response, kit.idp_signing_alias, kit.idp_store
         )
-    return rebuilt
-
-
-def apply_message_fault(fault: str, response_bytes: bytes, kit: FaultKit) -> bytes:
-    """Return the response bytes with ``fault`` injected."""
-    response = xmlcodec.parse_response(response_bytes)
-    had_response_sig = response.signature is not None
-    assertion, was_encrypted = _open_assertion(response, kit)
-
-    if fault == "strip_signature":
-        bare = dataclasses.replace(assertion, signature=None)
-        rebuilt = _reissue(
-            response, bare, was_encrypted, kit, resign_assertion=False, resign_response=False
-        )
-        return xmlcodec.emit_response(rebuilt)
-
-    if fault == "tamper_signature":
-        # Corrupt signed content while keeping the original signature.
-        attrs = assertion.attributes
-        if attrs:
-            first = attrs[0]
-            mutated_attr = dataclasses.replace(
-                first, values=(first.values[0] + "0",) + first.values[1:]
-            )
-            mutated = dataclasses.replace(assertion, attributes=(mutated_attr,) + attrs[1:])
-        else:
-            mutated = dataclasses.replace(
-                assertion,
-                subject=dataclasses.replace(
-                    assertion.subject, name_id=assertion.subject.name_id + "0"
-                ),
-            )
-        rebuilt = _reissue(
-            response, mutated, was_encrypted, kit, resign_assertion=False, resign_response=False
-        )
-        return xmlcodec.emit_response(rebuilt)
-
-    if fault == "wrong_audience":
-        mutated = dataclasses.replace(
-            assertion,
-            conditions=dataclasses.replace(assertion.conditions, audiences=(WRONG_AUDIENCE,)),
-        )
-    elif fault == "wrong_recipient":
-        mutated = dataclasses.replace(
-            assertion,
-            subject=dataclasses.replace(
-                assertion.subject,
-                confirmation=dataclasses.replace(
-                    assertion.subject.confirmation, recipient=WRONG_URL
-                ),
-            ),
-        )
-    elif fault == "wrong_destination":
-        rebuilt = _reissue(
-            dataclasses.replace(response, destination=WRONG_URL),
-            assertion,
-            was_encrypted,
-            kit,
-            resign_assertion=assertion.signature is not None,
-            resign_response=had_response_sig,
-        )
-        return xmlcodec.emit_response(rebuilt)
-    else:
-        raise ValueError(f"unknown message fault {fault!r}")
-
-    rebuilt = _reissue(
-        response,
-        mutated,
-        was_encrypted,
-        kit,
-        resign_assertion=assertion.signature is not None,
-        resign_response=had_response_sig,
-    )
-    return xmlcodec.emit_response(rebuilt)
+    return xmlcodec.emit_response(response)

@@ -10,9 +10,11 @@ Scenario file grammar (one stanza per scenario)::
     user = <user-key>             # optional, default the.user
 
 ``expect`` must be consistent with the fault list: no faults means
-success, and each fault pins the pipeline step it trips. The simulator
-runs everything in one process with a fixed clock and a seeded token
-source, so a given (file, seed) pair always reproduces the same outcome.
+success, and each fault pins the pipeline step it trips. A fault's row
+in ``faults.FAULTS`` names that step and the flows it can run through.
+The simulator runs everything in one process with a fixed clock and a
+seeded token source, so a given (file, seed) pair always reproduces the
+same outcome.
 """
 
 from __future__ import annotations
@@ -21,30 +23,27 @@ import hashlib
 import random
 import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .. import bindings, cryptoseal, xmlcodec
 from ..core import EntityId, Instant, SamlError
 from ..federation import FederationRegistry, register_partner
-from ..idp import AttributeSource, IdpEngine, parse_attribute_records
+from ..idp import AttributeSource, IdpEngine, IdpSession, parse_attribute_records
 from ..sp import PIPELINE_STEPS, BackChannel, ConsumeResult, SpEngine, ValidationReport
-from . import faults as faults_mod
 from .config import build_idp_descriptor, build_sp_descriptor
-from .faults import FAULT_STEP, FaultKit, apply_message_fault
+from .faults import (
+    FAULT_STEP,
+    FAULTS,
+    POST_FLOWS,
+    SIGNON_FLOWS,
+    WRONG_IP,
+    FaultKit,
+    apply_message_fault,
+)
 
-FLOWS = ("idp_initiated", "sp_initiated", "artifact", "artifact_pair", "single_logout")
-
-# Faults that involve repetition or pairing cannot be combined with others.
-_EXCLUSIVE_FAULTS = {
-    "replay_assertion",
-    "replay_artifact",
-    "single_token_of_pair",
-    "cross_pair_tokens",
-}
+FLOWS = SIGNON_FLOWS + ("single_logout",)
 
 _STEP_ORDER = ("fetch",) + PIPELINE_STEPS
-
-_ARTIFACT_ONLY = {"replay_artifact"}
-_PAIR_ONLY = {"single_token_of_pair", "cross_pair_tokens"}
 
 DEFAULT_USER = "the.user"
 DEFAULT_RECORDS = (
@@ -82,27 +81,15 @@ def validate_scenario(scenario: Scenario) -> None:
     if scenario.flow not in FLOWS:
         raise BadScenario(f"{scenario.name}: unknown flow {scenario.flow!r}")
     for fault in scenario.faults:
-        if fault not in FAULT_STEP:
+        row = FAULTS.get(fault)
+        if row is None:
             raise BadScenario(f"{scenario.name}: unknown fault {fault!r}")
-    exclusive = set(scenario.faults) & _EXCLUSIVE_FAULTS
-    if exclusive and len(scenario.faults) > 1:
-        raise BadScenario(
-            f"{scenario.name}: {sorted(exclusive)[0]} cannot be combined with other faults"
-        )
-    if scenario.flow == "single_logout" and scenario.faults:
-        raise BadScenario(f"{scenario.name}: the single_logout flow takes no faults")
-    for fault in scenario.faults:
-        if fault in _PAIR_ONLY and scenario.flow != "artifact_pair":
-            raise BadScenario(f"{scenario.name}: {fault} requires flow artifact_pair")
-        if fault in _ARTIFACT_ONLY and scenario.flow not in ("artifact", "artifact_pair"):
-            raise BadScenario(f"{scenario.name}: {fault} requires an artifact flow")
-        if fault == "replay_assertion" and scenario.flow not in ("idp_initiated", "sp_initiated"):
-            raise BadScenario(f"{scenario.name}: replay_assertion requires a POST flow")
-        if fault == "expire_window" and scenario.flow in ("artifact", "artifact_pair"):
-            # artifact retention equals assertion validity, so the artifact
-            # always expires first and the window step is unreachable
+        if not row.combinable and len(scenario.faults) > 1:
+            raise BadScenario(f"{scenario.name}: {fault} cannot be combined with other faults")
+        if scenario.flow not in row.flows:
             raise BadScenario(
-                f"{scenario.name}: expire_window cannot be observed through an artifact flow"
+                f"{scenario.name}: {fault} cannot be observed through flow {scenario.flow} "
+                f"(only {', '.join(row.flows)})"
             )
     expected = expected_outcome(scenario.faults)
     if scenario.expect != expected:
@@ -329,13 +316,7 @@ def run_scenario(
     fed = SimulatedFederation(
         encrypt=scenario.encrypt, seed=seed, skew=skew, keys=keys
     )
-    runner = {
-        "idp_initiated": _run_post_flow,
-        "sp_initiated": _run_post_flow,
-        "artifact": _run_artifact_flow,
-        "artifact_pair": _run_artifact_flow,
-        "single_logout": _run_single_logout,
-    }[scenario.flow]
+    runner = _run_single_logout if scenario.flow == "single_logout" else _run_signon
     try:
         actual, report = runner(fed, scenario)
     except SamlError as exc:
@@ -360,84 +341,58 @@ def _consume_instant(fed: SimulatedFederation, scenario: Scenario, issued_at: In
     return issued_at.plus(1)
 
 
-def _observed_ip(scenario: Scenario) -> str:
-    return faults_mod.WRONG_IP if "wrong_locality" in scenario.faults else CLIENT_IP
+# Delivers the prepared message to the SP: (observed ip, instant, trace note).
+Deliver = Callable[[str, Instant, str], ConsumeResult]
 
 
-def _verify_session(fed: SimulatedFederation, scenario: Scenario, result: ConsumeResult) -> str:
-    """Cross-check an accepted session against the attribute source."""
-    record = fed.source.lookup(scenario.user)
-    session = result.session
-    if session is None:
-        return "fail:session-missing"
-    if session.name_id != record.name_id or session.attributes != record.attributes:
-        return "fail:session-content"
-    return "success"
+def _inject(fed: SimulatedFederation, scenario: Scenario, actor: str, message: bytes) -> bytes:
+    for fault in scenario.faults:
+        if FAULTS[fault].rewrite is not None:
+            message = apply_message_fault(fault, message, fed.fault_kit)
+            fed.record(actor, "note", "fault", message, fault)
+    return message
 
 
-def _run_post_flow(fed: SimulatedFederation, scenario: Scenario) -> tuple[str, ValidationReport]:
-    session = fed.idp.create_session(scenario.user, CLIENT_IP, fed.clock)
-    relay_token: str | None = None
-
+def _prepare_post(
+    fed: SimulatedFederation, scenario: Scenario, session: IdpSession
+) -> tuple[Deliver, str]:
+    """The browser's ACS POST body, and the URL the SP must land it on."""
     if scenario.flow == "sp_initiated":
-        redirect, relay_token = fed.sp.build_authn_request(f"{SP_BASE}/app/reports", fed.clock)
+        target = f"{SP_BASE}/app/reports"
+        redirect, _token = fed.sp.build_authn_request(target, fed.clock)
         fed.record("browser", "recv", "redirect", redirect.url, "to identity provider")
         fed.tick()
         form = fed.idp.handle_authn_request(redirect.url, session, fed.clock)
     else:
+        target = LANDING_URL
         form = fed.idp.idp_initiated_post(session, SP_ENTITY, fed.clock)
     fed.record("idp", "send", "post_form", form.saml_value, f"to {form.action_url}")
 
     message = bindings.decode_post(bindings.serialize_post_body(form)).message
-    for fault in scenario.faults:
-        if fault in faults_mod.MESSAGE_FAULT_STEP:
-            message = apply_message_fault(fault, message, fed.fault_kit)
-            fed.record("browser", "note", "fault", message, fault)
-    tampered_form = bindings.encode_post(
-        message, "response", form.action_url, form.relay_state
+    message = _inject(fed, scenario, "browser", message)
+    body = bindings.serialize_post_body(
+        bindings.encode_post(message, "response", form.action_url, form.relay_state)
     )
-    body = bindings.serialize_post_body(tampered_form)
 
-    when = _consume_instant(fed, scenario, fed.clock)
-    fed.clock = when
-    fed.record("browser", "send", "acs_post", body, f"as {_observed_ip(scenario)}")
-    result = fed.sp.consume(body, _observed_ip(scenario), when)
-    fed.record("sp", "note", "verdict", result.report.render(), result.report.outcome)
+    def deliver(ip: str, when: Instant, note: str) -> ConsumeResult:
+        fed.record("browser", "send", "acs_post", body, note)
+        return fed.sp.consume(body, ip, when)
 
-    if "replay_assertion" in scenario.faults:
-        if not result.ok:
-            return f"fail:first-attempt-{result.report.failed_step}", result.report
-        fed.tick()
-        fed.record("browser", "send", "acs_post", body, "replayed")
-        result = fed.sp.consume(body, _observed_ip(scenario), fed.clock)
-        fed.record("sp", "note", "verdict", result.report.render(), result.report.outcome)
-        return result.report.outcome, result.report
-
-    if result.ok:
-        verdict = _verify_session(fed, scenario, result)
-        if verdict != "success":
-            return verdict, result.report
-        if scenario.flow == "sp_initiated" and result.redirect_url != f"{SP_BASE}/app/reports":
-            return "fail:relay-target", result.report
-        if scenario.flow == "idp_initiated" and result.redirect_url != LANDING_URL:
-            return "fail:relay-target", result.report
-    return result.report.outcome, result.report
+    return deliver, target
 
 
-def _run_artifact_flow(fed: SimulatedFederation, scenario: Scenario) -> tuple[str, ValidationReport]:
-    session = fed.idp.create_session(scenario.user, CLIENT_IP, fed.clock)
+def _prepare_artifacts(
+    fed: SimulatedFederation, scenario: Scenario, session: IdpSession
+) -> tuple[Deliver, str]:
+    """The artifact values for the SP to resolve, and the SP's landing URL."""
     response = fed.idp.issue_assertion(session, SP_ENTITY, fed.clock)
-    response_bytes = xmlcodec.emit_response(response)
-    for fault in scenario.faults:
-        if fault in faults_mod.MESSAGE_FAULT_STEP:
-            response_bytes = apply_message_fault(fault, response_bytes, fed.fault_kit)
-            fed.record("idp", "note", "fault", response_bytes, fault)
+    response_bytes = _inject(fed, scenario, "idp", xmlcodec.emit_response(response))
     doctored = xmlcodec.parse_response(response_bytes)
 
     if scenario.flow == "artifact_pair":
         first, second = fed.idp.issue_artifact_pair(doctored, SP_ENTITY)
         if "single_token_of_pair" in scenario.faults:
-            artifacts: list[str] = [first.encode()]
+            artifacts = [first.encode()]
         elif "cross_pair_tokens" in scenario.faults:
             other_response = fed.idp.issue_assertion(session, SP_ENTITY, fed.clock)
             third, _fourth = fed.idp.issue_artifact_pair(other_response, SP_ENTITY)
@@ -447,24 +402,37 @@ def _run_artifact_flow(fed: SimulatedFederation, scenario: Scenario) -> tuple[st
     else:
         artifacts = [fed.idp.issue_artifact(doctored, SP_ENTITY).encode()]
     fed.record("idp", "send", "artifact", ",".join(artifacts), f"{len(artifacts)} value(s)")
+    return (lambda ip, when, _note: fed.sp.fetch_via_artifact(artifacts, ip, when)), LANDING_URL
 
-    when = _consume_instant(fed, scenario, fed.clock)
-    fed.clock = when
-    result = fed.sp.fetch_via_artifact(artifacts, _observed_ip(scenario), when)
-    fed.record("sp", "note", "verdict", result.report.render(), result.report.outcome)
 
-    if "replay_artifact" in scenario.faults:
+def _run_signon(fed: SimulatedFederation, scenario: Scenario) -> tuple[str, ValidationReport]:
+    session = fed.idp.create_session(scenario.user, CLIENT_IP, fed.clock)
+    prepare = _prepare_post if scenario.flow in POST_FLOWS else _prepare_artifacts
+    deliver, target = prepare(fed, scenario, session)
+    ip = WRONG_IP if "wrong_locality" in scenario.faults else CLIENT_IP
+
+    def attempt(note: str) -> ConsumeResult:
+        result = deliver(ip, fed.clock, note)
+        fed.record("sp", "note", "verdict", result.report.render(), result.report.outcome)
+        return result
+
+    fed.clock = _consume_instant(fed, scenario, fed.clock)
+    result = attempt(f"as {ip}")
+    if {"replay_assertion", "replay_artifact"} & set(scenario.faults):
         if not result.ok:
             return f"fail:first-attempt-{result.report.failed_step}", result.report
         fed.tick()
-        result = fed.sp.fetch_via_artifact(artifacts, _observed_ip(scenario), fed.clock)
-        fed.record("sp", "note", "verdict", result.report.render(), result.report.outcome)
+        result = attempt("replayed")
         return result.report.outcome, result.report
 
-    if result.ok:
-        verdict = _verify_session(fed, scenario, result)
-        if verdict != "success":
-            return verdict, result.report
+    if result.ok:  # cross-check the session against the attribute source
+        record = fed.source.lookup(scenario.user)
+        if result.session is None:
+            return "fail:session-missing", result.report
+        if (result.session.name_id, result.session.attributes) != (record.name_id, record.attributes):
+            return "fail:session-content", result.report
+        if result.redirect_url != target:
+            return "fail:relay-target", result.report
     return result.report.outcome, result.report
 
 

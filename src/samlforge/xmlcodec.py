@@ -722,61 +722,63 @@ _ASSERTION_CHILDREN = {
 def assertion_from_element(elem: XmlElement) -> Assertion:
     _open(elem, NS_ASSERTION, "Assertion", _ASSERTION_CHILDREN)
 
-    issuer = elem.require("Issuer", NS_ASSERTION)
-    subject_elem = elem.require("Subject", NS_ASSERTION)
-    name_id = subject_elem.require("NameID", NS_ASSERTION)
-    confirmation_elem = subject_elem.require("SubjectConfirmation", NS_ASSERTION)
-    data = confirmation_elem.require("SubjectConfirmationData", NS_ASSERTION)
-    confirmation = SubjectConfirmation(
-        method=_require_attr(confirmation_elem, "Method"),
-        not_on_or_after=_parse_instant(data.attr("NotOnOrAfter"), "SubjectConfirmationData@NotOnOrAfter"),
-        recipient=_require_attr(data, "Recipient"),
-    )
-    subject = Subject(
-        name_id=name_id.text or "",
-        confirmation=confirmation,
-        name_id_format=name_id.attr("Format"),
-    )
-
-    cond_elem = elem.require("Conditions", NS_ASSERTION)
-    audiences: list[EntityId] = []
-    for restriction in cond_elem.find_all("AudienceRestriction", NS_ASSERTION):
-        for audience in restriction.find_all("Audience", NS_ASSERTION):
-            if audience.text:
-                audiences.append(EntityId(audience.text))
-    conditions = Conditions(
-        not_before=_parse_instant(cond_elem.attr("NotBefore"), "Conditions@NotBefore"),
-        not_on_or_after=_parse_instant(cond_elem.attr("NotOnOrAfter"), "Conditions@NotOnOrAfter"),
-        audiences=tuple(audiences),
-    )
-
-    stmt_elem = elem.require("AuthnStatement", NS_ASSERTION)
-    locality = stmt_elem.find("SubjectLocality", NS_ASSERTION)
-    statement = AuthnStatement(
-        authn_instant=_parse_instant(stmt_elem.attr("AuthnInstant"), "AuthnStatement@AuthnInstant"),
-        session_index=_require_attr(stmt_elem, "SessionIndex"),
-        locality_address=locality.attr("Address") if locality is not None else None,
-        locality_dns=locality.attr("DNSName") if locality is not None else None,
-    )
-
-    attributes: list[Attribute] = []
-    attr_stmt = elem.find("AttributeStatement", NS_ASSERTION)
-    if attr_stmt is not None:
-        for attr_elem in attr_stmt.find_all("Attribute", NS_ASSERTION):
-            values = tuple(
-                v.text or "" for v in attr_elem.find_all("AttributeValue", NS_ASSERTION)
-            )
-            attributes.append(
-                Attribute(
-                    name=_require_attr(attr_elem, "Name"),
-                    values=values,
-                    friendly_name=attr_elem.attr("FriendlyName"),
-                    name_format=attr_elem.attr("NameFormat"),
-                )
-            )
-
-    issuer_id = _issuer_id(issuer)
+    # The model constructors reject empty values with ValueError; hostile
+    # content must fail the parse, never escape it.
     try:
+        issuer = elem.require("Issuer", NS_ASSERTION)
+        subject_elem = elem.require("Subject", NS_ASSERTION)
+        name_id = subject_elem.require("NameID", NS_ASSERTION)
+        confirmation_elem = subject_elem.require("SubjectConfirmation", NS_ASSERTION)
+        data = confirmation_elem.require("SubjectConfirmationData", NS_ASSERTION)
+        confirmation = SubjectConfirmation(
+            method=_require_attr(confirmation_elem, "Method"),
+            not_on_or_after=_parse_instant(data.attr("NotOnOrAfter"), "SubjectConfirmationData@NotOnOrAfter"),
+            recipient=_require_attr(data, "Recipient"),
+        )
+        subject = Subject(
+            name_id=name_id.text or "",
+            confirmation=confirmation,
+            name_id_format=name_id.attr("Format"),
+        )
+
+        cond_elem = elem.require("Conditions", NS_ASSERTION)
+        audiences: list[EntityId] = []
+        for restriction in cond_elem.find_all("AudienceRestriction", NS_ASSERTION):
+            for audience in restriction.find_all("Audience", NS_ASSERTION):
+                if audience.text:
+                    audiences.append(EntityId(audience.text))
+        conditions = Conditions(
+            not_before=_parse_instant(cond_elem.attr("NotBefore"), "Conditions@NotBefore"),
+            not_on_or_after=_parse_instant(cond_elem.attr("NotOnOrAfter"), "Conditions@NotOnOrAfter"),
+            audiences=tuple(audiences),
+        )
+
+        stmt_elem = elem.require("AuthnStatement", NS_ASSERTION)
+        locality = stmt_elem.find("SubjectLocality", NS_ASSERTION)
+        statement = AuthnStatement(
+            authn_instant=_parse_instant(stmt_elem.attr("AuthnInstant"), "AuthnStatement@AuthnInstant"),
+            session_index=_require_attr(stmt_elem, "SessionIndex"),
+            locality_address=locality.attr("Address") if locality is not None else None,
+            locality_dns=locality.attr("DNSName") if locality is not None else None,
+        )
+
+        attributes: list[Attribute] = []
+        attr_stmt = elem.find("AttributeStatement", NS_ASSERTION)
+        if attr_stmt is not None:
+            for attr_elem in attr_stmt.find_all("Attribute", NS_ASSERTION):
+                values = tuple(
+                    v.text or "" for v in attr_elem.find_all("AttributeValue", NS_ASSERTION)
+                )
+                attributes.append(
+                    Attribute(
+                        name=_require_attr(attr_elem, "Name"),
+                        values=values,
+                        friendly_name=attr_elem.attr("FriendlyName"),
+                        name_format=attr_elem.attr("NameFormat"),
+                    )
+                )
+
+        issuer_id = _issuer_id(issuer)
         return Assertion(
             id=_require_attr(elem, "ID"),
             issue_instant=_parse_instant(elem.attr("IssueInstant"), "Assertion@IssueInstant"),

@@ -48,7 +48,6 @@ class TestRegisterPartner:
         partner = registry.partner("mypartner:saml2.0")
         assert partner.policy.sign_assertion is True
         assert partner.policy.encrypt_assertion is True
-        assert partner.policy.default_binding == BINDING_HTTP_POST
 
     def test_idp_sample_registers_at_sp(self, sp_registry, idp_metadata_bytes):
         registry = register_partner(sp_registry, idp_metadata_bytes)
@@ -115,6 +114,20 @@ class TestRegistryPersistence:
         assert loaded.signing_alias == registry.signing_alias
         assert set(loaded.partners) == set(registry.partners)
         reloaded = loaded.partner("mypartner:saml2.0")
+        assert reloaded.policy == registry.partner("mypartner:saml2.0").policy
+
+    def test_policy_file_with_dropped_default_binding_key_loads(
+        self, tmp_path, idp_registry, sp_metadata_bytes
+    ):
+        registry = register_partner(idp_registry, sp_metadata_bytes)
+        save_registry(registry, tmp_path / "registry")
+        (policy_path,) = (tmp_path / "registry").glob("partner-*.policy")
+        text = policy_path.read_text()
+        assert "default_binding" not in text
+        policy_path.write_text(
+            text + "default_binding = urn:oasis:names:tc:SAML:2.0:bindings:HTTP-POST\n"
+        )
+        reloaded = load_registry(tmp_path / "registry").partner("mypartner:saml2.0")
         assert reloaded.policy == registry.partner("mypartner:saml2.0").policy
 
     def test_missing_directory_is_incomplete(self, tmp_path):

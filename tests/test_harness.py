@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import http.client
 import re
@@ -17,9 +18,11 @@ import pytest
 from samlforge import bindings, cryptoseal, xmlcodec
 from samlforge.harness.cli import main
 from samlforge.harness.config import build_sp_descriptor
+from samlforge.harness.faults import FAULT_STEP, FAULTS
 from samlforge.harness.scenarios import (
     BadScenario,
     CLIENT_IP,
+    FLOWS,
     SIM_EPOCH,
     SP_ENTITY,
     Scenario,
@@ -71,6 +74,30 @@ MATRIX_REPORT_SHA256 = {
     "logout-second-user": "11b338c14da150bfd92c220542a36099241533b7b87496586c352cbb2fea6f25",
 }
 
+# SHA-256 of every matrix trace event at seed 0, rendered with its digest
+# column blank: the digests hash messages signed with per-process RSA keys.
+MATRIX_TRACE_SHA256 = "3b7e2c5b0c9425402c3b39fce5a36d95fa8128ed4827e199110a4e37f7bd6100"
+
+# Each (fault, flow) pair that parse_scenarios accepts for the fault alone.
+ACCEPTED_FAULT_FLOWS = {
+    (fault, flow)
+    for fault, flows in {
+        "tamper_signature": "idp_initiated sp_initiated artifact artifact_pair",
+        "strip_signature": "idp_initiated sp_initiated artifact artifact_pair",
+        "expire_window": "idp_initiated sp_initiated",
+        "not_yet_valid": "idp_initiated sp_initiated artifact artifact_pair",
+        "wrong_audience": "idp_initiated sp_initiated artifact artifact_pair",
+        "wrong_recipient": "idp_initiated sp_initiated artifact artifact_pair",
+        "wrong_destination": "idp_initiated sp_initiated artifact artifact_pair",
+        "replay_assertion": "idp_initiated sp_initiated",
+        "wrong_locality": "idp_initiated sp_initiated artifact artifact_pair",
+        "replay_artifact": "artifact artifact_pair",
+        "single_token_of_pair": "artifact_pair",
+        "cross_pair_tokens": "artifact_pair",
+    }.items()
+    for flow in flows.split()
+}
+
 
 class TestScenarioGrammar:
     def test_matrix_file_parses(self):
@@ -108,6 +135,19 @@ class TestScenarioGrammar:
         assert expected_outcome(("wrong_locality",)) == "fail:locality"
         assert expected_outcome(("wrong_locality", "wrong_destination")) == "fail:destination"
 
+    def test_accepted_fault_flow_pairs_are_pinned(self):
+        assert len(FAULT_STEP) * len(FLOWS) == 12 * 5
+        accepted = set()
+        for fault, step in FAULT_STEP.items():
+            for flow in FLOWS:
+                text = f"[scenario x]\nflow = {flow}\nfaults = {fault}\nexpect = fail:{step}\n"
+                try:
+                    parse_scenarios(text)
+                except BadScenario:
+                    continue
+                accepted.add((fault, flow))
+        assert accepted == ACCEPTED_FAULT_FLOWS
+
 
 class TestSimulator:
     def test_full_matrix_matches(self, shared_keys):
@@ -131,6 +171,15 @@ class TestSimulator:
             for r in results
         }
         assert digests == MATRIX_REPORT_SHA256
+
+    def test_matrix_traces_are_pinned(self, shared_keys):
+        results = run_scenarios(parse_scenarios(MATRIX_FILE.read_text()), seed=0)
+        text = "".join(
+            dataclasses.replace(event, digest="").render() + "\n"
+            for result in results
+            for event in result.trace
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_TRACE_SHA256
 
     def test_same_seed_reproduces_digests(self, shared_keys):
         scenario = Scenario(name="s", flow="idp_initiated")
@@ -215,6 +264,22 @@ class TestCli:
         assert code == 2
         assert captured.err == "decode failed: MissingRequiredElement: Issuer\n"
         assert captured.out == ""
+
+    def test_decode_assertion_with_empty_nameid_exits_2(self, capsys, tmp_path, shared_keys):
+        fed = SimulatedFederation(keys=shared_keys)
+        session = fed.idp.create_session("the.user", CLIENT_IP, SIM_EPOCH)
+        form = fed.idp.idp_initiated_post(session, SP_ENTITY, SIM_EPOCH)
+        genuine = base64.b64decode(form.saml_value)
+        message = re.sub(rb"<saml:NameID>[^<]+<", b"<saml:NameID><", genuine)
+        assert message != genuine
+        capture = tmp_path / "empty-nameid.txt"
+        capture.write_bytes(
+            bindings.serialize_post_body(bindings.encode_post(message, "response", form.action_url))
+        )
+        code = main(["decode", str(capture)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "decode failed: MalformedXml: subject name_id must be non-empty\n"
 
     def test_decode_validates_against_metadata(self, capsys, tmp_path, shared_keys, corpus_dir):
         fed = SimulatedFederation(keys=shared_keys)
@@ -499,6 +564,22 @@ class TestHttpService:
             assert service.idp.session_for_user(user) is None
         assert service._logout_forms == {}
 
+    def test_post_with_empty_nameid_is_answered_400(self, live_service, shared_keys):
+        # parse runs before any signature check, so this needs no key at all
+        _, base, _ = live_service
+        fed = SimulatedFederation(keys=shared_keys)
+        session = fed.idp.create_session("the.user", CLIENT_IP, SIM_EPOCH)
+        form = fed.idp.idp_initiated_post(session, SP_ENTITY, SIM_EPOCH)
+        genuine = base64.b64decode(form.saml_value)
+        message = re.sub(rb"<saml:NameID>[^<]+<", b"<saml:NameID><", genuine)
+        assert message != genuine
+        status, _, body = _Browser().post(
+            f"{base}/acs", {bindings.FIELD_RESPONSE: base64.b64encode(message).decode()}
+        )
+        assert status == 400
+        assert "outcome fail:parse" in body
+        assert "subject name_id must be non-empty" in body
+
     def test_post_sso_with_a_response_form_is_missing_field(self, live_service):
         service, base, clock = live_service
         redirect, _ = service.sp.build_authn_request(f"{base}/app", clock["now"])
@@ -631,3 +712,18 @@ def test_readme_endpoint_table_is_the_route_table():
     rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
     listed = {route for row in rows for route in re.findall(r"`(GET|POST) (/[^`?\s]*)", row)}
     assert listed == set(_ROUTES)
+
+
+def test_readme_fault_table_is_the_fault_table():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("**Scenario files**", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, step, flows, combines = (cell.strip() for cell in line.strip("|").split("|"))
+            listed[name.strip("`")] = (
+                step.strip("`"),
+                tuple(re.findall(r"`(\w+)`", flows)),
+                combines == "yes",
+            )
+    assert listed == {name: (row.step, row.flows, row.combinable) for name, row in FAULTS.items()}

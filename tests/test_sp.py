@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import re
 import sys
 import threading
 
@@ -140,8 +141,6 @@ class TestConsumePipeline:
     def test_unauthorized_field_edits_fail_at_signature(self, shared_keys, pattern, replacement):
         # Without re-signing, every content edit must die at the signature
         # step: the digest no longer matches (or the value fails to verify).
-        import re
-
         fed = SimulatedFederation(keys=shared_keys)  # sign-only keeps XML editable
         body = issue_body(fed)
         message = bindings.decode_post(body).message
@@ -362,6 +361,60 @@ def test_deeply_nested_response_fails_at_parse(fed):
     result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
     assert result.report.failed_step == "parse"
     assert "nest deeper" in result.report.checks[-1].detail
+
+
+
+# Assertion edits that the model constructors reject: each must fail a
+# pipeline step with the model's reason instead of escaping ``consume``.
+HOSTILE_ASSERTION_EDITS = {
+    "empty-nameid": (
+        rb"<saml:NameID>[^<]+</saml:NameID>",
+        b"<saml:NameID></saml:NameID>",
+        "subject name_id must be non-empty",
+    ),
+    "empty-session-index": (
+        rb'SessionIndex="[^"]+"',
+        b'SessionIndex=""',
+        "session_index must be non-empty",
+    ),
+    "attribute-without-value": (
+        rb"<saml:AttributeValue>1234</saml:AttributeValue>",
+        b"",
+        "attribute 'clientId' must carry at least one value",
+    ),
+}
+
+
+def _edit_assertion(message: bytes, case: str) -> bytes:
+    pattern, replacement, _reason = HOSTILE_ASSERTION_EDITS[case]
+    edited = re.sub(pattern, replacement, message, count=1)
+    assert edited != message
+    return edited
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ASSERTION_EDITS))
+def test_hostile_assertion_content_fails_at_parse(shared_keys, case):
+    plain_fed = SimulatedFederation(keys=shared_keys)
+    message = _edit_assertion(bindings.decode_post(issue_body(plain_fed)).message, case)
+    result = plain_fed.sp.consume(_post(message, plain_fed), CLIENT_IP, NOW.plus(1))
+    assert result.report.failed_step == "parse"
+    assert result.report.checks[-1].detail == f"MalformedXml: {HOSTILE_ASSERTION_EDITS[case][2]}"
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ASSERTION_EDITS))
+def test_hostile_sealed_assertion_fails_at_signature(fed, shared_keys, case):
+    # Sealing takes only the SP's public certificate, so anyone can send this.
+    session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+    issued = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+    plain = cryptoseal.decrypt_assertion(issued.assertion, fed.sp.registry.encryption_alias, fed.sp.store)
+    to_sp = cryptoseal.KeyStore().with_trust_anchors(
+        EntityId(SP_ENTITY), encryption=(shared_keys["sp-encryption"].cert_der,)
+    )
+    sealed = cryptoseal.encrypt_assertion(_edit_assertion(plain, case), EntityId(SP_ENTITY), to_sp)
+    message = xmlcodec.emit_response(dataclasses.replace(issued, assertion=sealed, signature=None))
+    result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+    assert result.report.failed_step == "signature"
+    assert HOSTILE_ASSERTION_EDITS[case][2] in result.report.checks[-1].detail
 
 
 def _landing(fed, token, now=NOW):
