@@ -152,7 +152,7 @@ class AuthnStatement:
             raise ValueError("session_index must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribute:
     name: str
     values: tuple[str, ...]

@@ -7,7 +7,8 @@ line, whitespace-separated tokens::
     <user-key> <name-id> <name>=<value> [<name>=<value> ...]
 
 Repeated names accumulate into one multi-valued attribute; ``#`` starts a
-comment line. Values cannot contain whitespace.
+comment line. Values cannot contain whitespace. A user key may appear on
+one line only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import logging
 import secrets
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -107,7 +108,7 @@ class UnknownSession(SamlError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserRecord:
     name_id: str
     attributes: tuple[Attribute, ...]
@@ -128,8 +129,12 @@ class AttributeSource:
 
 
 def parse_attribute_records(text: str) -> AttributeSource:
+    """One record per user key. Every distinct name, value and name-id is
+    kept as one string object, so what many users share is stored once."""
+    lines = text.splitlines()
     records: dict[str, UserRecord] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    shared = {}.setdefault
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -137,26 +142,24 @@ def parse_attribute_records(text: str) -> AttributeSource:
         if len(tokens) < 2:
             raise ValueError(f"line {lineno}: expected '<user-key> <name-id> [name=value ...]'")
         user_key, name_id = tokens[0], tokens[1]
+        if user_key in records:
+            first = next(n for n, other in enumerate(lines, 1) if other.split()[:1] == [user_key])
+            raise ValueError(f"line {lineno}: user key {user_key!r} already given on line {first}")
         values: dict[str, list[str]] = {}
-        order: list[str] = []
         for token in tokens[2:]:
             name, sep, value = token.partition("=")
             if not sep or not name:
                 raise ValueError(f"line {lineno}: bad attribute token {token!r}")
-            if name not in values:
-                values[name] = []
-                order.append(name)
-            values[name].append(value)
+            values.setdefault(shared(name, name), []).append(shared(value, value))
+        # Fields by position (name, values, friendly name, format) and a list,
+        # not a generator: parsing is most of set-up, and both are faster.
         attributes = tuple(
-            Attribute(
-                name=name,
-                values=tuple(values[name]),
-                friendly_name=name,
-                name_format=ATTRNAME_FORMAT_BASIC,
-            )
-            for name in order
+            [
+                Attribute(name, tuple(named), name, ATTRNAME_FORMAT_BASIC)
+                for name, named in values.items()
+            ]
         )
-        records[user_key] = UserRecord(name_id, attributes)
+        records[user_key] = UserRecord(shared(name_id, name_id), attributes)
     return AttributeSource(records)
 
 
@@ -169,13 +172,15 @@ def load_attribute_source(path: str | Path) -> AttributeSource:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class IdpSession:
     session_index: str
     user_key: str
     authenticated_at: Instant
     client_ip: str
-    participating_sps: set[str] = field(default_factory=set)
+    # rebound under the engine's lock, never mutated: every session starts
+    # with the same empty set
+    participating_sps: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -357,8 +362,10 @@ class IdpEngine:
         )
         if policy.sign_assertion:
             response = self._sign_response(response)
+        sp_id = partner.entity_id.value
         with self._lock:
-            session.participating_sps.add(partner.entity_id.value)
+            if sp_id not in session.participating_sps:
+                session.participating_sps |= {sp_id}
         return response
 
     def _signing_alias(self) -> str:

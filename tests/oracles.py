@@ -7,7 +7,8 @@ The XML oracles are the straightforward forms of xmlcodec's writer,
 parser (ElementTree, then a tree walk), signature fragments, protocol
 messages and metadata (element trees), which xmlcodec replaced with
 faster equivalents. The timestamp oracle is the ``datetime`` form of
-``Instant.isoformat``.
+``Instant.isoformat``; the attribute-records oracle is the parser before it
+shared equal strings and refused a repeated user key.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ import struct
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 
-from samlforge.core import Assertion, EncryptedAssertion, Instant, Signature
+from samlforge.core import (
+    ATTRNAME_FORMAT_BASIC,
+    Assertion,
+    Attribute,
+    EncryptedAssertion,
+    Instant,
+    Signature,
+)
+from samlforge.idp import AttributeSource, UserRecord
 from samlforge.xmlcodec import (
     NS_ASSERTION,
     NS_DSIG,
@@ -179,6 +188,44 @@ def rsa_verify(message: bytes, signature: bytes, n: int, e: int) -> bool:
 
 def isoformat(instant: Instant) -> str:
     return datetime.fromtimestamp(instant.epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+# ---------------------------------------------------------------------------
+# Attribute records: the parser as it was before it shared equal strings
+# ---------------------------------------------------------------------------
+
+
+def parse_attribute_records(text: str) -> AttributeSource:
+    records: dict[str, UserRecord] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) < 2:
+            raise ValueError(f"line {lineno}: expected '<user-key> <name-id> [name=value ...]'")
+        user_key, name_id = tokens[0], tokens[1]
+        values: dict[str, list[str]] = {}
+        order: list[str] = []
+        for token in tokens[2:]:
+            name, sep, value = token.partition("=")
+            if not sep or not name:
+                raise ValueError(f"line {lineno}: bad attribute token {token!r}")
+            if name not in values:
+                values[name] = []
+                order.append(name)
+            values[name].append(value)
+        attributes = tuple(
+            Attribute(
+                name=name,
+                values=tuple(values[name]),
+                friendly_name=name,
+                name_format=ATTRNAME_FORMAT_BASIC,
+            )
+            for name in order
+        )
+        records[user_key] = UserRecord(name_id, attributes)
+    return AttributeSource(records)
 
 
 # ---------------------------------------------------------------------------

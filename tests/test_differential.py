@@ -1,6 +1,7 @@
-"""xmlcodec's writer, parser and message renderers against the reference
-implementations in ``oracles``: the same bytes or tree for every input, or
-the same exception with the same message."""
+"""xmlcodec's writer, parser and message renderers, ``Instant`` and the
+attribute-records parser against the reference implementations in
+``oracles``: the same bytes, tree or records for every input, or the same
+exception with the same message."""
 
 import copy
 from dataclasses import replace
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import oracles
-from samlforge import bindings, xmlcodec
+from samlforge import bindings, idp, xmlcodec
 from samlforge.core import (
     Assertion,
     Attribute,
@@ -771,3 +772,62 @@ _LAST_EPOCH = Instant.parse("9999-12-31T23:59:59Z").epoch
 @example(Instant.parse("2038-01-19T03:14:08Z").epoch)
 def test_instant_isoformat_matches_the_datetime_formatter(epoch):
     assert Instant(epoch).isoformat() == oracles.isoformat(Instant(epoch))
+
+
+# ---------------------------------------------------------------------------
+# parse_attribute_records
+# ---------------------------------------------------------------------------
+
+_RECORD_SPACE = st.text(st.sampled_from(" \t\xa0\u2003\u3000"), min_size=1, max_size=2)
+_RECORD_NEWLINE = st.sampled_from(["\n", "\r\n", "\r", "\u2028"])
+_FILLER_LINE = st.sampled_from(["", " \t", "# comment", "\u3000 # indented comment"])
+# few names and values, so that names repeat within a line (a=1 b=2 a=3)
+# and values, group names above all, repeat across users
+_ATTRIBUTE_TOKEN = st.builds(
+    "{}={}".format,
+    st.sampled_from(["group", "uid", "a", "b", "é"]),
+    st.sampled_from(["staff", "ops", "1", "x@y", "", "=", "a=b"]),
+)
+_BAD_TOKEN = st.sampled_from(["=v", "novalue", "="])
+
+
+@st.composite
+def _records_texts(draw):
+    """Records under distinct user keys, among blank and comment lines,
+    with any line ending and Unicode spaces; now and then a line that is
+    too short or carries a bad token."""
+    key = st.from_regex(r"[a-z][a-z0-9.#]{0,5}", fullmatch=True)
+    keys = draw(st.lists(key, unique=True, max_size=6))
+    lines = []
+    for key in keys:
+        lines += draw(st.lists(_FILLER_LINE, max_size=2))
+        name_id = draw(st.sampled_from(["x@y", "staff", f"{key}@x"]))
+        tokens = [key, name_id] + draw(st.lists(_ATTRIBUTE_TOKEN, max_size=6))
+        broken = draw(st.sampled_from([None] * 8 + ["short", "bad"]))
+        if broken == "short":
+            tokens = tokens[:1]
+        elif broken == "bad":
+            tokens.insert(draw(st.integers(2, len(tokens))), draw(_BAD_TOKEN))
+        indent = draw(st.sampled_from(["", " ", "\t\xa0"]))
+        line = "".join(token + draw(_RECORD_SPACE) for token in tokens[:-1]) + tokens[-1]
+        lines.append(indent + line + draw(st.sampled_from(["", " "])))
+    return "".join(line + draw(_RECORD_NEWLINE) for line in lines)
+
+
+def _records_outcome(parse, text):
+    try:
+        return "ok", list(parse(text).records.items())
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@given(_records_texts())
+@example("u x@y a=1 b=2 a=3\r\n  # note\r\n\r\nv staff group=staff group=ops group=staff\n")
+@example("\u3000u\tx@y\xa0uid=x@y\u2028w x@y group=staff\r")
+@example("u\n")
+@example("u x@y =v\n")
+@example("u x@y novalue\n")
+def test_records_parse_like_the_reference_parser(text):
+    assert _records_outcome(idp.parse_attribute_records, text) == _records_outcome(
+        oracles.parse_attribute_records, text
+    )

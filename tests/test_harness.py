@@ -17,7 +17,7 @@ import pytest
 
 from samlforge import bindings, cryptoseal, xmlcodec
 from samlforge.harness.cli import main
-from samlforge.harness.config import build_sp_descriptor
+from samlforge.harness.config import BadConfig, build_sp_descriptor, load_config
 from samlforge.harness.faults import FAULT_STEP, FAULTS
 from samlforge.harness.scenarios import (
     BadScenario,
@@ -459,8 +459,6 @@ sp.landing_url = {base}/app
 
 @pytest.fixture
 def live_service(tmp_path, shared_keys):
-    from samlforge.harness.config import load_config
-
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
@@ -472,6 +470,14 @@ def live_service(tmp_path, shared_keys):
     )
     with service:
         yield service, base, clock
+
+
+def test_a_repeated_user_key_is_bad_config(tmp_path, shared_keys):
+    _service_workspace(tmp_path, shared_keys, 8880)
+    records = tmp_path / "users.records"
+    records.write_text(records.read_text() + "the.user stale@mycompany.com uid=stale\n")
+    with pytest.raises(BadConfig, match="line 3: user key 'the.user' already given on line 1"):
+        HarnessService.from_config(load_config(tmp_path / "service.conf"))
 
 
 class TestHttpService:

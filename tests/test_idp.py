@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import random
 import threading
+import tracemalloc
 
 import pytest
 
@@ -82,6 +85,65 @@ class TestAttributeSource:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             parse_attribute_records("loneword\n")
+
+    def test_repeated_user_key_is_an_error(self):
+        # a stale line further down must not replace the user's record
+        text = "  u a@x a=1\n# u is taken\nv b@x a=1\nu c@x a=2\n"
+        with pytest.raises(ValueError, match=r"^line 4: user key 'u' already given on line 1$"):
+            parse_attribute_records(text)
+
+
+def _directory_export(count: int) -> str:
+    """Records shaped like a directory export: the name-id again as uid, a
+    client id and one to three of forty groups per user."""
+    rng = random.Random(count)
+    lines = []
+    for i in range(count):
+        name_id = f"user{i:05d}@mycompany.com"
+        groups = " ".join(f"group=g{rng.randrange(40)}" for _ in range(rng.randint(1, 3)))
+        lines.append(f"user{i:05d} {name_id} clientId={rng.randrange(10**6)} uid={name_id} {groups}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCompactState:
+    """Per-user and per-session state stays small: an IdP keeps one record
+    per user and one session per signed-in user."""
+
+    def test_records_keep_under_900_bytes_per_user(self):
+        users = 2000
+        text = _directory_export(users)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            source = parse_attribute_records(text)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(source.records) == users
+        assert grown / users < 900
+
+    def test_equal_strings_are_one_object(self):
+        source = parse_attribute_records(
+            "alice alice@x uid=alice@x group=staff group=ops\nbob bob@x uid=bob@x group=staff\n"
+        )
+        alice, bob = source.lookup("alice"), source.lookup("bob")
+        assert alice.attributes[0].values[0] is alice.name_id
+        assert alice.attributes[1].name is bob.attributes[1].name
+        assert alice.attributes[1].friendly_name is bob.attributes[1].name
+        assert alice.attributes[1].values[0] is bob.attributes[1].values[0]
+
+    def test_records_and_sessions_have_no_instance_dict(self, fed):
+        record = fed.source.lookup("the.user")
+        session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        for kept in (record, record.attributes[0], session):
+            assert not hasattr(kept, "__dict__")
+
+    def test_fresh_sessions_share_the_empty_participant_set(self, fed):
+        first = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        second = fed.idp.create_session("j.doe", CLIENT_IP, NOW)
+        assert first.participating_sps == frozenset()
+        assert first.participating_sps is second.participating_sps
 
 
 class TestIssueAssertion:
@@ -358,7 +420,12 @@ class TestSingleLogout:
         )
         fed.idp.register_partner(xmlcodec.emit_metadata(other_desc))
         fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        participants = session.participating_sps
+        # a repeat sign-on at the same SP leaves the participants as they are
+        fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        assert session.participating_sps is participants
         fed.idp.issue_assertion(session, "otherpartner:saml2.0", NOW)
+        assert session.participating_sps == {SP_ENTITY, "otherpartner:saml2.0"}
 
         forms = fed.idp.initiate_single_logout(session.session_index, NOW.plus(1))
         assert len(forms) == 2
