@@ -82,6 +82,10 @@ class InvalidRequestSignature(SamlError):
     """A signed protocol request whose signature ``verify_message`` rejected."""
 
 
+class SignatureRequired(InvalidRequestSignature):
+    """An unsigned protocol message from a partner that must sign it."""
+
+
 @dataclass(frozen=True)
 class KeyEntry:
     certificate: x509.Certificate

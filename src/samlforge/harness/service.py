@@ -179,7 +179,7 @@ class HarnessService:
             self._logout_forms[session_index] = list(forms)
         return self.next_logout_form(session_index)
 
-    def next_logout_form(self, session_index: str | None) -> bindings.PostForm | None:
+    def next_logout_form(self, session_index: str) -> bindings.PostForm | None:
         with self._lock:
             forms = self._logout_forms.pop(session_index, [])
             if len(forms) > 1:
@@ -409,6 +409,8 @@ def _slo_post(service: HarnessService, request: _Handler) -> _Reply:
         idp_slo = service.idp.registry.local.role.single_logout_endpoints[0].location
         return _form(bindings.encode_post(response_bytes, "response", idp_slo))
     session_index = service.idp.handle_logout_response(decoded.message, now)
+    if session_index is None:
+        return _Reply(400, "LogoutResponse answers no pending logout request\n")
     next_form = service.next_logout_form(session_index)
     if next_form is None:
         return _Reply(200, "signed out everywhere\n")

@@ -41,12 +41,11 @@ from .core import (
     TokenSource,
     new_message_id,
 )
-from .cryptoseal import InvalidRequestSignature
+from .cryptoseal import InvalidRequestSignature, SignatureRequired  # noqa: F401 - re-exported
 from .federation import (
     BEARER_GRACE_SECONDS,
     FederationRegistry,
     Partner,
-    UnknownIssuer,
     default_acs,
     register_partner,
 )
@@ -64,10 +63,6 @@ class UnknownUser(SamlError):
 
 
 class PolicyViolation(SamlError):
-    pass
-
-
-class SignatureRequired(SamlError):
     pass
 
 
@@ -263,7 +258,6 @@ class IdpEngine:
         self.request_replay = ReplayCache()
         # logout request id -> (session index, partner entity id)
         self._pending_logouts: dict[str, tuple[str, str]] = {}
-        self._terminated: set[str] = set()
 
     @property
     def entity_id(self) -> EntityId:
@@ -427,23 +421,10 @@ class IdpEngine:
             decoded = bindings.decode_post(request_input)
         if decoded.field != bindings.FIELD_REQUEST:
             raise bindings.MissingField(bindings.FIELD_REQUEST)
-        elem = xmlcodec.parse_xml(decoded.message)
-        request = xmlcodec.authn_request_from_element(elem)
-        partner = self.registry.partners.get(request.issuer.value)
-        if partner is None or not isinstance(partner.descriptor.role, SpSsoDescriptor):
-            raise UnknownIssuer(request.issuer.value)
-
-        if partner.descriptor.role.authn_requests_signed:
-            if request.signature is None:
-                raise SignatureRequired(
-                    f"{partner.entity_id} metadata promises signed requests"
-                )
-            result = cryptoseal.verify_message(
-                elem, request, partner.entity_id, partner.signing_cert_ders, self.store
-            )
-            if not result.accepted:
-                raise InvalidRequestSignature(result.reason)
-
+        request, partner = self.registry.receive(
+            decoded.message, xmlcodec.authn_request_from_element, self.store,
+            lambda sp: sp.descriptor.role.authn_requests_signed,
+        )
         expiry = request.issue_instant.plus(partner.policy.validity + BEARER_GRACE_SECONDS)
         if not self.request_replay.check_and_record(request.id, expiry, now):
             raise ReplayedRequestId(request.id)
@@ -504,8 +485,6 @@ class IdpEngine:
         with self._lock:
             session = self.sessions.get(session_index)
             if session is None:
-                if session_index in self._terminated:
-                    return []
                 raise UnknownSession(session_index)
             participants = sorted(session.participating_sps)
 
@@ -545,20 +524,20 @@ class IdpEngine:
         return forms
 
     def handle_logout_response(self, response_bytes: bytes, now: Instant) -> str | None:
-        """Count a partner's logout response toward session termination.
+        """Count an SP's logout response toward session termination.
 
         Returns the index of the session it counted toward, or ``None`` when
-        it answers no pending logout request."""
-        response = xmlcodec.parse_logout_response(response_bytes)
-        if response.issuer.value not in self.registry.partners:
-            raise UnknownIssuer(response.issuer.value)
-        if response.in_response_to is None:
-            return None
+        it answers no logout request pending at that SP (which stays pending).
+        An SP whose metadata pins a signing certificate must sign."""
+        response, sp = self.registry.receive(
+            response_bytes, xmlcodec.logout_response_from_element, self.store,
+            lambda sp: bool(sp.signing_cert_ders),
+        )
         with self._lock:
-            pending = self._pending_logouts.pop(response.in_response_to, None)
-            if pending is None:
+            session_index, sp_id = self._pending_logouts.get(response.in_response_to, ("", ""))
+            if sp_id != sp.entity_id.value:
                 return None
-            session_index, _sp_id = pending
+            del self._pending_logouts[response.in_response_to]
             if not any(s == session_index for s, _ in self._pending_logouts.values()):
                 self._end_session(session_index)
             return session_index
@@ -568,7 +547,6 @@ class IdpEngine:
         for request_id in [r for r, (s, _) in self._pending_logouts.items() if s == session_index]:
             del self._pending_logouts[request_id]
         self._drop_session(session_index)
-        self._terminated.add(session_index)
 
     def _drop_session(self, session_index: str) -> None:
         """Forget a session in both maps; the caller holds the lock."""

@@ -39,12 +39,11 @@ from .core import (
     trim_slash,
     STATUS_SUCCESS,
 )
-from .cryptoseal import InvalidRequestSignature
+from .cryptoseal import InvalidRequestSignature  # noqa: F401 - re-exported
 from .federation import (
     BEARER_GRACE_SECONDS,
     FederationRegistry,
     Partner,
-    UnknownIssuer,
     register_partner,
 )
 from .xmlcodec import (
@@ -467,19 +466,12 @@ class SpEngine:
     # -- logout --------------------------------------------------------------
 
     def handle_logout_request(self, request_bytes: bytes, now: Instant) -> bytes:
-        """Terminate matching sessions; always Success, replay is a no-op."""
-        elem = xmlcodec.parse_xml(request_bytes)
-        request = xmlcodec.logout_request_from_element(elem)
-        partner = self.registry.partners.get(request.issuer.value)
-        if partner is None:
-            raise UnknownIssuer(request.issuer.value)
-        if self._require_signed_logout():
-            if request.signature is None:
-                raise InvalidRequestSignature("logout request is unsigned but policy requires signing")
-            result = self._verify(elem, request, partner)
-            if not result.accepted:
-                raise InvalidRequestSignature(result.reason)
-
+        """Terminate matching sessions; always Success, replay is a no-op.
+        An SP that insists on signed assertions also insists on signed logout."""
+        request, _idp = self.registry.receive(
+            request_bytes, xmlcodec.logout_request_from_element, self.store,
+            lambda idp: self.local_role.want_assertions_signed,
+        )
         with self._lock:
             removed = self.sessions.pop(request.session_index, [])
         if removed:
@@ -498,10 +490,6 @@ class SpEngine:
                 response, xmlcodec.emit_logout_response, self.registry.signing_alias, self.store
             )
         return xmlcodec.emit_logout_response(response)
-
-    def _require_signed_logout(self) -> bool:
-        # An SP that insists on signed assertions also insists on signed logout.
-        return self.local_role.want_assertions_signed
 
     def live_sessions(self, session_index: str | None = None) -> tuple[SsoSession, ...]:
         with self._lock:

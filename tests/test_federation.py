@@ -1,7 +1,10 @@
+import ast
 import logging
+from pathlib import Path
 
 import pytest
 
+from samlforge import federation
 from samlforge.core import EntityId
 from samlforge.federation import (
     FederationRegistry,
@@ -147,3 +150,75 @@ def test_entity_id_helper(idp_registry, sp_metadata_bytes):
     assert EntityId("mypartner:saml2.0").value in registry.partners
     assert "absent" not in registry.partners
     assert registry.idp_partners() == ()
+
+
+# Engine methods that may check a sender themselves; every other inbound
+# message goes through FederationRegistry.receive.
+OWN_SENDER_CHECKS = {
+    ("SpEngine", "_issuer"),  # the consume pipeline's issuer step
+    ("SpEngine", "_signature"),  # its signature step, which verifies through _verify
+    ("SpEngine", "_verify"),
+    # The one known exception: the artifact back channel. Its ArtifactResolve
+    # is unsigned, so its sender is not authenticated yet (ROADMAP item 1).
+    ("IdpEngine", "resolve_artifact"),
+}
+
+
+def _names_issuer(node: ast.AST) -> bool:
+    return any(
+        (isinstance(n, ast.Attribute) and n.attr == "issuer")
+        or (isinstance(n, ast.Name) and "issuer" in n.id)
+        for n in ast.walk(node)
+    )
+
+
+def _is_partners(node: ast.AST) -> bool:
+    """``<x>.registry.partners`` or ``<x>.registry.partner``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("partners", "partner")
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "registry"
+    )
+
+
+def _checks_a_sender(method: ast.FunctionDef) -> bool:
+    """Whether ``method`` verifies a signature or looks a message's issuer
+    up in the registry's partners."""
+    for node in ast.walk(method):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if name in ("verify_message", "_verify"):
+                return True
+            lookup = _is_partners(node.func) or (
+                isinstance(node.func, ast.Attribute) and _is_partners(node.func.value)
+            )
+            if lookup and any(_names_issuer(arg) for arg in node.args):
+                return True
+        elif isinstance(node, ast.Subscript) and _is_partners(node.value):
+            if _names_issuer(node.slice):
+                return True
+        elif isinstance(node, ast.Compare) and any(map(_is_partners, node.comparators)):
+            if _names_issuer(node.left):
+                return True
+    return False
+
+
+def engine_sender_checks(source_dir: Path) -> set[tuple[str, str]]:
+    """(class, method) of each engine method in idp.py and sp.py that checks
+    a sender itself."""
+    found = set()
+    for module in ("idp.py", "sp.py"):
+        tree = ast.parse((source_dir / module).read_text(encoding="utf-8"))
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for method in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                if _checks_a_sender(method):
+                    found.add((cls.name, method.name))
+    return found
+
+
+def test_engines_receive_through_the_registry():
+    found = engine_sender_checks(Path(federation.__file__).parent)
+    assert found - OWN_SENDER_CHECKS == set()
+    # the scan does see the checks it allows
+    assert {("SpEngine", "_issuer"), ("SpEngine", "_verify")} <= found

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from samlforge import bindings, cryptoseal, xmlcodec
+from samlforge.core import STATUS_SUCCESS, LogoutResponse, new_message_id
+from samlforge.federation import FederationRegistry, register_partner
 from samlforge.harness.cli import main
 from samlforge.harness.config import BadConfig, build_sp_descriptor, load_config
 from samlforge.harness.faults import FAULT_STEP, FAULTS
@@ -33,6 +35,7 @@ from samlforge.harness.scenarios import (
     run_scenarios,
 )
 from samlforge.harness.service import _ROUTES, HarnessService
+from samlforge.sp import SpEngine
 
 MATRIX_FILE = Path(__file__).parent.parent / "scripts" / "matrix.scenarios"
 README = Path(__file__).parent.parent / "README.md"
@@ -391,18 +394,25 @@ class _Browser:
         except urllib.error.HTTPError as error:
             return error.code, error.headers.get("Location"), error.read().decode()
 
-    def submit_form(self, page):
+    @staticmethod
+    def form(page):
+        """The action and fields of the form on ``page``."""
         action = unescape(re.search(r'action="([^"]+)"', page).group(1))
         fields = {
             unescape(m.group(1)): unescape(m.group(2))
             for m in re.finditer(r'name="([^"]+)" value="([^"]+)"', page)
         }
-        return self.post(action, fields)
+        return action, fields
+
+    def submit_form(self, page):
+        return self.post(*self.form(page))
 
 
-def _follow_logout(browser, page):
+def _follow_logout(browser, page, elsewhere):
     """Submit logout forms until a page carries none; returns that page and
-    the SessionIndex of each LogoutRequest submitted on the way."""
+    the SessionIndex of each LogoutRequest submitted on the way. A form whose
+    action is a key of ``elsewhere`` goes to that function instead, which
+    takes the form's fields and returns the page the site there would."""
     indexes = []
     for _ in range(10):
         if "<form" not in page:
@@ -412,7 +422,11 @@ def _follow_logout(browser, page):
             message = base64.b64decode(unescape(request.group(1)))
             parsed = xmlcodec.logout_request_from_element(xmlcodec.parse_xml(message))
             indexes.append(parsed.session_index)
-        _, _, page = browser.submit_form(page)
+        action, fields = browser.form(page)
+        if action in elsewhere:
+            page = elsewhere[action](fields)
+        else:
+            _, _, page = browser.post(action, fields)
     raise AssertionError(f"logout did not end: {page}")
 
 
@@ -550,10 +564,28 @@ class TestHttpService:
     @pytest.mark.parametrize(
         "order", [("the.user", "j.doe"), ("j.doe", "the.user")], ids=["A-ends-first", "B-ends-first"]
     )
-    def test_single_logout_forms_are_kept_per_session(self, live_service, shared_keys, order):
-        service, base, _ = live_service
-        other_sp = build_sp_descriptor("second:sp", base, shared_keys["sp-signing"].cert_b64, None)
+    def test_single_logout_forms_are_kept_per_session(self, live_service, rogue_key, order):
+        service, base, clock = live_service
+        # second:sp is a real second SP engine with a key of its own, at an
+        # address the service does not host
+        other_sp = build_sp_descriptor("second:sp", "https://second.sp.test", rogue_key.cert_b64)
+        second = SpEngine(
+            register_partner(
+                FederationRegistry(local=other_sp, signing_alias="second-signing"),
+                xmlcodec.emit_metadata(service.idp.registry.local),
+            ),
+            cryptoseal.make_keystore({"second-signing": rogue_key}),
+            landing_url="https://second.sp.test/app",
+        )
         service.idp.register_partner(xmlcodec.emit_metadata(other_sp))
+        idp_slo = service.idp.registry.local.role.single_logout_endpoints[0].location
+
+        def second_slo(fields):
+            """second:sp answers its LogoutRequest with a form back to the IdP."""
+            message = base64.b64decode(fields[bindings.FIELD_REQUEST])
+            answer = second.handle_logout_request(message, clock["now"])
+            return bindings.render_post_html(bindings.encode_post(answer, "response", idp_slo))
+
         browsers = {"the.user": _Browser(), "j.doe": _Browser()}
         for user, browser in browsers.items():
             for partner in ("mypartner:saml2.0", "second:sp"):
@@ -564,11 +596,29 @@ class TestHttpService:
         pages = {user: b.get(f"{base}/slo?user={user}")[2] for user, b in browsers.items()}
         # each user's LogoutResponse is answered with that user's next form
         for user in order:
-            final, indexes = _follow_logout(browsers[user], pages[user])
+            final, indexes = _follow_logout(
+                browsers[user], pages[user], {"https://second.sp.test/slo": second_slo}
+            )
             assert "signed out everywhere" in final
             assert indexes == [index[user]] * 2
             assert service.idp.session_for_user(user) is None
         assert service._logout_forms == {}
+
+    def test_logout_response_answering_nothing_is_answered_400(self, live_service):
+        service, base, clock = live_service
+        answer = LogoutResponse(
+            id=new_message_id(),
+            issue_instant=clock["now"],
+            issuer=service.sp.entity_id,
+            status=STATUS_SUCCESS,
+            in_response_to="_never_sent",
+        )
+        signed = cryptoseal.sign_message(
+            answer, xmlcodec.emit_logout_response, service.sp.registry.signing_alias, service.sp.store
+        )
+        message = base64.b64encode(xmlcodec.emit_logout_response(signed)).decode()
+        status, _, body = _Browser().post(f"{base}/slo", {bindings.FIELD_RESPONSE: message})
+        assert (status, body) == (400, "LogoutResponse answers no pending logout request\n")
 
     def test_post_with_empty_nameid_is_answered_400(self, live_service, shared_keys):
         # parse runs before any signature check, so this needs no key at all

@@ -6,8 +6,15 @@ import tracemalloc
 
 import pytest
 
-from samlforge import bindings, xmlcodec
-from samlforge.core import EncryptedAssertion, EntityId, new_message_id
+from samlforge import bindings, cryptoseal, xmlcodec
+from samlforge.core import (
+    STATUS_SUCCESS,
+    AuthnRequest,
+    EncryptedAssertion,
+    EntityId,
+    LogoutResponse,
+    new_message_id,
+)
 from samlforge.cryptoseal import decrypt_assertion
 from samlforge.federation import UnknownIssuer
 from samlforge.harness.config import build_sp_descriptor
@@ -15,6 +22,7 @@ from samlforge.harness.scenarios import (
     CLIENT_IP,
     IDP_BASE,
     SIM_EPOCH,
+    SP_BASE,
     SP_ENTITY,
     SimulatedFederation,
 )
@@ -53,6 +61,12 @@ def _resolve(fed, now, *values):
     """Resolve artifact values the one way there is: an ArtifactResolve."""
     request = xmlcodec.emit_artifact_resolve(new_message_id(), now, EntityId(SP_ENTITY), values)
     return fed.idp.resolve_artifact(request, now)
+
+
+def _signed_by(key, message, emit) -> bytes:
+    """``message`` signed with ``key``, as wire bytes."""
+    store = cryptoseal.make_keystore({"k": key})
+    return emit(cryptoseal.sign_message(message, emit, "k", store))
 
 
 def _post_body(message: bytes) -> bytes:
@@ -274,6 +288,25 @@ class TestHandleAuthnRequest:
             fed.idp.handle_authn_request(body, session, NOW)
 
 
+    def test_bad_signature_rejected_when_signing_is_not_promised(self, fed, session, rogue_key):
+        sp_desc = build_sp_descriptor(
+            SP_ENTITY,
+            SP_BASE,
+            fed.keys["sp-signing"].cert_b64,
+            fed.keys["sp-encryption"].cert_b64,
+            authn_requests_signed=False,
+        )
+        fed.idp.register_partner(xmlcodec.emit_metadata(sp_desc))
+        request = AuthnRequest(
+            id=new_message_id(),
+            issue_instant=NOW,
+            issuer=EntityId(SP_ENTITY),
+            acs_url="https://sp.internal.test/acs",
+        )
+        body = _post_body(_signed_by(rogue_key, request, xmlcodec.emit_authn_request))
+        with pytest.raises(InvalidRequestSignature):
+            fed.idp.handle_authn_request(body, session, NOW)
+
     def test_signed_redirect_request_is_parsed_once(self, fed, session, monkeypatch):
         redirect, _ = fed.sp.build_authn_request("https://sp.internal.test/app", NOW)
         parsed: list[bytes] = []
@@ -438,8 +471,9 @@ class TestSingleLogout:
         session = fed.idp.create_session("j.doe", CLIENT_IP, NOW)
         assert fed.idp.initiate_single_logout(session.session_index, NOW) == []
         assert session.session_index not in fed.idp.sessions
-        # idempotent for the already-terminated session
-        assert fed.idp.initiate_single_logout(session.session_index, NOW) == []
+        # an ended session is unknown, like one that never existed
+        with pytest.raises(UnknownSession):
+            fed.idp.initiate_single_logout(session.session_index, NOW)
 
     def test_session_for_user_is_the_oldest_live_one(self, fed):
         assert fed.idp.session_for_user("the.user") is None
@@ -476,6 +510,48 @@ class TestSingleLogout:
         assert session.session_index not in fed.idp.sessions
         # a response already counted counts toward no session
         assert fed.idp.handle_logout_response(response_bytes, NOW.plus(4)) is None
+
+    @staticmethod
+    def _logout_request(fed, session):
+        """Start logout of a session held at SP_ENTITY; its one LogoutRequest."""
+        fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        (form,) = fed.idp.initiate_single_logout(session.session_index, NOW.plus(1))
+        return bindings.decode_post(bindings.serialize_post_body(form)).message
+
+    @staticmethod
+    def _answer(issuer, message):
+        request = xmlcodec.logout_request_from_element(xmlcodec.parse_xml(message))
+        return LogoutResponse(
+            id=new_message_id(),
+            issue_instant=NOW.plus(2),
+            issuer=EntityId(issuer),
+            status=STATUS_SUCCESS,
+            in_response_to=request.id,
+        )
+
+    def test_unsigned_response_in_a_signing_sps_name_is_refused(self, fed, session):
+        message = self._logout_request(fed, session)
+        forged = xmlcodec.emit_logout_response(self._answer(SP_ENTITY, message))
+        with pytest.raises(SignatureRequired):
+            fed.idp.handle_logout_response(forged, NOW.plus(2))
+        assert session.session_index in fed.idp.sessions
+        genuine = fed.sp.handle_logout_request(message, NOW.plus(3))
+        assert fed.idp.handle_logout_response(genuine, NOW.plus(4)) == session.session_index
+        assert session.session_index not in fed.idp.sessions
+
+    def test_signed_response_from_another_sp_is_not_counted(self, fed, session, rogue_key):
+        other = build_sp_descriptor("otherpartner:saml2.0", "https://other.internal.test",
+                                    rogue_key.cert_b64)
+        fed.idp.register_partner(xmlcodec.emit_metadata(other))
+        message = self._logout_request(fed, session)
+        answer = self._answer("otherpartner:saml2.0", message)
+        wrong_sp = _signed_by(rogue_key, answer, xmlcodec.emit_logout_response)
+        assert fed.idp.handle_logout_response(wrong_sp, NOW.plus(2)) is None
+        assert session.session_index in fed.idp.sessions
+        # the request is still pending: the SP it went to still ends the session
+        genuine = fed.sp.handle_logout_request(message, NOW.plus(3))
+        assert fed.idp.handle_logout_response(genuine, NOW.plus(4)) == session.session_index
+        assert session.session_index not in fed.idp.sessions
 
 
 def decrypt_and_parse(fed, response):

@@ -541,6 +541,28 @@ class TestLogoutEndpoint:
         with pytest.raises(UnknownIssuer):
             fed.sp.handle_logout_request(xmlcodec.emit_logout_request(request), NOW)
 
+    def test_signed_request_from_a_service_provider_is_refused(self, fed, rogue_key):
+        from samlforge.core import LogoutRequest, new_message_id
+        from samlforge.federation import UnknownIssuer
+        from samlforge.harness.config import build_sp_descriptor
+
+        result = fed.sp.consume(issue_body(fed), CLIENT_IP, NOW.plus(1))
+        session_index = result.session.session_index
+        peer = build_sp_descriptor("peer:sp", "https://peer.internal.test", rogue_key.cert_b64)
+        fed.sp.register_partner(xmlcodec.emit_metadata(peer))
+        request = LogoutRequest(
+            id=new_message_id(),
+            issue_instant=NOW.plus(2),
+            issuer=EntityId("peer:sp"),
+            name_id=result.session.name_id,
+            session_index=session_index,
+        )
+        store = cryptoseal.make_keystore({"peer": rogue_key})
+        signed = cryptoseal.sign_message(request, xmlcodec.emit_logout_request, "peer", store)
+        with pytest.raises(UnknownIssuer):
+            fed.sp.handle_logout_request(xmlcodec.emit_logout_request(signed), NOW.plus(3))
+        assert fed.sp.live_sessions(session_index) != ()
+
     def test_signed_request_is_parsed_once(self, fed, monkeypatch):
         result = fed.sp.consume(issue_body(fed), CLIENT_IP, NOW.plus(1))
         forms = fed.idp.initiate_single_logout(result.session.session_index, NOW.plus(2))
