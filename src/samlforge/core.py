@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import islice
 from typing import Callable
 
 BEARER_METHOD = "urn:oasis:names:tc:SAML:2.0:cm:bearer"
@@ -340,15 +341,22 @@ _ABSENT = (None, None)  # the (expiry, value) of a key an ExpiringMap does not h
 class ExpiringMap:
     """Keyed entries with expiry instants, under one lock. Every write first
     evicts each entry whose expiry is at or before its ``now`` (which may go
-    backwards); reads neither evict nor check expiry. A min-heap gets one
-    ``(expiry, key)`` per write, so eviction pops only what has expired; an
-    item whose key was since taken or rewritten is skipped. Expiries are
-    held as epoch seconds, not ``Instant`` objects: an int per live entry,
-    compared in C. Values are never compared."""
+    backwards); reads neither evict nor check expiry.
+
+    Expiries are bucketed by epoch second: a min-heap holds each distinct
+    expiry second once, and its bucket lists the keys written with it, so
+    eviction pops only whole expired seconds and no heap step compares
+    keys. A key listed in a bucket that was since taken or rewritten with
+    another expiry is skipped. A key maps to an ``(expiry, value)`` entry
+    that is shared by consecutive keys of a bucket stored with the same
+    value object (every ID of a replay cache shares one), so a live key
+    costs a dict slot and a list slot. Values are never compared."""
 
     def __init__(self) -> None:
         self._entries: dict = {}  # key -> (expiry epoch, value)
-        self._expiries: list = []  # heap of (expiry epoch, key)
+        # expiry epoch -> [the bucket's latest entry, key, key, ...]
+        self._buckets: dict = {}
+        self._expiries: list = []  # heap of the buckets' expiry epochs
         self._lock = threading.Lock()
 
     def put_if_absent(self, key, value, expiry: Instant, now: Instant) -> bool:
@@ -389,16 +397,27 @@ class ExpiringMap:
     # The caller holds the lock.
 
     def _store(self, key, value, expiry: Instant) -> None:
-        self._entries[key] = (expiry.epoch, value)
-        heapq.heappush(self._expiries, (expiry.epoch, key))
+        epoch = expiry.epoch
+        bucket = self._buckets.get(epoch)
+        if bucket is None:
+            entry = (epoch, value)
+            self._buckets[epoch] = [entry, key]
+            heapq.heappush(self._expiries, epoch)
+        else:
+            entry = bucket[0]
+            if entry[1] is not value:
+                entry = bucket[0] = (epoch, value)
+            bucket.append(key)
+        self._entries[key] = entry
 
     def _evict(self, now: Instant) -> None:
-        expiries, entries, now = self._expiries, self._entries, now.epoch
-        while expiries and expiries[0][0] <= now:
-            _, key = heapq.heappop(expiries)
-            entry = entries.get(key)
-            if entry is not None and entry[0] <= now:
-                del entries[key]
+        expiries, buckets, entries, now = self._expiries, self._buckets, self._entries, now.epoch
+        while expiries and expiries[0] <= now:
+            bucket = buckets.pop(heapq.heappop(expiries))
+            for key in islice(bucket, 1, None):
+                entry = entries.get(key)
+                if entry is not None and entry[0] <= now:
+                    del entries[key]
 
 
 class ReplayCache(ExpiringMap):

@@ -205,14 +205,17 @@ class ArtifactStore(ExpiringMap):
                 entry = ArtifactEntry(response_bytes, issued_at, partner, pair_handle=pair_handle)
                 self._store(handle, entry, expiry)
 
-    def consume(self, handles: tuple[bytes, ...], now: Instant) -> bytes:
-        """Atomically consume one entry (or one linked pair)."""
+    def consume(self, handles: tuple[bytes, ...], requester: str, now: Instant) -> bytes:
+        """Atomically consume one entry (or one linked pair) issued to
+        ``requester``; to anyone else an entry is unknown, and stays
+        resolvable for its partner."""
         with self._lock:
             entries = []
             for handle in handles:
-                if handle not in self._entries:
+                held = self._entries.get(handle)
+                if held is None or held[1].partner != requester:
                     raise UnknownArtifact(handle.hex())
-                entries.append(self._entries[handle][1])
+                entries.append(held[1])
             links = [entry.pair_handle for entry in entries]
             if len(handles) == 1 and links[0] is not None:
                 raise IncompletePair("this artifact is half of a pair; both values are required")
@@ -256,8 +259,10 @@ class IdpEngine:
         self._first_sessions: dict[str, IdpSession] = {}
         self.artifacts = ArtifactStore()
         self.request_replay = ReplayCache()
-        # logout request id -> (session index, partner entity id)
-        self._pending_logouts: dict[str, tuple[str, str]] = {}
+        # session index -> {pending logout request id: partner entity id}
+        self._logout_rounds: dict[str, dict[str, str]] = {}
+        # pending logout request id -> session index
+        self._pending_logouts: dict[str, str] = {}
 
     @property
     def entity_id(self) -> EntityId:
@@ -464,8 +469,9 @@ class IdpEngine:
 
     def resolve_artifact(self, request_bytes: bytes, now: Instant) -> bytes:
         """Resolve an ArtifactResolve (one artifact or a pair) to the stored
-        response, exactly once."""
-        _issuer, values = xmlcodec.parse_artifact_resolve(request_bytes)
+        response, exactly once, for the SP it was issued to. The request is
+        unsigned, so its issuer is taken as given."""
+        issuer, values = xmlcodec.parse_artifact_resolve(request_bytes)
         if len(values) > 2:
             raise MismatchedPair("at most two artifact values are accepted")
         artifacts = [bindings.parse_artifact(v) for v in values]
@@ -473,7 +479,8 @@ class IdpEngine:
         for artifact in artifacts:
             if artifact.source_id != local_source:
                 raise WrongSourceId("artifact was not issued by this entity")
-        return self.artifacts.consume(tuple(a.message_handle for a in artifacts), now)
+        handles = tuple(a.message_handle for a in artifacts)
+        return self.artifacts.consume(handles, issuer.value, now)
 
     # -- single logout -----------------------------------------------------------
 
@@ -481,7 +488,9 @@ class IdpEngine:
         self, session_index: str, now: Instant
     ) -> list[bindings.PostForm]:
         """One LogoutRequest per participating SP; the session is removed
-        once every response has arrived (or immediately when no SP holds it)."""
+        once every response has arrived (or immediately when no SP holds it).
+        A new round replaces the session's earlier one, whose requests then
+        count toward nothing."""
         with self._lock:
             session = self.sessions.get(session_index)
             if session is None:
@@ -517,10 +526,12 @@ class IdpEngine:
             issued.append((request.id, sp_id))
 
         with self._lock:
-            for request_id, sp_id in issued:
-                self._pending_logouts[request_id] = (session_index, sp_id)
-            if not issued:
-                self._end_session(session_index)
+            self._drop_logout_round(session_index)
+            if issued:
+                self._logout_rounds[session_index] = dict(issued)
+                self._pending_logouts.update((r, session_index) for r, _ in issued)
+            else:
+                self._drop_session(session_index)
         return forms
 
     def handle_logout_response(self, response_bytes: bytes, now: Instant) -> str | None:
@@ -533,20 +544,26 @@ class IdpEngine:
             response_bytes, xmlcodec.logout_response_from_element, self.store,
             lambda sp: bool(sp.signing_cert_ders),
         )
+        request_id = response.in_response_to
         with self._lock:
-            session_index, sp_id = self._pending_logouts.get(response.in_response_to, ("", ""))
-            if sp_id != sp.entity_id.value:
+            session_index = self._pending_logouts.get(request_id)
+            pending = self._logout_rounds.get(session_index, {})
+            if pending.get(request_id) != sp.entity_id.value:
                 return None
-            del self._pending_logouts[response.in_response_to]
-            if not any(s == session_index for s, _ in self._pending_logouts.values()):
+            del pending[request_id], self._pending_logouts[request_id]
+            if not pending:
                 self._end_session(session_index)
             return session_index
 
     def _end_session(self, session_index: str) -> None:
         """End the session and drop its pending logouts; the caller holds the lock."""
-        for request_id in [r for r, (s, _) in self._pending_logouts.items() if s == session_index]:
-            del self._pending_logouts[request_id]
+        self._drop_logout_round(session_index)
         self._drop_session(session_index)
+
+    def _drop_logout_round(self, session_index: str) -> None:
+        """Forget the session's pending logout requests; the caller holds the lock."""
+        for request_id in self._logout_rounds.pop(session_index, ()):
+            del self._pending_logouts[request_id]
 
     def _drop_session(self, session_index: str) -> None:
         """Forget a session in both maps; the caller holds the lock."""

@@ -1,5 +1,7 @@
+import gc
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from samlforge.core import (
     ExpiringMap,
     Instant,
     Outcome,
+    ReplayCache,
     Subject,
     SubjectConfirmation,
     UnsupportedConfirmationMethod,
@@ -181,6 +184,7 @@ def test_subject_and_statement_invariants():
 
 _KEYS = st.sampled_from("abcd")
 _INSTANTS = st.integers(0, 40).map(Instant)
+_NARROW = st.integers(20, 22).map(Instant)  # so that many keys share an expiry second
 
 
 class ExpiringMapMachine(RuleBasedStateMachine):
@@ -198,20 +202,29 @@ class ExpiringMapMachine(RuleBasedStateMachine):
             del self.model[key]
 
     @rule(key=_KEYS, expiry=_INSTANTS, now=_INSTANTS)
-    def put_if_absent(self, key, expiry, now):
+    def put_if_absent(self, key, expiry, now, value=None):
         self._evict(now)
-        value = object()
+        value = value or object()
         fresh = key not in self.model
         if fresh:
             self.model[key] = (expiry, value)
         assert self.store.put_if_absent(key, value, expiry, now) == fresh
 
     @rule(key=_KEYS, expiry=_INSTANTS, now=_INSTANTS)
-    def put(self, key, expiry, now):
+    def put(self, key, expiry, now, value=None):
         self._evict(now)
-        value = object()
+        value = value or object()
         self.model[key] = (expiry, value)
         self.store.put(key, value, expiry, now)
+
+    @rule(writes=st.lists(st.tuples(_KEYS, _NARROW, st.booleans()), min_size=2, max_size=6),
+          now=_INSTANTS)
+    def put_shared(self, writes, now):
+        """One value object under several keys, as a replay cache stores
+        ``True``; with narrow expiries its buckets also hold other values."""
+        value = object()
+        for key, expiry, if_absent in writes:
+            (self.put_if_absent if if_absent else self.put)(key, expiry, now, value)
 
     @rule(key=_KEYS)
     def take(self, key):
@@ -238,9 +251,28 @@ class ExpiringMapMachine(RuleBasedStateMachine):
         assert len(self.store) == len(self.model)
         for key in "abcd":
             assert (key in self.store) == (key in self.model)
+            assert self.store.get(key) is self.model.get(key, (None, None))[1]
 
 
 TestExpiringMapModel = ExpiringMapMachine.TestCase
+
+
+def test_replay_cache_holds_a_live_id_in_under_64_bytes():
+    """10,000 live IDs arriving 100 per second; the IDs themselves are not counted."""
+    ids = [f"_{n:040x}" for n in range(10_000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = ReplayCache()
+        for n, message_id in enumerate(ids):
+            now = Instant(1_240_000_000 + n // 100)
+            assert cache.check_and_record(message_id, now.plus(900), now)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == len(ids)
+    assert grown / len(ids) <= 64
 
 
 def test_expiring_map_admits_and_takes_each_key_once_across_threads():

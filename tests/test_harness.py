@@ -561,6 +561,19 @@ class TestHttpService:
         assert "signed out everywhere" in final
         assert service.sp.live_sessions() == ()
 
+    def test_logout_started_twice_ends_with_the_second_round(self, live_service):
+        service, base, clock = live_service
+        browser = _Browser()
+        _, _, page = browser.get(f"{base}/sso?user=the.user&partner=mypartner:saml2.0")
+        clock["now"] = clock["now"].plus(1)
+        browser.submit_form(page)
+        browser.get(f"{base}/slo?user=the.user")
+        _, _, logout_page = browser.get(f"{base}/slo?user=the.user")
+        final, _ = _follow_logout(browser, logout_page, {})
+        assert "signed out everywhere" in final
+        assert service.idp.session_for_user("the.user") is None
+        assert service.idp._pending_logouts == {}
+
     @pytest.mark.parametrize(
         "order", [("the.user", "j.doe"), ("j.doe", "the.user")], ids=["A-ends-first", "B-ends-first"]
     )

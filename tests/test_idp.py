@@ -57,9 +57,9 @@ def session(fed):
     return fed.idp.create_session("the.user", CLIENT_IP, NOW)
 
 
-def _resolve(fed, now, *values):
+def _resolve(fed, now, *values, issuer=SP_ENTITY):
     """Resolve artifact values the one way there is: an ArtifactResolve."""
-    request = xmlcodec.emit_artifact_resolve(new_message_id(), now, EntityId(SP_ENTITY), values)
+    request = xmlcodec.emit_artifact_resolve(new_message_id(), now, EntityId(issuer), values)
     return fed.idp.resolve_artifact(request, now)
 
 
@@ -394,6 +394,24 @@ class TestArtifacts:
         with pytest.raises(AlreadyConsumed):
             _resolve(fed, NOW.plus(2), first.encode(), second.encode())
 
+    @pytest.mark.parametrize("pair", [False, True], ids=["one", "pair"])
+    def test_only_the_sp_it_was_issued_to_resolves(self, shared_keys, fed, session, pair):
+        other = build_sp_descriptor("otherpartner:saml2.0", "https://other.internal.test",
+                                    shared_keys["sp-signing"].cert_b64)
+        fed.idp.register_partner(xmlcodec.emit_metadata(other))
+        response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        if pair:
+            artifacts = fed.idp.issue_artifact_pair(response, SP_ENTITY)
+        else:
+            artifacts = (fed.idp.issue_artifact(response, SP_ENTITY),)
+        values = [a.encode() for a in artifacts]
+        # an unregistered requester and another registered SP learn nothing,
+        # and neither burns the artifact for the SP it was issued to
+        for requester in ("someone:else", "otherpartner:saml2.0"):
+            with pytest.raises(UnknownArtifact):
+                _resolve(fed, NOW.plus(1), *values, issuer=requester)
+        assert _resolve(fed, NOW.plus(2), *values) == xmlcodec.emit_response(response)
+
     def test_concurrent_resolution_is_exactly_once(self, fed, session):
         response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
         artifact = fed.idp.issue_artifact(response, SP_ENTITY)
@@ -552,6 +570,20 @@ class TestSingleLogout:
         genuine = fed.sp.handle_logout_request(message, NOW.plus(3))
         assert fed.idp.handle_logout_response(genuine, NOW.plus(4)) == session.session_index
         assert session.session_index not in fed.idp.sessions
+
+    def test_a_new_round_replaces_the_last(self, fed, session):
+        first = self._logout_request(fed, session)
+        (form,) = fed.idp.initiate_single_logout(session.session_index, NOW.plus(2))
+        second = bindings.decode_post(bindings.serialize_post_body(form)).message
+        old = fed.sp.handle_logout_request(first, NOW.plus(3))
+        new = fed.sp.handle_logout_request(second, NOW.plus(3))
+        assert fed.idp.handle_logout_response(old, NOW.plus(4)) is None
+        assert session.session_index in fed.idp.sessions
+        assert fed.idp.handle_logout_response(new, NOW.plus(4)) == session.session_index
+        assert session.session_index not in fed.idp.sessions
+        assert fed.idp._pending_logouts == {} and fed.idp._logout_rounds == {}
+        # a later answer to the first round counts toward nothing
+        assert fed.idp.handle_logout_response(old, NOW.plus(5)) is None
 
 
 def decrypt_and_parse(fed, response):
