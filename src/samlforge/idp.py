@@ -259,10 +259,8 @@ class IdpEngine:
         self._first_sessions: dict[str, IdpSession] = {}
         self.artifacts = ArtifactStore()
         self.request_replay = ReplayCache()
-        # session index -> {pending logout request id: partner entity id}
-        self._logout_rounds: dict[str, dict[str, str]] = {}
-        # pending logout request id -> session index
-        self._pending_logouts: dict[str, str] = {}
+        # logout request id -> (session index, partner entity id)
+        self._pending_logouts: dict[str, tuple[str, str]] = {}
 
     @property
     def entity_id(self) -> EntityId:
@@ -526,11 +524,10 @@ class IdpEngine:
             issued.append((request.id, sp_id))
 
         with self._lock:
-            self._drop_logout_round(session_index)
-            if issued:
-                self._logout_rounds[session_index] = dict(issued)
-                self._pending_logouts.update((r, session_index) for r, _ in issued)
-            else:
+            self._drop_pending_logouts(session_index)
+            for request_id, sp_id in issued:
+                self._pending_logouts[request_id] = (session_index, sp_id)
+            if not issued:
                 self._drop_session(session_index)
         return forms
 
@@ -544,25 +541,23 @@ class IdpEngine:
             response_bytes, xmlcodec.logout_response_from_element, self.store,
             lambda sp: bool(sp.signing_cert_ders),
         )
-        request_id = response.in_response_to
         with self._lock:
-            session_index = self._pending_logouts.get(request_id)
-            pending = self._logout_rounds.get(session_index, {})
-            if pending.get(request_id) != sp.entity_id.value:
+            session_index, sp_id = self._pending_logouts.get(response.in_response_to, ("", ""))
+            if sp_id != sp.entity_id.value:
                 return None
-            del pending[request_id], self._pending_logouts[request_id]
-            if not pending:
+            del self._pending_logouts[response.in_response_to]
+            if not any(s == session_index for s, _ in self._pending_logouts.values()):
                 self._end_session(session_index)
             return session_index
 
     def _end_session(self, session_index: str) -> None:
         """End the session and drop its pending logouts; the caller holds the lock."""
-        self._drop_logout_round(session_index)
+        self._drop_pending_logouts(session_index)
         self._drop_session(session_index)
 
-    def _drop_logout_round(self, session_index: str) -> None:
+    def _drop_pending_logouts(self, session_index: str) -> None:
         """Forget the session's pending logout requests; the caller holds the lock."""
-        for request_id in self._logout_rounds.pop(session_index, ()):
+        for request_id in [r for r, (s, _) in self._pending_logouts.items() if s == session_index]:
             del self._pending_logouts[request_id]
 
     def _drop_session(self, session_index: str) -> None:
