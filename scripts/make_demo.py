@@ -88,12 +88,12 @@ def main() -> int:
     sp_desc = build_sp_descriptor(
         "mypartner:saml2.0", base, sp_signing.cert_b64, sp_encryption.cert_b64
     )
-    idp_registry = FederationRegistry(local=idp_desc, signing_alias="idp-signing")
+    idp_registry = FederationRegistry(local=idp_desc, signing_alias="idp-signing", clock_skew=30)
     sp_registry = FederationRegistry(
-        local=sp_desc, signing_alias="sp-signing", encryption_alias="sp-encryption"
+        local=sp_desc, signing_alias="sp-signing", encryption_alias="sp-encryption", clock_skew=30
     )
-    idp_registry = register_partner(idp_registry, emit_metadata(sp_desc), clock_skew=30)
-    sp_registry = register_partner(sp_registry, emit_metadata(idp_desc), clock_skew=30)
+    idp_registry = register_partner(idp_registry, emit_metadata(sp_desc))
+    sp_registry = register_partner(sp_registry, emit_metadata(idp_desc))
     save_registry(idp_registry, root / "registry-idp")
     save_registry(sp_registry, root / "registry-sp")
 

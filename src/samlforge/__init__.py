@@ -32,7 +32,6 @@ from .core import (
 from .federation import (
     FederationRegistry,
     Partner,
-    PartnerPolicy,
     export_metadata,
     load_registry,
     register_partner,

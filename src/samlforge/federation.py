@@ -1,16 +1,18 @@
-"""Federation registry: local entity, partner entities, per-partner policy.
+"""Federation registry: local entity, local settings, partner entities.
 
 A federation is a local entity descriptor (with key aliases into a
-keystore), plus the partner descriptors learned from metadata exchange and
-the policies derived from their flags. Registries are immutable values;
-``register_partner`` returns an updated copy.
+keystore), the local operator's settings (clock skew, assertion lifetime,
+artifact mode), which apply to every partner, and the partner descriptors
+learned from metadata exchange. What a partner needs (signed or sealed
+assertions) is read from its own metadata. Registries are immutable
+values; ``register_partner`` returns an updated copy.
 
 On-disk layout (one directory per registry):
 
     local.xml            local entity descriptor
-    local.policy         key=value: signing_alias, encryption_alias, clock_skew
+    local.policy         key=value: signing_alias, encryption_alias,
+                         clock_skew, validity, artifact_mode
     partner-<n>.xml      one metadata document per partner
-    partner-<n>.policy   key=value policy derived at registration
 """
 
 from __future__ import annotations
@@ -59,20 +61,8 @@ class UnknownIssuer(SamlError):
 
 
 @dataclass(frozen=True)
-class PartnerPolicy:
-    """Behaviour toward one partner, derived from its metadata flags."""
-
-    sign_assertion: bool = False
-    encrypt_assertion: bool = False
-    clock_skew: int = 0
-    validity: int = DEFAULT_VALIDITY_SECONDS
-    artifact_mode: str = "single"  # or "pair"
-
-
-@dataclass(frozen=True)
 class Partner:
     descriptor: EntityDescriptor
-    policy: PartnerPolicy
 
     @property
     def entity_id(self) -> EntityId:
@@ -107,6 +97,8 @@ class FederationRegistry:
     signing_alias: str | None = None
     encryption_alias: str | None = None
     clock_skew: int = 0
+    validity: int = DEFAULT_VALIDITY_SECONDS
+    artifact_mode: str = "single"  # or "pair"
     partners: Mapping[str, Partner] = field(default_factory=dict)
 
     def partner(self, entity_id: EntityId | str) -> Partner:
@@ -141,27 +133,7 @@ class FederationRegistry:
         return message, partner
 
 
-def derive_policy(descriptor: EntityDescriptor, clock_skew: int = 0,
-                  validity: int = DEFAULT_VALIDITY_SECONDS) -> PartnerPolicy:
-    """Policy defaults follow the partner's own metadata flags."""
-    role = descriptor.role
-    if isinstance(role, SpSsoDescriptor):
-        return PartnerPolicy(
-            sign_assertion=role.want_assertions_signed,
-            encrypt_assertion=bool(role.encryption_keys),
-            clock_skew=clock_skew,
-            validity=validity,
-        )
-    return PartnerPolicy(clock_skew=clock_skew, validity=validity)
-
-
-def register_partner(
-    registry: FederationRegistry,
-    metadata_bytes: bytes | str,
-    clock_skew: int | None = None,
-    validity: int = DEFAULT_VALIDITY_SECONDS,
-    artifact_mode: str = "single",
-) -> FederationRegistry:
+def register_partner(registry: FederationRegistry, metadata_bytes: bytes | str) -> FederationRegistry:
     """Add (or replace) a partner from its metadata document."""
     try:
         descriptor = parse_metadata(metadata_bytes)
@@ -169,16 +141,10 @@ def register_partner(
         raise MalformedMetadata(str(exc)) from exc
     if descriptor.entity_id == registry.local.entity_id:
         raise SelfRegistration(descriptor.entity_id.value)
-    policy = derive_policy(
-        descriptor,
-        clock_skew=registry.clock_skew if clock_skew is None else clock_skew,
-        validity=validity,
-    )
-    policy = replace(policy, artifact_mode=artifact_mode)
     partners = dict(registry.partners)
     if descriptor.entity_id.value in partners:
         logger.info("replacing existing partner registration entity_id=%s", descriptor.entity_id)
-    partners[descriptor.entity_id.value] = Partner(descriptor, policy)
+    partners[descriptor.entity_id.value] = Partner(descriptor)
     return replace(registry, partners=partners)
 
 
@@ -208,17 +174,6 @@ def default_acs(descriptor: EntityDescriptor) -> IndexedEndpoint:
 # ---------------------------------------------------------------------------
 
 
-def _emit_policy(policy: PartnerPolicy, entity_id: str) -> str:
-    return (
-        f"entity_id = {entity_id}\n"
-        f"sign_assertion = {'true' if policy.sign_assertion else 'false'}\n"
-        f"encrypt_assertion = {'true' if policy.encrypt_assertion else 'false'}\n"
-        f"clock_skew = {policy.clock_skew}\n"
-        f"validity = {policy.validity}\n"
-        f"artifact_mode = {policy.artifact_mode}\n"
-    )
-
-
 def parse_keyvalues(text: str) -> dict[str, str]:
     """Shared key=value grammar: one pair per line, ``#`` comments."""
     values: dict[str, str] = {}
@@ -233,34 +188,24 @@ def parse_keyvalues(text: str) -> dict[str, str]:
     return values
 
 
-def _parse_policy(text: str) -> tuple[str, PartnerPolicy]:
-    values = parse_keyvalues(text)
-    return values["entity_id"], PartnerPolicy(
-        sign_assertion=values.get("sign_assertion") == "true",
-        encrypt_assertion=values.get("encrypt_assertion") == "true",
-        clock_skew=int(values.get("clock_skew", "0")),
-        validity=int(values.get("validity", str(DEFAULT_VALIDITY_SECONDS))),
-        artifact_mode=values.get("artifact_mode", "single"),
-    )
-
-
 def save_registry(registry: FederationRegistry, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "local.xml").write_bytes(emit_metadata(registry.local))
-    local_lines = [f"clock_skew = {registry.clock_skew}"]
+    local_lines = [
+        f"clock_skew = {registry.clock_skew}",
+        f"validity = {registry.validity}",
+        f"artifact_mode = {registry.artifact_mode}",
+    ]
     if registry.signing_alias:
         local_lines.append(f"signing_alias = {registry.signing_alias}")
     if registry.encryption_alias:
         local_lines.append(f"encryption_alias = {registry.encryption_alias}")
     (directory / "local.policy").write_text("\n".join(local_lines) + "\n", encoding="utf-8")
-    for stale in directory.glob("partner-*"):
+    for stale in directory.glob("partner-*"):  # also the policy files of the old layout
         stale.unlink()
-    for n, (entity_id, partner) in enumerate(sorted(registry.partners.items())):
+    for n, (_, partner) in enumerate(sorted(registry.partners.items())):
         (directory / f"partner-{n}.xml").write_bytes(emit_metadata(partner.descriptor))
-        (directory / f"partner-{n}.policy").write_text(
-            _emit_policy(partner.policy, entity_id), encoding="utf-8"
-        )
 
 
 def load_registry(directory: str | Path) -> FederationRegistry:
@@ -269,33 +214,20 @@ def load_registry(directory: str | Path) -> FederationRegistry:
     if not local_path.exists():
         raise IncompleteLocalConfig(f"{local_path} does not exist")
     local = parse_metadata(local_path.read_bytes())
-    signing_alias = None
-    encryption_alias = None
-    clock_skew = 0
+    values: dict[str, str] = {}
     policy_path = directory / "local.policy"
     if policy_path.exists():
         values = parse_keyvalues(policy_path.read_text(encoding="utf-8"))
-        signing_alias = values.get("signing_alias")
-        encryption_alias = values.get("encryption_alias")
-        clock_skew = int(values.get("clock_skew", "0"))
     partners: dict[str, Partner] = {}
     for xml_path in sorted(directory.glob("partner-*.xml")):
         descriptor = parse_metadata(xml_path.read_bytes())
-        policy_file = xml_path.with_suffix(".policy")
-        if policy_file.exists():
-            entity_id, policy = _parse_policy(policy_file.read_text(encoding="utf-8"))
-            if entity_id != descriptor.entity_id.value:
-                raise MalformedMetadata(
-                    f"{policy_file.name} names {entity_id!r} but metadata is for "
-                    f"{descriptor.entity_id.value!r}"
-                )
-        else:
-            policy = derive_policy(descriptor, clock_skew=clock_skew)
-        partners[descriptor.entity_id.value] = Partner(descriptor, policy)
+        partners[descriptor.entity_id.value] = Partner(descriptor)
     return FederationRegistry(
         local=local,
-        signing_alias=signing_alias,
-        encryption_alias=encryption_alias,
-        clock_skew=clock_skew,
+        signing_alias=values.get("signing_alias"),
+        encryption_alias=values.get("encryption_alias"),
+        clock_skew=int(values.get("clock_skew", "0")),
+        validity=int(values.get("validity", str(DEFAULT_VALIDITY_SECONDS))),
+        artifact_mode=values.get("artifact_mode", "single"),
         partners=partners,
     )

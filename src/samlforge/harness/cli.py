@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .. import bindings, xmlcodec
-from ..core import SamlError
+from ..core import Assertion, SamlError
 from ..federation import (
     IncompleteLocalConfig,
     MalformedMetadata,
@@ -90,8 +90,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         summary.append(f"issuer: {response.issuer}")
         summary.append(f"destination: {response.destination}")
         summary.append(f"status: {response.status}")
-        from ..core import Assertion
-
         if isinstance(response.assertion, Assertion):
             assertion = response.assertion
             signed = signed or assertion.signature is not None
@@ -115,9 +113,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         print(f"checked against metadata for {entity.entity_id}:")
         if isinstance(entity.role, SpSsoDescriptor):
             locations = {e.location for e in entity.role.acs_endpoints}
-            dest = next((s.split(": ", 1)[1] for s in summary if s.startswith("destination")), None)
-            if dest is not None:
-                ok = dest in locations
+            if response is not None:
+                ok = response.destination in locations
                 print(f"  destination registered: {'yes' if ok else 'NO'}")
             need = entity.role.want_assertions_signed
             print(f"  signature required: {'yes' if need else 'no'}; present: {'yes' if signed else 'no'}")
@@ -194,18 +191,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _policy_summary(registry, entity_id: str) -> str:
-    partner = registry.partner(entity_id)
-    role = partner.descriptor.role
+def _partner_summary(registry, entity_id: str) -> str:
+    """What the IdP does for this partner, read from its metadata: only an
+    SP asks for signed or sealed assertions."""
+    role = registry.partner(entity_id).descriptor.role
     if isinstance(role, SpSsoDescriptor):
         endpoints = f"acs={len(role.acs_endpoints)}"
+        sign, encrypt = role.want_assertions_signed, bool(role.encryption_keys)
     else:
         endpoints = f"sso={len(role.sso_endpoints)}"
-    return (
-        f"sign={'true' if partner.policy.sign_assertion else 'false'} "
-        f"encrypt={'true' if partner.policy.encrypt_assertion else 'false'} "
-        f"{endpoints} endpoints"
-    )
+        sign = encrypt = False
+    return f"sign={str(sign).lower()} encrypt={str(encrypt).lower()} {endpoints} endpoints"
 
 
 def cmd_metadata(args: argparse.Namespace) -> int:
@@ -219,7 +215,7 @@ def cmd_metadata(args: argparse.Namespace) -> int:
             registry = register_partner(registry, Path(args.file).read_bytes())
             save_registry(registry, directory)
             imported = xmlcodec.parse_metadata(Path(args.file).read_bytes())
-            print(f"imported {imported.entity_id}: {_policy_summary(registry, imported.entity_id.value)}")
+            print(f"imported {imported.entity_id}: {_partner_summary(registry, imported.entity_id.value)}")
             return EXIT_OK
         if args.action == "export":
             registry = load_registry(directory)
@@ -234,7 +230,7 @@ def cmd_metadata(args: argparse.Namespace) -> int:
         registry = load_registry(directory)
         print(f"local: {registry.local.entity_id}")
         for entity_id in sorted(registry.partners):
-            print(f"partner: {entity_id} ({_policy_summary(registry, entity_id)})")
+            print(f"partner: {entity_id} ({_partner_summary(registry, entity_id)})")
         return EXIT_OK
     except (MalformedMetadata, IncompleteLocalConfig) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -229,12 +229,12 @@ class SimulatedFederation:
             keys["sp-encryption"].cert_b64 if encrypt else None,
         )
 
-        idp_registry = FederationRegistry(local=idp_desc, signing_alias="idp-signing")
+        idp_registry = FederationRegistry(local=idp_desc, signing_alias="idp-signing", clock_skew=skew)
         sp_registry = FederationRegistry(
-            local=sp_desc, signing_alias="sp-signing", encryption_alias="sp-encryption"
+            local=sp_desc, signing_alias="sp-signing", encryption_alias="sp-encryption", clock_skew=skew
         )
-        idp_registry = register_partner(idp_registry, xmlcodec.emit_metadata(sp_desc), clock_skew=skew)
-        sp_registry = register_partner(sp_registry, xmlcodec.emit_metadata(idp_desc), clock_skew=skew)
+        idp_registry = register_partner(idp_registry, xmlcodec.emit_metadata(sp_desc))
+        sp_registry = register_partner(sp_registry, xmlcodec.emit_metadata(idp_desc))
 
         self.source: AttributeSource = parse_attribute_records(records)
         self.idp = IdpEngine(idp_registry, idp_store, self.source, token_source=token_source)
@@ -332,8 +332,8 @@ def run_scenario(
 
 
 def _consume_instant(fed: SimulatedFederation, scenario: Scenario, issued_at: Instant) -> Instant:
-    validity = fed.sp.registry.partner(IDP_ENTITY).policy.validity
-    skew = fed.sp.registry.partner(IDP_ENTITY).policy.clock_skew
+    validity = fed.sp.registry.validity
+    skew = fed.sp.registry.clock_skew
     if "expire_window" in scenario.faults:
         return issued_at.plus(validity + skew + 1)
     if "not_yet_valid" in scenario.faults:

@@ -96,17 +96,20 @@ class HarnessService:
             want_assertions_signed=config.sp.want_assertions_signed,
         )
 
-        idp_registry = FederationRegistry(local=idp_desc, signing_alias=config.idp.signing_alias)
+        settings = dict(
+            clock_skew=config.skew, validity=config.validity, artifact_mode=config.artifact_mode
+        )
+        idp_registry = FederationRegistry(
+            local=idp_desc, signing_alias=config.idp.signing_alias, **settings
+        )
         sp_registry = FederationRegistry(
             local=sp_desc,
             signing_alias=config.sp.signing_alias,
             encryption_alias=config.sp.encryption_alias,
+            **settings,
         )
-        policy = dict(
-            clock_skew=config.skew, validity=config.validity, artifact_mode=config.artifact_mode
-        )
-        idp_registry = register_partner(idp_registry, xmlcodec.emit_metadata(sp_desc), **policy)
-        sp_registry = register_partner(sp_registry, xmlcodec.emit_metadata(idp_desc), **policy)
+        idp_registry = register_partner(idp_registry, xmlcodec.emit_metadata(sp_desc))
+        sp_registry = register_partner(sp_registry, xmlcodec.emit_metadata(idp_desc))
 
         idp = IdpEngine(idp_registry, idp_store, source)
         sp = SpEngine(
@@ -322,8 +325,7 @@ def _sso_get(service: HarnessService, request: _Handler) -> _Reply:
     now = service.clock()
     if query.get("binding") == "artifact":
         response = service.idp.issue_assertion(session, partner, now)
-        policy = service.idp.registry.partner(partner).policy
-        if policy.artifact_mode == "pair":
+        if service.idp.registry.artifact_mode == "pair":
             pair = service.idp.issue_artifact_pair(response, partner, endpoint_index=0)
             artifacts = [a.encode() for a in pair]
         else:

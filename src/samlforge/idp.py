@@ -181,7 +181,6 @@ class IdpSession:
 @dataclass
 class ArtifactEntry:
     response_bytes: bytes
-    issued_at: Instant
     partner: str
     consumed: bool = False
     pair_handle: bytes | None = None
@@ -202,7 +201,7 @@ class ArtifactStore(ExpiringMap):
         with self._lock:
             self._evict(issued_at)
             for handle, pair_handle in zip(handles, links):
-                entry = ArtifactEntry(response_bytes, issued_at, partner, pair_handle=pair_handle)
+                entry = ArtifactEntry(response_bytes, partner, pair_handle=pair_handle)
                 self._store(handle, entry, expiry)
 
     def consume(self, handles: tuple[bytes, ...], requester: str, now: Instant) -> bytes:
@@ -210,19 +209,18 @@ class ArtifactStore(ExpiringMap):
         ``requester``; to anyone else an entry is unknown, and stays
         resolvable for its partner."""
         with self._lock:
-            entries = []
-            for handle in handles:
-                held = self._entries.get(handle)
-                if held is None or held[1].partner != requester:
+            held = [self._entries.get(handle) for handle in handles]
+            for handle, entry in zip(handles, held):
+                if entry is None or entry[1].partner != requester:
                     raise UnknownArtifact(handle.hex())
-                entries.append(held[1])
+            entries = [entry for _, entry in held]
             links = [entry.pair_handle for entry in entries]
             if len(handles) == 1 and links[0] is not None:
                 raise IncompletePair("this artifact is half of a pair; both values are required")
             if len(handles) == 2 and (links != [handles[1], handles[0]] or handles[0] == handles[1]):
                 raise MismatchedPair("artifacts do not belong to the same pair")
-            for handle, entry in zip(handles, entries):
-                if now.epoch - entry.issued_at.epoch >= self.RETENTION:
+            for handle, (expiry, _) in zip(handles, held):
+                if now.epoch >= expiry:
                     raise ArtifactExpired(handle.hex())
             if any(entry.consumed for entry in entries):
                 raise AlreadyConsumed(handles[0].hex())
@@ -266,9 +264,9 @@ class IdpEngine:
     def entity_id(self) -> EntityId:
         return self.registry.local.entity_id
 
-    def register_partner(self, metadata_bytes: bytes, **kwargs) -> None:
+    def register_partner(self, metadata_bytes: bytes) -> None:
         with self._lock:
-            self.registry = register_partner(self.registry, metadata_bytes, **kwargs)
+            self.registry = register_partner(self.registry, metadata_bytes)
 
     # -- sessions -----------------------------------------------------------
 
@@ -306,18 +304,19 @@ class IdpEngine:
         partner_id: EntityId | str,
         now: Instant,
     ) -> Response:
-        """Build, sign, and seal a Response per the partner's policy."""
+        """Build a Response, signed if the partner's metadata wants signed
+        assertions and sealed if it lists an encryption key."""
         key = partner_id.value if isinstance(partner_id, EntityId) else partner_id
         partner = self.registry.partners.get(key)
         if partner is None:
             raise UnknownPartner(key)
-        if not isinstance(partner.descriptor.role, SpSsoDescriptor):
+        role = partner.descriptor.role
+        if not isinstance(role, SpSsoDescriptor):
             raise UnknownPartner(f"{key} is not a service provider")
         record = self.source.lookup(session.user_key)
-        policy = partner.policy
-        acs = default_acs(partner.descriptor).location
+        acs = role.default_acs().location
 
-        validity = policy.validity
+        validity = self.registry.validity
         conditions = Conditions(
             not_before=now,
             not_on_or_after=now.plus(validity),
@@ -328,7 +327,7 @@ class IdpEngine:
             not_on_or_after=now.plus(validity + BEARER_GRACE_SECONDS),
             recipient=acs,
         )
-        formats = partner.descriptor.role.name_id_formats
+        formats = role.name_id_formats
         assertion = Assertion(
             id=new_message_id(self.token_source),
             issue_instant=now,
@@ -347,48 +346,36 @@ class IdpEngine:
             attributes=record.attributes,
         )
 
-        signed = self._sign_assertion(assertion, policy)
-        sealed = self._seal_assertion(signed, partner, policy)
+        if role.want_assertions_signed:
+            assertion = self._sign(assertion, xmlcodec.emit_assertion)
+        if role.encryption_keys:
+            assertion = self._seal_assertion(assertion, partner)
         response = Response(
             id=new_message_id(self.token_source),
             issue_instant=now,
             issuer=self.entity_id.value,
             destination=acs,
             status=STATUS_SUCCESS,
-            assertion=sealed,
+            assertion=assertion,
         )
-        if policy.sign_assertion:
-            response = self._sign_response(response)
+        if role.want_assertions_signed:
+            response = self._sign(response, xmlcodec.emit_response)
         sp_id = partner.entity_id.value
         with self._lock:
             if sp_id not in session.participating_sps:
                 session.participating_sps |= {sp_id}
         return response
 
-    def _signing_alias(self) -> str:
+    def _sign(self, message, emit):
         if self.registry.signing_alias is None:
-            raise PolicyViolation("partner policy requires signing but no signing key is configured")
-        return self.registry.signing_alias
+            raise PolicyViolation("partner wants signed assertions but no signing key is configured")
+        return cryptoseal.sign_message(message, emit, self.registry.signing_alias, self.store)
 
-    def _sign_assertion(self, assertion: Assertion, policy) -> Assertion:
-        if not policy.sign_assertion:
-            return assertion
-        return cryptoseal.sign_message(
-            assertion, xmlcodec.emit_assertion, self._signing_alias(), self.store
-        )
-
-    def _seal_assertion(self, assertion: Assertion, partner: Partner, policy):
-        if not policy.encrypt_assertion:
-            return assertion
+    def _seal_assertion(self, assertion: Assertion, partner: Partner):
         ders = partner.encryption_cert_ders
         pinned = self.store.with_trust_anchors(partner.entity_id, encryption=ders)
         return cryptoseal.encrypt_assertion(
             xmlcodec.emit_assertion(assertion), partner.entity_id, pinned
-        )
-
-    def _sign_response(self, response: Response) -> Response:
-        return cryptoseal.sign_message(
-            response, xmlcodec.emit_response, self._signing_alias(), self.store
         )
 
     def idp_initiated_post(
@@ -424,11 +411,11 @@ class IdpEngine:
             decoded = bindings.decode_post(request_input)
         if decoded.field != bindings.FIELD_REQUEST:
             raise bindings.MissingField(bindings.FIELD_REQUEST)
-        request, partner = self.registry.receive(
+        request, _sp = self.registry.receive(
             decoded.message, xmlcodec.authn_request_from_element, self.store,
             lambda sp: sp.descriptor.role.authn_requests_signed,
         )
-        expiry = request.issue_instant.plus(partner.policy.validity + BEARER_GRACE_SECONDS)
+        expiry = request.issue_instant.plus(self.registry.validity + BEARER_GRACE_SECONDS)
         if not self.request_replay.check_and_record(request.id, expiry, now):
             raise ReplayedRequestId(request.id)
 

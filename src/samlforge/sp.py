@@ -189,9 +189,9 @@ class SpEngine:
 
     # -- registry ---------------------------------------------------------
 
-    def register_partner(self, metadata_bytes: bytes, **kwargs) -> None:
+    def register_partner(self, metadata_bytes: bytes) -> None:
         with self._lock:
-            self.registry = register_partner(self.registry, metadata_bytes, **kwargs)
+            self.registry = register_partner(self.registry, metadata_bytes)
 
     @property
     def entity_id(self) -> EntityId:
@@ -347,7 +347,7 @@ class SpEngine:
     def _window(self, x: _Exchange) -> tuple[bool, str]:
         conditions = x.assertion.conditions
         return _named(evaluate_window(
-            conditions.not_before, conditions.not_on_or_after, x.now, x.partner.policy.clock_skew
+            conditions.not_before, conditions.not_on_or_after, x.now, self.registry.clock_skew
         ))
 
     def _audience(self, x: _Exchange) -> tuple[bool, str]:
@@ -356,12 +356,12 @@ class SpEngine:
 
     def _bearer(self, x: _Exchange) -> tuple[bool, str]:
         return _named(check_bearer(
-            x.assertion.subject.confirmation, self.acs_url, x.now, x.partner.policy.clock_skew
+            x.assertion.subject.confirmation, self.acs_url, x.now, self.registry.clock_skew
         ))
 
     def _replay(self, x: _Exchange) -> tuple[bool, str]:
         assertion = x.assertion
-        expiry = assertion.subject.confirmation.not_on_or_after.plus(x.partner.policy.clock_skew)
+        expiry = assertion.subject.confirmation.not_on_or_after.plus(self.registry.clock_skew)
         if not self.replay.check_and_record(assertion.id, expiry, x.now):
             return False, f"assertion {assertion.id!r} was already consumed"
         return True, ""
@@ -445,7 +445,7 @@ class SpEngine:
                 request, signature=dataclasses.replace(request.signature, certificate=b"")
             )
         token = self.token_source(9).hex()
-        expiry = now.plus(partner.policy.validity + BEARER_GRACE_SECONDS)
+        expiry = now.plus(self.registry.validity + BEARER_GRACE_SECONDS)
         # Tokens expire with the request they accompany.
         self._relay_states.put(token, target_resource, expiry, now)
         redirect = bindings.encode_redirect(

@@ -116,15 +116,15 @@ def test_criterion_2_assertion_fidelity(sample_response_bytes):
 
 def test_criterion_3_end_to_end_flows(shared_keys, idp_metadata_bytes, sp_metadata_bytes):
     with _timed(5.0) as timer:
-        # the partner policy derived from the sample metadata demands both
+        # the sample SP metadata asks for signed and sealed assertions
         fed = SimulatedFederation(encrypt=True, keys=shared_keys)
         probe = register_partner(
             dataclasses.replace(fed.idp.registry, partners={}), sp_metadata_bytes
         )
-        sample_policy = probe.partner("mypartner:saml2.0").policy
-        assert sample_policy.sign_assertion and sample_policy.encrypt_assertion
-        live_policy = fed.idp.registry.partner(SP_ENTITY).policy
-        assert live_policy.sign_assertion and live_policy.encrypt_assertion
+        sample_role = probe.partner("mypartner:saml2.0").descriptor.role
+        assert sample_role.want_assertions_signed and sample_role.encryption_keys
+        live_role = fed.idp.registry.partner(SP_ENTITY).descriptor.role
+        assert live_role.want_assertions_signed and live_role.encryption_keys
 
         record = fed.source.lookup("the.user")
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import logging
 from pathlib import Path
 
@@ -48,9 +49,9 @@ def sp_registry(shared_keys):
 class TestRegisterPartner:
     def test_sp_sample_derives_sign_and_encrypt(self, idp_registry, sp_metadata_bytes):
         registry = register_partner(idp_registry, sp_metadata_bytes)
-        partner = registry.partner("mypartner:saml2.0")
-        assert partner.policy.sign_assertion is True
-        assert partner.policy.encrypt_assertion is True
+        role = registry.partner("mypartner:saml2.0").descriptor.role
+        assert role.want_assertions_signed is True
+        assert bool(role.encryption_keys) is True
 
     def test_idp_sample_registers_at_sp(self, sp_registry, idp_metadata_bytes):
         registry = register_partner(sp_registry, idp_metadata_bytes)
@@ -110,28 +111,47 @@ class TestExportMetadata:
 
 class TestRegistryPersistence:
     def test_save_load_round_trip(self, tmp_path, idp_registry, sp_metadata_bytes):
-        registry = register_partner(idp_registry, sp_metadata_bytes, validity=120)
+        registry = register_partner(
+            dataclasses.replace(idp_registry, clock_skew=30, validity=120, artifact_mode="pair"),
+            sp_metadata_bytes,
+        )
         save_registry(registry, tmp_path / "registry")
         loaded = load_registry(tmp_path / "registry")
-        assert loaded.local == registry.local
-        assert loaded.signing_alias == registry.signing_alias
-        assert set(loaded.partners) == set(registry.partners)
-        reloaded = loaded.partner("mypartner:saml2.0")
-        assert reloaded.policy == registry.partner("mypartner:saml2.0").policy
+        assert (loaded.clock_skew, loaded.validity, loaded.artifact_mode) == (30, 120, "pair")
+        assert loaded == registry
+        assert sorted(p.name for p in (tmp_path / "registry").iterdir()) == [
+            "local.policy", "local.xml", "partner-0.xml"
+        ]
 
     def test_policy_file_with_dropped_default_binding_key_loads(
         self, tmp_path, idp_registry, sp_metadata_bytes
     ):
         registry = register_partner(idp_registry, sp_metadata_bytes)
         save_registry(registry, tmp_path / "registry")
-        (policy_path,) = (tmp_path / "registry").glob("partner-*.policy")
+        policy_path = tmp_path / "registry" / "local.policy"
         text = policy_path.read_text()
         assert "default_binding" not in text
         policy_path.write_text(
             text + "default_binding = urn:oasis:names:tc:SAML:2.0:bindings:HTTP-POST\n"
         )
-        reloaded = load_registry(tmp_path / "registry").partner("mypartner:saml2.0")
-        assert reloaded.policy == registry.partner("mypartner:saml2.0").policy
+        assert load_registry(tmp_path / "registry") == registry
+
+    def test_old_partner_policy_file_is_ignored_then_deleted(
+        self, tmp_path, idp_registry, sp_metadata_bytes
+    ):
+        registry = register_partner(idp_registry, sp_metadata_bytes)
+        save_registry(registry, tmp_path / "registry")
+        # a per-partner policy file of the old layout, disagreeing with the
+        # metadata and the local settings (and naming another entity)
+        leftover = tmp_path / "registry" / "partner-0.policy"
+        leftover.write_text(
+            "entity_id = someone:else\nsign_assertion = false\nencrypt_assertion = false\n"
+            "clock_skew = 99\nvalidity = 5\nartifact_mode = pair\n"
+        )
+        loaded = load_registry(tmp_path / "registry")
+        assert loaded == registry
+        save_registry(loaded, tmp_path / "registry")
+        assert not leftover.exists()
 
     def test_missing_directory_is_incomplete(self, tmp_path):
         with pytest.raises(IncompleteLocalConfig):

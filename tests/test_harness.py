@@ -494,6 +494,23 @@ def test_a_repeated_user_key_is_bad_config(tmp_path, shared_keys):
         HarnessService.from_config(load_config(tmp_path / "service.conf"))
 
 
+def test_configured_validity_applies_to_a_partner_registered_later(
+    tmp_path, shared_keys, rogue_key
+):
+    _service_workspace(tmp_path, shared_keys, 0)
+    conf = tmp_path / "service.conf"
+    conf.write_text(conf.read_text() + "validity = 120\n")
+    service = HarnessService.from_config(load_config(conf), clock=lambda: SIM_EPOCH)
+    try:
+        other_sp = build_sp_descriptor("second:sp", "https://second.sp.test", rogue_key.cert_b64)
+        service.idp.register_partner(xmlcodec.emit_metadata(other_sp))
+        session = service.idp.create_session("the.user", CLIENT_IP, SIM_EPOCH)
+        window = service.idp.issue_assertion(session, "second:sp", SIM_EPOCH).assertion.conditions
+        assert window.not_on_or_after.epoch - window.not_before.epoch == 120
+    finally:
+        service.shutdown()
+
+
 class TestHttpService:
     def test_metadata_endpoints(self, live_service):
         _, base, _ = live_service

@@ -597,15 +597,7 @@ class TestIssuedWindowsProperty:
     @pytest.mark.parametrize("validity", [60, 300, 1200])
     def test_duration_equals_configured_validity(self, shared_keys, validity):
         fed = SimulatedFederation(keys=shared_keys)
-        fed.idp.registry = dataclasses.replace(
-            fed.idp.registry,
-            partners={
-                k: dataclasses.replace(
-                    p, policy=dataclasses.replace(p.policy, validity=validity)
-                )
-                for k, p in fed.idp.registry.partners.items()
-            },
-        )
+        fed.idp.registry = dataclasses.replace(fed.idp.registry, validity=validity)
         session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
         response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
         assertion = decrypt_and_parse(fed, response)

@@ -424,10 +424,22 @@ def _landing(fed, token, now=NOW):
     return result.redirect_url
 
 
+def test_a_partner_registered_later_is_judged_with_the_federation_skew(shared_keys):
+    fed = SimulatedFederation(skew=30, keys=shared_keys)
+    # a metadata refresh registers each partner again
+    fed.idp.register_partner(xmlcodec.emit_metadata(fed.sp.registry.local))
+    fed.sp.register_partner(xmlcodec.emit_metadata(fed.idp.registry.local))
+    early = fed.sp.consume(issue_body(fed, NOW), CLIENT_IP, NOW.minus(20))
+    assert early.ok
+    later = NOW.plus(100)
+    too_early = fed.sp.consume(issue_body(fed, later), CLIENT_IP, later.minus(31))
+    assert too_early.report.failed_step == "window"
+
+
 class TestRelayStateExpiry:
     def test_token_expires_with_its_request(self, fed):
         _, stale = fed.sp.build_authn_request("https://sp.internal.test/old", NOW)
-        lifetime = fed.sp.registry.partner(IDP_ENTITY).policy.validity + BEARER_GRACE_SECONDS
+        lifetime = fed.sp.registry.validity + BEARER_GRACE_SECONDS
         later = NOW.plus(lifetime)
         _, token = fed.sp.build_authn_request("https://sp.internal.test/new", later)
         assert _landing(fed, stale, later) == LANDING_URL
