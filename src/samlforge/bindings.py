@@ -4,8 +4,9 @@ Wire contracts (bit-exact):
   * POST body: application/x-www-form-urlencoded with fields
     ``SAMLResponse`` or ``SAMLRequest`` (base64 of canonical XML) and
     optional ``RelayState``.
-  * Redirect query: same parameter names; the message value is
-    raw-DEFLATE compressed, then base64, then percent-encoded.
+  * Redirect query: same parameter names (the encoder carries only
+    requests); the message value is raw-DEFLATE compressed, then base64,
+    then percent-encoded.
   * Artifact: base64 of 44 bytes = 0x0004 | index_be16 | sha1(entity id) |
     20 random bytes.
   * Back channel: HTTP POST of a minimal SOAP-1.1-shaped envelope; faults
@@ -271,19 +272,14 @@ class RedirectUrl:
 
 
 def encode_redirect(
-    message_bytes: bytes,
-    base_url: str,
-    relay_state: str | None = None,
-    kind: str = "request",
+    message_bytes: bytes, base_url: str, relay_state: str | None = None
 ) -> RedirectUrl:
-    """Redirect binding pipeline: raw DEFLATE, base64, percent-encode."""
-    field = {"request": FIELD_REQUEST, "response": FIELD_RESPONSE}.get(kind)
-    if field is None:
-        raise ValueError(f"kind must be 'request' or 'response', got {kind!r}")
+    """Redirect binding pipeline for a request: raw DEFLATE, base64,
+    percent-encode."""
     compressor = zlib.compressobj(9, zlib.DEFLATED, -15)
     deflated = compressor.compress(message_bytes) + compressor.flush()
     value = base64.b64encode(deflated).decode("ascii")
-    query: list[tuple[str, str]] = [(field, value)]
+    query: list[tuple[str, str]] = [(FIELD_REQUEST, value)]
     relay = _check_relay_state(relay_state)
     if relay is not None:
         query.append((FIELD_RELAY_STATE, relay))

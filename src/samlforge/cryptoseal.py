@@ -133,9 +133,10 @@ class KeyStore:
         return replace(self, trust=trust)
 
 
-def new_keypair(common_name: str, key_size: int = 2048, valid_days: int = 3650) -> KeyEntry:
-    """Generate an RSA key with a self-signed certificate (harness/test use)."""
-    key = rsa.generate_private_key(public_exponent=65537, key_size=key_size)
+def new_keypair(common_name: str) -> KeyEntry:
+    """Generate a 2048-bit RSA key with a self-signed certificate valid for
+    ten years (harness/test use)."""
+    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
     name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, common_name)])
     now = datetime.datetime.now(datetime.timezone.utc)
     cert = (
@@ -145,7 +146,7 @@ def new_keypair(common_name: str, key_size: int = 2048, valid_days: int = 3650) 
         .public_key(key.public_key())
         .serial_number(x509.random_serial_number())
         .not_valid_before(now - datetime.timedelta(days=1))
-        .not_valid_after(now + datetime.timedelta(days=valid_days))
+        .not_valid_after(now + datetime.timedelta(days=3650))
         .sign(key, hashes.SHA256())
     )
     return KeyEntry(cert, key)

@@ -31,8 +31,6 @@ from .core import EntityId, SamlError
 from .xmlcodec import (
     EntityDescriptor,
     IdpSsoDescriptor,
-    IndexedEndpoint,
-    SpSsoDescriptor,
     XmlElement,
     emit_metadata,
     parse_metadata,
@@ -101,6 +99,10 @@ class FederationRegistry:
     artifact_mode: str = "single"  # or "pair"
     partners: Mapping[str, Partner] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.artifact_mode not in ("single", "pair"):
+            raise ValueError(f"artifact_mode must be single or pair, got {self.artifact_mode!r}")
+
     def partner(self, entity_id: EntityId | str) -> Partner:
         key = entity_id.value if isinstance(entity_id, EntityId) else entity_id
         try:
@@ -160,13 +162,6 @@ def export_metadata(registry: FederationRegistry) -> bytes:
     if not role.signing_certs:
         raise IncompleteLocalConfig("local entity has no signing certificate")
     return emit_metadata(registry.local)
-
-
-def default_acs(descriptor: EntityDescriptor) -> IndexedEndpoint:
-    role = descriptor.role
-    if not isinstance(role, SpSsoDescriptor):
-        raise MalformedMetadata(f"{descriptor.entity_id} is not a service provider")
-    return role.default_acs()
 
 
 # ---------------------------------------------------------------------------

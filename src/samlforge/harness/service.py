@@ -53,12 +53,10 @@ class HarnessService:
         host: str = "127.0.0.1",
         port: int = 0,
         clock: Clock | None = None,
-        default_partner: str | None = None,
     ) -> None:
         self.idp = idp
         self.sp = sp
         self.clock: Clock = clock or Instant.now
-        self.default_partner = default_partner or next(iter(idp.registry.partners), None)
         self._lock = threading.Lock()
         self.last_acs_report: str = ""
         # session index -> the logout forms still to send
@@ -118,14 +116,7 @@ class HarnessService:
             landing_url=config.sp.landing_url,
             locality_check=config.locality_check,
         )
-        return cls(
-            idp,
-            sp,
-            host=config.host,
-            port=config.port,
-            clock=clock,
-            default_partner=config.sp.entity_id,
-        )
+        return cls(idp, sp, host=config.host, port=config.port, clock=clock)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -318,7 +309,8 @@ def _sso_get(service: HarnessService, request: _Handler) -> _Reply:
         form = service.idp.handle_authn_request(request.target.query, session, service.clock())
         return _form(form)
     user = query.get("user")
-    partner = query.get("partner") or service.default_partner
+    # the IdP's first registered partner is its first SP
+    partner = query.get("partner") or next(iter(service.idp.registry.partners), None)
     if not user or not partner:
         return _Reply(400, "expected ?user= and ?partner= (or a SAMLRequest)\n")
     session = _session_for(service, request, user)
@@ -326,10 +318,9 @@ def _sso_get(service: HarnessService, request: _Handler) -> _Reply:
     if query.get("binding") == "artifact":
         response = service.idp.issue_assertion(session, partner, now)
         if service.idp.registry.artifact_mode == "pair":
-            pair = service.idp.issue_artifact_pair(response, partner, endpoint_index=0)
-            artifacts = [a.encode() for a in pair]
+            artifacts = [a.encode() for a in service.idp.issue_artifact_pair(response, partner)]
         else:
-            artifacts = [service.idp.issue_artifact(response, partner, endpoint_index=0).encode()]
+            artifacts = [service.idp.issue_artifact(response, partner).encode()]
         pairs = [(bindings.FIELD_ARTIFACT, a) for a in artifacts]
         relay = query.get(bindings.FIELD_RELAY_STATE)
         if relay:

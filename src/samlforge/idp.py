@@ -46,7 +46,6 @@ from .federation import (
     BEARER_GRACE_SECONDS,
     FederationRegistry,
     Partner,
-    default_acs,
     register_partner,
 )
 from .xmlcodec import IdpSsoDescriptor, SpSsoDescriptor
@@ -187,19 +186,21 @@ class ArtifactEntry:
 
 
 class ArtifactStore(ExpiringMap):
-    """Single-use artifact entries, each held until ``RETENTION`` seconds
-    after it was issued; consumption is an atomic test-and-set."""
-
-    RETENTION = 300  # seconds an artifact stays resolvable
+    """Single-use artifact entries, each held until its ``expiry``;
+    consumption is an atomic test-and-set."""
 
     def add(
-        self, handles: tuple[bytes, ...], response_bytes: bytes, issued_at: Instant, partner: str
+        self,
+        handles: tuple[bytes, ...],
+        response_bytes: bytes,
+        partner: str,
+        expiry: Instant,
+        now: Instant,
     ) -> None:
         """Hold one artifact, or a pair whose entries name each other."""
         links = handles[::-1] if len(handles) == 2 else (None,)
-        expiry = issued_at.plus(self.RETENTION)
         with self._lock:
-            self._evict(issued_at)
+            self._evict(now)
             for handle, pair_handle in zip(handles, links):
                 entry = ArtifactEntry(response_bytes, partner, pair_handle=pair_handle)
                 self._store(handle, entry, expiry)
@@ -247,6 +248,8 @@ class IdpEngine:
     ) -> None:
         if not isinstance(registry.local.role, IdpSsoDescriptor):
             raise ValueError("IdpEngine needs a registry whose local entity is an IdP")
+        if registry.signing_alias is None:
+            raise ValueError("IdpEngine needs a registry with a signing alias")
         self._lock = threading.Lock()
         self.registry = registry
         self.store = store
@@ -270,23 +273,16 @@ class IdpEngine:
 
     # -- sessions -----------------------------------------------------------
 
-    def create_session(
-        self,
-        user_key: str,
-        client_ip: str,
-        now: Instant,
-        session_index: str | None = None,
-    ) -> IdpSession:
+    def create_session(self, user_key: str, client_ip: str, now: Instant) -> IdpSession:
         """Harness-facing substitute for real user authentication."""
         self.source.lookup(user_key)  # fail fast on unknown users
         session = IdpSession(
-            session_index=session_index or self.token_source(12).hex(),
+            session_index=self.token_source(12).hex(),
             user_key=user_key,
             authenticated_at=now,
             client_ip=client_ip,
         )
         with self._lock:
-            self._drop_session(session.session_index)
             self.sessions[session.session_index] = session
             self._first_sessions.setdefault(user_key, session)
         return session
@@ -367,8 +363,6 @@ class IdpEngine:
         return response
 
     def _sign(self, message, emit):
-        if self.registry.signing_alias is None:
-            raise PolicyViolation("partner wants signed assertions but no signing key is configured")
         return cryptoseal.sign_message(message, emit, self.registry.signing_alias, self.store)
 
     def _seal_assertion(self, assertion: Assertion, partner: Partner):
@@ -426,30 +420,35 @@ class IdpEngine:
 
     # -- artifact profile ------------------------------------------------------
 
-    def issue_artifact(
-        self, response: Response, partner_id: EntityId | str, endpoint_index: int = 0
-    ) -> bindings.Artifact:
-        return self._issue_artifacts(response, partner_id, endpoint_index, 1)[0]
+    def issue_artifact(self, response: Response, partner_id: EntityId | str) -> bindings.Artifact:
+        return self._issue_artifacts(response, partner_id, 1)[0]
 
     def issue_artifact_pair(
-        self, response: Response, partner_id: EntityId | str, endpoint_index: int = 0
+        self, response: Response, partner_id: EntityId | str
     ) -> tuple[bindings.Artifact, bindings.Artifact]:
         """Two cross-referencing artifacts; the token is only valid when it
         consists of both values."""
-        return self._issue_artifacts(response, partner_id, endpoint_index, 2)
+        return self._issue_artifacts(response, partner_id, 2)
 
     def _issue_artifacts(
-        self, response: Response, partner_id: EntityId | str, endpoint_index: int, count: int
+        self, response: Response, partner_id: EntityId | str, count: int
     ) -> tuple[bindings.Artifact, ...]:
+        """Artifacts that name the first ArtifactResolutionService of the
+        local metadata, each held until the response's assertion expires."""
         key = partner_id.value if isinstance(partner_id, EntityId) else partner_id
         if key not in self.registry.partners:
             raise UnknownPartner(key)
+        endpoints = self.registry.local.role.artifact_resolution_endpoints
+        if not endpoints:
+            raise PolicyViolation("local metadata lists no artifact resolution endpoint")
         artifacts = tuple(
-            bindings.new_artifact(self.entity_id, endpoint_index, self.token_source)
+            bindings.new_artifact(self.entity_id, endpoints[0].index, self.token_source)
             for _ in range(count)
         )
         handles = tuple(a.message_handle for a in artifacts)
-        self.artifacts.add(handles, xmlcodec.emit_response(response), response.issue_instant, key)
+        issued = response.issue_instant
+        expiry = issued.plus(self.registry.validity)
+        self.artifacts.add(handles, xmlcodec.emit_response(response), key, expiry, issued)
         return artifacts
 
     def resolve_artifact(self, request_bytes: bytes, now: Instant) -> bytes:
@@ -472,8 +471,9 @@ class IdpEngine:
     def initiate_single_logout(
         self, session_index: str, now: Instant
     ) -> list[bindings.PostForm]:
-        """One LogoutRequest per participating SP; the session is removed
-        once every response has arrived (or immediately when no SP holds it).
+        """One LogoutRequest per participating SP that lists a
+        SingleLogoutService; the session is removed once every response has
+        arrived (or immediately when no such SP holds it).
         A new round replaces the session's earlier one, whose requests then
         count toward nothing."""
         with self._lock:
@@ -487,13 +487,9 @@ class IdpEngine:
         issued: list[tuple[str, str]] = []
         for sp_id in participants:
             partner = self.registry.partners.get(sp_id)
-            if partner is None:
+            if partner is None or not partner.descriptor.role.single_logout_endpoints:
                 continue
-            role = partner.descriptor.role
-            if role.single_logout_endpoints:
-                destination = role.single_logout_endpoints[0].location
-            else:
-                destination = default_acs(partner.descriptor).location
+            destination = partner.descriptor.role.single_logout_endpoints[0].location
             request = LogoutRequest(
                 id=new_message_id(self.token_source),
                 issue_instant=now,
@@ -501,10 +497,7 @@ class IdpEngine:
                 name_id=record.name_id,
                 session_index=session_index,
             )
-            if self.registry.signing_alias is not None:
-                request = cryptoseal.sign_message(
-                    request, xmlcodec.emit_logout_request, self.registry.signing_alias, self.store
-                )
+            request = self._sign(request, xmlcodec.emit_logout_request)
             forms.append(
                 bindings.encode_post(xmlcodec.emit_logout_request(request), "request", destination)
             )

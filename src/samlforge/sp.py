@@ -174,6 +174,8 @@ class SpEngine:
     ) -> None:
         if not isinstance(registry.local.role, SpSsoDescriptor):
             raise ValueError("SpEngine needs a registry whose local entity is an SP")
+        if registry.signing_alias is None:
+            raise ValueError("SpEngine needs a registry with a signing alias")
         self._lock = threading.Lock()
         self.registry = registry
         self.store = store
@@ -434,8 +436,6 @@ class SpEngine:
             acs_url=self.acs_url,
         )
         if self.local_role.authn_requests_signed:
-            if self.registry.signing_alias is None:
-                raise UnsupportedBinding("local metadata promises signed requests but no signing alias is set")
             request = cryptoseal.sign_message(
                 request, xmlcodec.emit_authn_request, self.registry.signing_alias, self.store
             )
@@ -485,10 +485,9 @@ class SpEngine:
             status=STATUS_SUCCESS,
             in_response_to=request.id,
         )
-        if self.registry.signing_alias is not None:
-            response = cryptoseal.sign_message(
-                response, xmlcodec.emit_logout_response, self.registry.signing_alias, self.store
-            )
+        response = cryptoseal.sign_message(
+            response, xmlcodec.emit_logout_response, self.registry.signing_alias, self.store
+        )
         return xmlcodec.emit_logout_response(response)
 
     def live_sessions(self, session_index: str | None = None) -> tuple[SsoSession, ...]:

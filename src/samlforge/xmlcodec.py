@@ -238,14 +238,15 @@ def _write(elem: XmlElement, scope: dict[str, str], counter: list[int], out: lis
 _PRETTY_TOKENS = re.compile(r'<[^/](?:[^>"]|"[^"]*")*>[^<]+</[^>]*>|<(?:[^>"]|"[^"]*")*>')
 
 
-def pretty(elem: XmlElement, indent: int = 2) -> str:
-    """The canonical bytes with one element per line, for CLI inspection."""
+def pretty(elem: XmlElement) -> str:
+    """The canonical bytes with one element per line, indented two spaces
+    per level, for CLI inspection."""
     lines: list[str] = []
     depth = 0
     for token in _PRETTY_TOKENS.findall(canonicalize(elem).decode("utf-8")):
         if token.startswith("</"):
             depth -= 1
-        lines.append(" " * (depth * indent) + token)
+        lines.append("  " * depth + token)
         if not token.endswith("/>") and "</" not in token:
             depth += 1  # an opening tag whose children follow
     return "\n".join(lines)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import http.client
 import re
+import signal
 import socket
 import statistics
 import time
@@ -353,6 +354,35 @@ class TestCli:
         )
         assert code == 0
         assert b"IDPSSODescriptor" in exported.read_bytes()
+
+    def test_serve_refuses_an_unknown_artifact_mode(self, capsys, tmp_path, shared_keys, monkeypatch):
+        _service_workspace(tmp_path, shared_keys, 0)
+        conf = tmp_path / "service.conf"
+        conf.write_text(conf.read_text() + "artifact_mode = paired\n")
+
+        def serve_forever(service):
+            service.shutdown()
+            pytest.fail("serve accepted artifact_mode = paired")
+
+        monkeypatch.setattr(HarnessService, "serve_forever", serve_forever)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        assert main(["serve", "--config", str(conf)]) == 4
+        err = capsys.readouterr().err
+        assert "bad config: artifact_mode must be single or pair, got 'paired'" in err
+
+    def test_metadata_refuses_an_unknown_artifact_mode(self, capsys, tmp_path, shared_keys):
+        from samlforge.federation import save_registry
+        from samlforge.harness.config import build_idp_descriptor
+
+        descriptor = build_idp_descriptor(
+            "mycompany:saml2.0", "http://idp.internal.test", shared_keys["idp-signing"].cert_b64
+        )
+        save_registry(FederationRegistry(local=descriptor, signing_alias="idp-signing"), tmp_path)
+        policy = tmp_path / "local.policy"
+        policy.write_text(policy.read_text().replace("artifact_mode = single", "artifact_mode = paired"))
+        assert main(["metadata", "list", "--registry-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "ValueError: artifact_mode must be single or pair, got 'paired'" in err
 
     def test_metadata_export_without_local_config_exits_2(self, capsys, tmp_path):
         code = main(["metadata", "export", "--registry-dir", str(tmp_path / "none")])

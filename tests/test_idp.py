@@ -29,7 +29,7 @@ from samlforge.harness.scenarios import (
 from samlforge.idp import (
     AlreadyConsumed,
     ArtifactExpired,
-    ArtifactStore,
+    IdpEngine,
     IncompletePair,
     InvalidRequestSignature,
     MismatchedPair,
@@ -43,6 +43,8 @@ from samlforge.idp import (
     WrongSourceId,
     parse_attribute_records,
 )
+from samlforge.sp import SpEngine
+from samlforge.xmlcodec import BINDING_SOAP, IndexedEndpoint
 
 NOW = SIM_EPOCH
 
@@ -201,10 +203,14 @@ class TestIssueAssertion:
         with pytest.raises(UnknownUser):
             fed.idp.create_session("ghost", CLIENT_IP, NOW)
 
-    def test_signing_demanded_but_unconfigured(self, fed, session):
-        fed.idp.registry = dataclasses.replace(fed.idp.registry, signing_alias=None)
-        with pytest.raises(PolicyViolation):
-            fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+    def test_engines_refuse_a_registry_without_signing_alias(self, fed):
+        # every message an engine sends is signed, so each needs its key from the start
+        idp_registry = dataclasses.replace(fed.idp.registry, signing_alias=None)
+        with pytest.raises(ValueError, match="^IdpEngine needs a registry with a signing alias$"):
+            IdpEngine(idp_registry, fed.idp.store, fed.source)
+        sp_registry = dataclasses.replace(fed.sp.registry, signing_alias=None)
+        with pytest.raises(ValueError, match="^SpEngine needs a registry with a signing alias$"):
+            SpEngine(sp_registry, fed.sp.store, landing_url=f"{SP_BASE}/app")
 
     def test_fresh_ids_have_128_bits(self, fed, session):
         response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
@@ -326,7 +332,7 @@ class TestHandleAuthnRequest:
         message = bindings.decode_redirect(redirect.url).message
         sso = f"{IDP_BASE}/sso"
         if binding == "redirect":
-            request_input = bindings.encode_redirect(message, sso, kind="response").url
+            request_input = redirect.url.replace("SAMLRequest=", "SAMLResponse=")
         else:
             form = bindings.encode_post(message, "response", sso)
             request_input = bindings.serialize_post_body(form)
@@ -358,6 +364,34 @@ class TestArtifacts:
         later = fed.idp.issue_artifact(response, SP_ENTITY)
         with pytest.raises(ArtifactExpired):
             _resolve(fed, NOW.plus(301), later.encode())
+
+    def test_artifacts_name_the_local_resolution_endpoint(self, fed, session):
+        endpoint = IndexedEndpoint(3, BINDING_SOAP, f"{IDP_BASE}/resolve-3", True)
+        local = fed.idp.registry.local
+        local = dataclasses.replace(
+            local,
+            role=dataclasses.replace(local.role, artifact_resolution_endpoints=(endpoint,)),
+        )
+        fed.idp.registry = dataclasses.replace(fed.idp.registry, local=local)
+        fed.sp.register_partner(xmlcodec.emit_metadata(local))
+        response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        first, second = fed.idp.issue_artifact_pair(response, SP_ENTITY)
+        assert first.endpoint_index == second.endpoint_index == 3
+        result = fed.sp.fetch_via_artifact([first.encode(), second.encode()], CLIENT_IP, NOW)
+        assert result.ok, result.report.render()
+        sent = [e for e in fed.trace if e.kind == "artifact_resolve"]
+        assert [e.summary for e in sent] == [f"to {IDP_BASE}/resolve-3"]
+
+    def test_no_local_resolution_endpoint_is_a_policy_violation(self, fed, session):
+        local = fed.idp.registry.local
+        local = dataclasses.replace(
+            local, role=dataclasses.replace(local.role, artifact_resolution_endpoints=())
+        )
+        fed.idp.registry = dataclasses.replace(fed.idp.registry, local=local)
+        response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        with pytest.raises(PolicyViolation, match="no artifact resolution endpoint"):
+            fed.idp.issue_artifact(response, SP_ENTITY)
+        assert len(fed.idp.artifacts) == 0
 
     def test_unknown_artifact(self, fed):
         stray = bindings.new_artifact(EntityId("mycompany:saml2.0"))
@@ -440,7 +474,7 @@ class TestArtifacts:
 
 class TestArtifactRetention:
     def test_artifact_issued_a_retention_earlier_is_dropped(self, fed, session):
-        retention = ArtifactStore.RETENTION
+        retention = fed.idp.registry.validity
         response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
         old = fed.idp.issue_artifact(response, SP_ENTITY)
         first, second = fed.idp.issue_artifact_pair(response, SP_ENTITY)
@@ -457,6 +491,15 @@ class TestArtifactRetention:
             kept_response
         )
         assert _resolve(fed, later.plus(1), fresh.encode())
+
+    def test_an_artifact_lives_as_long_as_its_assertion(self, fed, session):
+        fed.idp.registry = dataclasses.replace(fed.idp.registry, validity=600)
+        response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        first = fed.idp.issue_artifact(response, SP_ENTITY)
+        second = fed.idp.issue_artifact(response, SP_ENTITY)
+        assert _resolve(fed, NOW.plus(400), first.encode()) == xmlcodec.emit_response(response)
+        with pytest.raises(ArtifactExpired):
+            _resolve(fed, NOW.plus(600), second.encode())
 
 
 class TestSingleLogout:
@@ -493,6 +536,17 @@ class TestSingleLogout:
         with pytest.raises(UnknownSession):
             fed.idp.initiate_single_logout(session.session_index, NOW)
 
+    def test_an_sp_without_single_logout_service_is_skipped(self, fed, session):
+        sp_desc = fed.sp.registry.local
+        sp_desc = dataclasses.replace(
+            sp_desc, role=dataclasses.replace(sp_desc.role, single_logout_endpoints=())
+        )
+        fed.idp.register_partner(xmlcodec.emit_metadata(sp_desc))
+        fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        assert fed.idp.initiate_single_logout(session.session_index, NOW.plus(1)) == []
+        assert session.session_index not in fed.idp.sessions
+        assert fed.idp.session_for_user("the.user") is None
+
     def test_session_for_user_is_the_oldest_live_one(self, fed):
         assert fed.idp.session_for_user("the.user") is None
         first = fed.idp.create_session("the.user", CLIENT_IP, NOW)
@@ -502,11 +556,8 @@ class TestSingleLogout:
         assert fed.idp.initiate_single_logout(first.session_index, NOW.plus(2)) == []
         assert fed.idp.session_for_user("the.user") is second
         assert fed.idp.session_for_user("j.doe") is other
-        # a session created again under its index is the user's newest
-        again = fed.idp.create_session("the.user", CLIENT_IP, NOW.plus(3), second.session_index)
-        third = fed.idp.create_session("the.user", CLIENT_IP, NOW.plus(4))
-        assert fed.idp.session_for_user("the.user") is again
-        assert fed.idp.initiate_single_logout(again.session_index, NOW.plus(5)) == []
+        third = fed.idp.create_session("the.user", CLIENT_IP, NOW.plus(3))
+        assert fed.idp.initiate_single_logout(second.session_index, NOW.plus(4)) == []
         assert fed.idp.session_for_user("the.user") is third
         assert fed.idp.initiate_single_logout(third.session_index, NOW.plus(6)) == []
         assert fed.idp.session_for_user("the.user") is None

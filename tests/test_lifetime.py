@@ -64,7 +64,7 @@ def test_back_channel_of_a_dropped_federation_fails_its_fetch_step(shared_keys):
     fed = SimulatedFederation(keys=shared_keys)
     session = fed.idp.create_session("the.user", CLIENT_IP, SIM_EPOCH)
     response = fed.idp.issue_assertion(session, SP_ENTITY, SIM_EPOCH)
-    artifact = fed.idp.issue_artifact(response, SP_ENTITY, endpoint_index=0).encode()
+    artifact = fed.idp.issue_artifact(response, SP_ENTITY).encode()
     sp = fed.sp
     del fed
     result = sp.fetch_via_artifact([artifact], CLIENT_IP, SIM_EPOCH.plus(1))
