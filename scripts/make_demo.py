@@ -59,7 +59,7 @@ def main() -> int:
     root = Path(args.dir)
     (root / "keys").mkdir(parents=True, exist_ok=True)
 
-    print("generating RSA keypairs (a few seconds)...")
+    print("generating P-256 keypairs...")
     idp_signing = cryptoseal.new_keypair("mycompany idp signing")
     sp_signing = cryptoseal.new_keypair("mypartner sp signing")
     sp_encryption = cryptoseal.new_keypair("mypartner sp encryption")

@@ -185,16 +185,23 @@ class Signature:
 
 @dataclass(frozen=True)
 class EncryptedAssertion:
-    """AES-128-CBC sealed assertion with an RSA-wrapped content key."""
+    """An assertion sealed with AES-128-GCM under a fresh content key.
+
+    The content key travels AES-key-wrapped under a key agreed by ECDH-ES:
+    the sender's ephemeral P-256 key (its uncompressed public point is
+    ``ephemeral_key``) against the recipient's encryption certificate.
+    ``ciphertext`` ends with the 16-byte GCM tag.
+    """
 
     algorithm: str
+    ephemeral_key: bytes
     encrypted_key: bytes
     iv: bytes
     ciphertext: bytes
 
     def __post_init__(self) -> None:
-        if len(self.iv) != 16:
-            raise ValueError("iv must be exactly 16 bytes")
+        if len(self.iv) != 12:
+            raise ValueError("iv must be exactly 12 bytes")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Key management, enveloped signing/verification, and assertion sealing.
 
-Signatures are RSA-2048 with SHA-256 over the toolkit's canonical bytes;
-encryption is AES-128-CBC with an RSA-OAEP-wrapped fresh content key.
-Trust is exact-certificate pinning sourced from federation metadata --
-no chain building, no revocation.
+Every key is P-256, one algorithm per job. Signatures are ECDSA with
+SHA-256 over the toolkit's canonical bytes, with deterministic nonces
+(RFC 6979), so the same message signs to the same bytes. Sealing is
+AES-128-GCM under a fresh content key; that key is AES-key-wrapped under a
+key agreed by ECDH-ES between an ephemeral P-256 key and the recipient's
+certificate, through ConcatKDF over SHA-256. Trust is exact-certificate
+pinning sourced from federation metadata -- no chain building, no
+revocation.
 
 Keystore file format (documented wire contract):
 
@@ -16,8 +20,8 @@ Keystore file format (documented wire contract):
     -----END ENCRYPTED PRIVATE KEY-----
 
 One ``alias:`` line per entry, each followed by exactly one certificate
-and one passphrase-encrypted PKCS#8 private key. Blank lines and ``#``
-comments are ignored between entries.
+and one passphrase-encrypted PKCS#8 P-256 private key. Blank lines and
+``#`` comments are ignored between entries.
 """
 
 from __future__ import annotations
@@ -32,18 +36,23 @@ from pathlib import Path
 from typing import Callable, Mapping, TypeVar
 
 from cryptography import x509
-from cryptography.exceptions import InvalidSignature
+from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from cryptography.hazmat.primitives.padding import PKCS7
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import (
+    decode_dss_signature,
+    encode_dss_signature,
+)
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.concatkdf import ConcatKDFHash
+from cryptography.hazmat.primitives.keywrap import InvalidUnwrap, aes_key_unwrap, aes_key_wrap
 from cryptography.x509.oid import NameOID
 
 from . import xmlcodec
 from .core import EncryptedAssertion, EntityId, SamlError, Signature
 from .xmlcodec import (
-    ALG_AES128_CBC,
-    ALG_RSA_SHA256,
+    ALG_AES128_GCM,
+    ALG_ECDSA_SHA256,
     ALG_SHA256,
     XmlElement,
     insert_signature,
@@ -89,7 +98,7 @@ class SignatureRequired(InvalidRequestSignature):
 @dataclass(frozen=True)
 class KeyEntry:
     certificate: x509.Certificate
-    private_key: rsa.RSAPrivateKey
+    private_key: ec.EllipticCurvePrivateKey
 
     @functools.cached_property
     def cert_der(self) -> bytes:
@@ -134,9 +143,9 @@ class KeyStore:
 
 
 def new_keypair(common_name: str) -> KeyEntry:
-    """Generate a 2048-bit RSA key with a self-signed certificate valid for
-    ten years (harness/test use)."""
-    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    """Generate a P-256 key with a self-signed certificate valid for ten
+    years (harness/test use)."""
+    key = ec.generate_private_key(ec.SECP256R1())
     name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, common_name)])
     now = datetime.datetime.now(datetime.timezone.utc)
     cert = (
@@ -152,9 +161,16 @@ def new_keypair(common_name: str) -> KeyEntry:
     return KeyEntry(cert, key)
 
 
+def _is_p256(key) -> bool:
+    """``key``, public or private, is an elliptic-curve key on P-256."""
+    elliptic = isinstance(key, (ec.EllipticCurvePublicKey, ec.EllipticCurvePrivateKey))
+    return elliptic and isinstance(key.curve, ec.SECP256R1)
+
+
 def _keys_match(entry: KeyEntry) -> bool:
+    """The certificate holds a P-256 key whose point is the private key's."""
     cert_pub = entry.certificate.public_key()
-    if not isinstance(cert_pub, rsa.RSAPublicKey):
+    if not _is_p256(cert_pub):
         return False
     return cert_pub.public_numbers() == entry.private_key.public_key().public_numbers()
 
@@ -211,8 +227,8 @@ def load_keystore(path: str | Path, passphrase: str) -> KeyStore:
             raise BadPassphrase(f"entry {alias!r}: {exc}") from None
         except TypeError as exc:
             raise MalformedKeystore(f"entry {alias!r}: {exc}") from None
-        if not isinstance(key, rsa.RSAPrivateKey):
-            raise MalformedKeystore(f"entry {alias!r}: only RSA keys are supported")
+        if not _is_p256(key):
+            raise MalformedKeystore(f"entry {alias!r}: only P-256 keys are supported")
         entry = KeyEntry(cert, key)
         if not _keys_match(entry):
             raise KeyCertMismatch(alias)
@@ -241,8 +257,8 @@ def load_keystore(path: str | Path, passphrase: str) -> KeyStore:
 
 
 def signed_info_bytes(reference_id: str, digest_value: bytes) -> bytes:
-    """Canonical bytes the RSA signature actually covers."""
-    return xmlcodec.signed_info_bytes(ALG_RSA_SHA256, ALG_SHA256, reference_id, digest_value)
+    """Canonical bytes the ECDSA signature actually covers."""
+    return xmlcodec.signed_info_bytes(ALG_ECDSA_SHA256, ALG_SHA256, reference_id, digest_value)
 
 
 def _sha256(data: bytes) -> bytes:
@@ -250,25 +266,34 @@ def _sha256(data: bytes) -> bytes:
 
 
 @functools.lru_cache(maxsize=64)
-def _public_key(der: bytes):
-    """The public key of a pinned DER certificate, parsed once per
-    certificate; a DER that does not parse raises ValueError every time."""
-    return x509.load_der_x509_certificate(der).public_key()
+def _public_key(der: bytes) -> ec.EllipticCurvePublicKey | None:
+    """The P-256 public key of a pinned DER certificate, or None when it
+    holds another key type; parsed once per certificate. A DER that does
+    not parse raises ValueError every time."""
+    key = x509.load_der_x509_certificate(der).public_key()
+    return key if _is_p256(key) else None
+
+
+_ECDSA = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
+# XML Signature 1.1 carries an ECDSA signature as r || s, each a 32-byte
+# big-endian integer for P-256.
+_SCALAR_BYTES = 32
 
 
 def sign_element(
     element_bytes: bytes, element_id: str, key_alias: str, store: KeyStore
 ) -> Signature:
-    """Sign canonical bytes: digest goes into SignedInfo, RSA covers SignedInfo."""
+    """Sign canonical bytes: digest goes into SignedInfo, ECDSA covers SignedInfo."""
     if not element_id:
         raise ValueError("element_id must be non-empty")
     entry = store.get(key_alias)
     digest_value = _sha256(element_bytes)
     message = signed_info_bytes(element_id, digest_value)
-    signature_value = entry.private_key.sign(message, padding.PKCS1v15(), hashes.SHA256())
+    r, s = decode_dss_signature(entry.private_key.sign(message, _ECDSA))
+    signature_value = r.to_bytes(_SCALAR_BYTES, "big") + s.to_bytes(_SCALAR_BYTES, "big")
     return Signature(
         digest_algorithm=ALG_SHA256,
-        signature_algorithm=ALG_RSA_SHA256,
+        signature_algorithm=ALG_ECDSA_SHA256,
         reference_id=element_id,
         digest_value=digest_value,
         signature_value=signature_value,
@@ -324,13 +349,13 @@ def verify_signature(
     store: KeyStore,
 ) -> VerifyResult:
     """Accept only a pinned certificate, a matching digest, and a valid
-    RSA-SHA256 signature value, in that order.
+    ECDSA-SHA256 signature value by a P-256 key, in that order.
 
     A signature without an embedded certificate (redirect binding) is
     checked against every pinned certificate of the expected signer.
     """
     if (
-        signature.signature_algorithm != ALG_RSA_SHA256
+        signature.signature_algorithm != ALG_ECDSA_SHA256
         or signature.digest_algorithm != ALG_SHA256
     ):
         return VerifyResult.reject(REJECT_UNSUPPORTED_ALGORITHM)
@@ -345,18 +370,20 @@ def verify_signature(
         candidates = anchors.signing
     if _sha256(element_bytes) != signature.digest_value:
         return VerifyResult.reject(REJECT_DIGEST_MISMATCH)
-    message = signed_info_bytes(signature.reference_id, signature.digest_value)
-    for der in candidates:
-        try:
-            public_key = _public_key(der)
-            if not isinstance(public_key, rsa.RSAPublicKey):
+    value = signature.signature_value
+    if len(value) == 2 * _SCALAR_BYTES:
+        message = signed_info_bytes(signature.reference_id, signature.digest_value)
+        r, s = value[:_SCALAR_BYTES], value[_SCALAR_BYTES:]
+        der_value = encode_dss_signature(int.from_bytes(r, "big"), int.from_bytes(s, "big"))
+        for der in candidates:
+            try:
+                public_key = _public_key(der)
+                if public_key is None:
+                    continue
+                public_key.verify(der_value, message, _ECDSA)
+                return VerifyResult.accept()
+            except (InvalidSignature, ValueError):
                 continue
-            public_key.verify(
-                signature.signature_value, message, padding.PKCS1v15(), hashes.SHA256()
-            )
-            return VerifyResult.accept()
-        except (InvalidSignature, ValueError):
-            continue
     if signature.certificate:
         return VerifyResult.reject(REJECT_BAD_SIGNATURE_VALUE)
     return VerifyResult.reject(REJECT_UNTRUSTED_CERTIFICATE)
@@ -387,58 +414,60 @@ def verify_message(
 # Encryption
 # ---------------------------------------------------------------------------
 
-_OAEP = padding.OAEP(
-    mgf=padding.MGF1(algorithm=hashes.SHA256()), algorithm=hashes.SHA256(), label=None
-)
+_KEY_BYTES = 16  # AES-128: content key and key-encryption key
+_IV_BYTES = 12
+
+
+def _kek(private_key: ec.EllipticCurvePrivateKey, peer: ec.EllipticCurvePublicKey) -> bytes:
+    """The key-encryption key ECDH-ES and ConcatKDF (SHA-256) agree on."""
+    shared = private_key.exchange(ec.ECDH(), peer)
+    return ConcatKDFHash(hashes.SHA256(), _KEY_BYTES, None).derive(shared)
 
 
 def encrypt_assertion(
     assertion_bytes: bytes, recipient: EntityId, store: KeyStore
 ) -> EncryptedAssertion:
-    """Seal assertion bytes for ``recipient`` with a fresh AES-128 key and IV."""
-    anchors = store.anchors_for(recipient)
+    """Seal assertion bytes for ``recipient`` with a fresh AES-128 key, IV and
+    ephemeral P-256 key."""
     recipient_key = None
-    for der in anchors.encryption:
+    for der in store.anchors_for(recipient).encryption:
         try:
-            public_key = _public_key(der)
+            recipient_key = _public_key(der)
         except ValueError:
             continue
-        if isinstance(public_key, rsa.RSAPublicKey):
-            recipient_key = public_key
+        if recipient_key is not None:
             break
     if recipient_key is None:
         raise NoEncryptionCert(recipient.value)
 
-    content_key = secrets.token_bytes(16)
-    iv = secrets.token_bytes(16)
-    padder = PKCS7(128).padder()
-    padded = padder.update(assertion_bytes) + padder.finalize()
-    encryptor = Cipher(algorithms.AES(content_key), modes.CBC(iv)).encryptor()
-    ciphertext = encryptor.update(padded) + encryptor.finalize()
+    ephemeral = ec.generate_private_key(ec.SECP256R1())
+    content_key = secrets.token_bytes(_KEY_BYTES)
+    iv = secrets.token_bytes(_IV_BYTES)
     return EncryptedAssertion(
-        algorithm=ALG_AES128_CBC,
-        encrypted_key=recipient_key.encrypt(content_key, _OAEP),
+        algorithm=ALG_AES128_GCM,
+        ephemeral_key=ephemeral.public_key().public_bytes(
+            serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint
+        ),
+        encrypted_key=aes_key_wrap(_kek(ephemeral, recipient_key), content_key),
         iv=iv,
-        ciphertext=ciphertext,
+        ciphertext=AESGCM(content_key).encrypt(iv, assertion_bytes, None),
     )
 
 
 def decrypt_assertion(enc: EncryptedAssertion, key_alias: str | None, store: KeyStore) -> bytes:
     """Unseal with the decryption key ``key_alias`` and no other, so a
     signing key never decrypts. Every failure mode, an unknown or absent
-    alias included, collapses into one DecryptFailed so padding errors are
-    indistinguishable from key errors."""
-    if enc.algorithm != ALG_AES128_CBC:
+    alias, a point off the curve and a changed byte (the GCM tag) included,
+    collapses into one DecryptFailed."""
+    if enc.algorithm != ALG_AES128_GCM:
         raise DecryptFailed("unsupported algorithm")
     entry = store.entries.get(key_alias)
     if entry is not None:
         try:
-            content_key = entry.private_key.decrypt(enc.encrypted_key, _OAEP)
-            if len(content_key) == 16:
-                decryptor = Cipher(algorithms.AES(content_key), modes.CBC(enc.iv)).decryptor()
-                padded = decryptor.update(enc.ciphertext) + decryptor.finalize()
-                unpadder = PKCS7(128).unpadder()
-                return unpadder.update(padded) + unpadder.finalize()
-        except ValueError:
+            point = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), enc.ephemeral_key)
+            content_key = aes_key_unwrap(_kek(entry.private_key, point), enc.encrypted_key)
+            if len(content_key) == _KEY_BYTES:
+                return AESGCM(content_key).decrypt(enc.iv, enc.ciphertext, None)
+        except (ValueError, InvalidUnwrap, InvalidTag):
             pass
     raise DecryptFailed("no held key unseals this assertion")

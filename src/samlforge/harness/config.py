@@ -20,7 +20,7 @@ from pathlib import Path
 from ..core import EntityId, SamlError
 from ..federation import parse_keyvalues
 from ..xmlcodec import (
-    ALG_AES128_CBC,
+    ALG_AES128_GCM,
     BINDING_HTTP_POST,
     BINDING_SOAP,
     EncryptionKey,
@@ -178,7 +178,7 @@ def build_sp_descriptor(
     base = base_url.rstrip("/")
     encryption_keys = ()
     if encryption_cert_b64 is not None:
-        encryption_keys = (EncryptionKey(encryption_cert_b64, ALG_AES128_CBC, 128),)
+        encryption_keys = (EncryptionKey(encryption_cert_b64, ALG_AES128_GCM, 128),)
     return EntityDescriptor(
         entity_id=EntityId(entity_id),
         role=SpSsoDescriptor(

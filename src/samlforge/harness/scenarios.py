@@ -182,7 +182,8 @@ _KEYS: dict[str, cryptoseal.KeyEntry] = {}
 
 
 def _shared_keys() -> dict[str, cryptoseal.KeyEntry]:
-    """RSA keygen is the slow part; share one set per process."""
+    """One set of keys per process, shared by every federation built
+    without keys of its own."""
     if not _KEYS:
         _KEYS["idp-signing"] = cryptoseal.new_keypair("idp-signing")
         _KEYS["sp-signing"] = cryptoseal.new_keypair("sp-signing")

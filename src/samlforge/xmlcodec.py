@@ -43,6 +43,8 @@ NS_PROTOCOL = "urn:oasis:names:tc:SAML:2.0:protocol"
 NS_METADATA = "urn:oasis:names:tc:SAML:2.0:metadata"
 NS_DSIG = "http://www.w3.org/2000/09/xmldsig#"
 NS_XMLENC = "http://www.w3.org/2001/04/xmlenc#"
+NS_XMLENC11 = "http://www.w3.org/2009/xmlenc11#"
+NS_DSIG11 = "http://www.w3.org/2009/xmldsig11#"
 NS_XML = "http://www.w3.org/XML/1998/namespace"
 NS_ENVELOPE = "http://schemas.xmlsoap.org/soap/envelope/"
 
@@ -54,6 +56,8 @@ PREFERRED_PREFIXES = {
     NS_METADATA: "md",
     NS_DSIG: "ds",
     NS_XMLENC: "xenc",
+    NS_XMLENC11: "xenc11",
+    NS_DSIG11: "dsig11",
     NS_ENVELOPE: "env",
 }
 
@@ -65,9 +69,14 @@ KNOWN_BINDINGS = frozenset(
     [BINDING_HTTP_POST, BINDING_HTTP_REDIRECT, BINDING_HTTP_ARTIFACT, BINDING_SOAP]
 )
 
-ALG_AES128_CBC = "http://www.w3.org/2001/04/xmlenc#aes128-cbc"
-ALG_RSA_SHA256 = "http://www.w3.org/2001/04/xmldsig-more#rsa-sha256"
+# One algorithm per job: XML Signature 1.1 and XML Encryption 1.1 over P-256.
+ALG_ECDSA_SHA256 = "http://www.w3.org/2001/04/xmldsig-more#ecdsa-sha256"
 ALG_SHA256 = "http://www.w3.org/2001/04/xmlenc#sha256"
+ALG_AES128_GCM = "http://www.w3.org/2009/xmlenc11#aes128-gcm"
+ALG_KW_AES128 = "http://www.w3.org/2001/04/xmlenc#kw-aes128"
+ALG_ECDH_ES = "http://www.w3.org/2009/xmlenc11#ECDH-ES"
+ALG_CONCAT_KDF = "http://www.w3.org/2009/xmlenc11#ConcatKDF"
+CURVE_P256 = "urn:oid:1.2.840.10045.3.1.7"
 
 
 class MalformedXml(SamlError):
@@ -620,7 +629,16 @@ def _encrypted_assertion(enc: EncryptedAssertion) -> str:
     return (
         f'<saml:EncryptedAssertion{_SAML_NS}><xenc:EncryptedData xmlns:xenc="{NS_XMLENC}">'
         f"<xenc:EncryptionMethod{_attr('Algorithm', enc.algorithm)}/>"
-        f"<ds:KeyInfo {_DS_OPEN}><xenc:EncryptedKey><xenc:CipherData>"
+        f"<ds:KeyInfo {_DS_OPEN}><xenc:EncryptedKey>"
+        f'<xenc:EncryptionMethod Algorithm="{ALG_KW_AES128}"/><ds:KeyInfo>'
+        f'<xenc:AgreementMethod Algorithm="{ALG_ECDH_ES}">'
+        f'<xenc11:KeyDerivationMethod xmlns:xenc11="{NS_XMLENC11}" Algorithm="{ALG_CONCAT_KDF}">'
+        f'<xenc11:ConcatKDFParams><ds:DigestMethod Algorithm="{ALG_SHA256}"/>'
+        "</xenc11:ConcatKDFParams></xenc11:KeyDerivationMethod>"
+        f'<xenc:OriginatorKeyInfo><ds:KeyValue><dsig11:ECKeyValue xmlns:dsig11="{NS_DSIG11}">'
+        f'<dsig11:NamedCurve URI="{CURVE_P256}"/>'
+        f"{_text('dsig11:PublicKey', _b64(enc.ephemeral_key))}</dsig11:ECKeyValue></ds:KeyValue>"
+        "</xenc:OriginatorKeyInfo></xenc:AgreementMethod></ds:KeyInfo><xenc:CipherData>"
         f"{_text('xenc:CipherValue', _b64(enc.encrypted_key))}"
         "</xenc:CipherData></xenc:EncryptedKey></ds:KeyInfo><xenc:CipherData>"
         f"{_text('xenc:CipherValue', _b64(enc.iv + enc.ciphertext))}"
@@ -628,11 +646,32 @@ def _encrypted_assertion(enc: EncryptedAssertion) -> str:
     )
 
 
+def _fixed(elem: XmlElement, attr: str, value: str) -> XmlElement:
+    """``elem``, whose ``attr`` must name the one algorithm the toolkit uses."""
+    if _require_attr(elem, attr) != value:
+        raise MalformedXml(f"<{elem.local}> {attr} must be {value}")
+    return elem
+
+
 def encrypted_assertion_from_element(elem: XmlElement) -> EncryptedAssertion:
     data = elem.require("EncryptedData", NS_XMLENC)
     method = data.require("EncryptionMethod", NS_XMLENC)
-    key_info = data.require("KeyInfo", NS_DSIG)
-    enc_key = key_info.require("EncryptedKey", NS_XMLENC)
+    enc_key = data.require("KeyInfo", NS_DSIG).require("EncryptedKey", NS_XMLENC)
+    _fixed(enc_key.require("EncryptionMethod", NS_XMLENC), "Algorithm", ALG_KW_AES128)
+    agreement = _fixed(
+        enc_key.require("KeyInfo", NS_DSIG).require("AgreementMethod", NS_XMLENC),
+        "Algorithm",
+        ALG_ECDH_ES,
+    )
+    kdf = _fixed(agreement.require("KeyDerivationMethod", NS_XMLENC11), "Algorithm", ALG_CONCAT_KDF)
+    params = kdf.require("ConcatKDFParams", NS_XMLENC11)
+    _fixed(params.require("DigestMethod", NS_DSIG), "Algorithm", ALG_SHA256)
+    ec_key = (
+        agreement.require("OriginatorKeyInfo", NS_XMLENC)
+        .require("KeyValue", NS_DSIG)
+        .require("ECKeyValue", NS_DSIG11)
+    )
+    _fixed(ec_key.require("NamedCurve", NS_DSIG11), "URI", CURVE_P256)
     wrapped = _unb64(
         enc_key.require("CipherData", NS_XMLENC).require("CipherValue", NS_XMLENC).text,
         "EncryptedKey CipherValue",
@@ -641,13 +680,14 @@ def encrypted_assertion_from_element(elem: XmlElement) -> EncryptedAssertion:
         data.require("CipherData", NS_XMLENC).require("CipherValue", NS_XMLENC).text,
         "CipherValue",
     )
-    if len(cipher) < 32:
-        raise MalformedXml("cipher value shorter than IV plus one block")
+    if len(cipher) < 28:
+        raise MalformedXml("cipher value shorter than IV plus tag")
     return EncryptedAssertion(
         algorithm=_require_attr(method, "Algorithm"),
+        ephemeral_key=_unb64(ec_key.require("PublicKey", NS_DSIG11).text, "PublicKey"),
         encrypted_key=wrapped,
-        iv=cipher[:16],
-        ciphertext=cipher[16:],
+        iv=cipher[:12],
+        ciphertext=cipher[12:],
     )
 
 

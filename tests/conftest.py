@@ -44,7 +44,7 @@ def sample_response_bytes() -> bytes:
 
 @pytest.fixture(scope="session")
 def shared_keys() -> dict[str, cryptoseal.KeyEntry]:
-    """One set of RSA keypairs per test session; keygen dominates runtime."""
+    """One set of keypairs per test session, the harness's own."""
     return _shared_keys()
 
 

@@ -1,8 +1,9 @@
 """Independent oracles used to cross-check production code paths.
 
 These deliberately avoid the libraries the package itself uses for the
-same operation: SHA-1 and base64 are implemented from scratch, RSA
-signing/verification uses plain modular arithmetic over the key numbers.
+same operation: SHA-1 and base64 are implemented from scratch, and P-256
+ECDSA signing (RFC 6979 nonces) and verification use plain modular
+arithmetic over the curve's points.
 The XML oracles are the straightforward forms of xmlcodec's writer,
 parser (ElementTree, then a tree walk), signature fragments, protocol
 messages and metadata (element trees), which xmlcodec replaced with
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import hmac
 import re
 import struct
 import xml.etree.ElementTree as ET
@@ -30,12 +32,19 @@ from samlforge.core import (
 )
 from samlforge.idp import AttributeSource, UserRecord
 from samlforge.xmlcodec import (
+    ALG_CONCAT_KDF,
+    ALG_ECDH_ES,
+    ALG_KW_AES128,
+    ALG_SHA256,
+    CURVE_P256,
     NS_ASSERTION,
     NS_DSIG,
+    NS_DSIG11,
     NS_METADATA,
     NS_PROTOCOL,
     NS_XML,
     NS_XMLENC,
+    NS_XMLENC11,
     PREFERRED_PREFIXES,
     AttrKey,
     EncryptionKey,
@@ -153,32 +162,93 @@ def percent_decode(text: str) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# RSA PKCS#1 v1.5 with SHA-256 (modular arithmetic over the key numbers)
+# P-256 ECDSA with SHA-256 and RFC 6979 nonces (affine point arithmetic)
 # ---------------------------------------------------------------------------
 
-_SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
+P256_P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
+P256_A = P256_P - 3
+P256_N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+P256_G = (
+    0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
+    0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
+)
 
 
-def _emsa_pkcs1_v15(message: bytes, em_len: int) -> bytes:
-    digest = hashlib.sha256(message).digest()
-    t = _SHA256_DIGEST_INFO + digest
-    if em_len < len(t) + 11:
-        raise ValueError("modulus too small")
-    return b"\x00\x01" + b"\xff" * (em_len - len(t) - 3) + b"\x00" + t
+def point_double(point):
+    """2 * ``point``; None is the point at infinity."""
+    if point is None or point[1] == 0:
+        return None
+    x, y = point
+    slope = (3 * x * x + P256_A) * pow(2 * y, -1, P256_P) % P256_P
+    x3 = (slope * slope - 2 * x) % P256_P
+    return x3, (slope * (x - x3) - y) % P256_P
 
 
-def rsa_sign(message: bytes, n: int, d: int) -> bytes:
-    em_len = (n.bit_length() + 7) // 8
-    em = int.from_bytes(_emsa_pkcs1_v15(message, em_len), "big")
-    return pow(em, d, n).to_bytes(em_len, "big")
+def point_add(one, two):
+    if one is None:
+        return two
+    if two is None:
+        return one
+    (x1, y1), (x2, y2) = one, two
+    if x1 == x2:
+        return point_double(one) if y1 == y2 else None
+    slope = (y2 - y1) * pow(x2 - x1, -1, P256_P) % P256_P
+    x3 = (slope * slope - x1 - x2) % P256_P
+    return x3, (slope * (x1 - x3) - y1) % P256_P
 
 
-def rsa_verify(message: bytes, signature: bytes, n: int, e: int) -> bool:
-    em_len = (n.bit_length() + 7) // 8
-    if len(signature) != em_len:
+def scalar_mult(k: int, point):
+    result = None
+    for bit in bin(k)[2:]:
+        result = point_double(result)
+        if bit == "1":
+            result = point_add(result, point)
+    return result
+
+
+def _hash_int(message: bytes) -> int:
+    # SHA-256 output is exactly as long as the P-256 order: no truncation
+    return int.from_bytes(hashlib.sha256(message).digest(), "big")
+
+
+def rfc6979_nonce(message: bytes, private: int) -> int:
+    """The deterministic nonce of RFC 6979 section 3.2 (HMAC-DRBG, SHA-256)."""
+    x = private.to_bytes(32, "big")
+    h = (_hash_int(message) % P256_N).to_bytes(32, "big")
+    v, k = b"\x01" * 32, b"\x00" * 32
+    for tag in (b"\x00", b"\x01"):
+        k = hmac.new(k, v + tag + x + h, "sha256").digest()
+        v = hmac.new(k, v, "sha256").digest()
+    while True:
+        v = hmac.new(k, v, "sha256").digest()
+        nonce = int.from_bytes(v, "big")
+        if 1 <= nonce < P256_N:
+            return nonce
+        k = hmac.new(k, v + b"\x00", "sha256").digest()
+        v = hmac.new(k, v, "sha256").digest()
+
+
+def ecdsa_sign(message: bytes, private: int) -> bytes:
+    """r || s, each 32 bytes, as XML Signature 1.1 carries it."""
+    nonce = rfc6979_nonce(message, private)
+    r = scalar_mult(nonce, P256_G)[0] % P256_N
+    s = pow(nonce, -1, P256_N) * (_hash_int(message) + r * private) % P256_N
+    return r.to_bytes(32, "big") + s.to_bytes(32, "big")
+
+
+def ecdsa_verify(message: bytes, signature: bytes, public) -> bool:
+    """``public`` is the signer's point (x, y)."""
+    if len(signature) != 64:
         return False
-    decoded = pow(int.from_bytes(signature, "big"), e, n).to_bytes(em_len, "big")
-    return decoded == _emsa_pkcs1_v15(message, em_len)
+    r, s = int.from_bytes(signature[:32], "big"), int.from_bytes(signature[32:], "big")
+    if not (0 < r < P256_N and 0 < s < P256_N):
+        return False
+    w = pow(s, -1, P256_N)
+    point = point_add(
+        scalar_mult(_hash_int(message) * w % P256_N, P256_G),
+        scalar_mult(r * w % P256_N, public),
+    )
+    return point is not None and point[0] % P256_N == r
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +501,53 @@ def signature_element(sig: Signature):
 # ---------------------------------------------------------------------------
 
 
+def _cipher_data(data: bytes):
+    return element(NS_XMLENC, "CipherData", children=[element(NS_XMLENC, "CipherValue", text=_b64(data))])
+
+
 def encrypted_assertion_element(enc):
+    kdf = element(
+        NS_XMLENC11,
+        "KeyDerivationMethod",
+        {"Algorithm": ALG_CONCAT_KDF},
+        children=[
+            element(
+                NS_XMLENC11,
+                "ConcatKDFParams",
+                children=[element(NS_DSIG, "DigestMethod", {"Algorithm": ALG_SHA256})],
+            )
+        ],
+    )
+    originator = element(
+        NS_XMLENC,
+        "OriginatorKeyInfo",
+        children=[
+            element(
+                NS_DSIG,
+                "KeyValue",
+                children=[
+                    element(
+                        NS_DSIG11,
+                        "ECKeyValue",
+                        children=[
+                            element(NS_DSIG11, "NamedCurve", {"URI": CURVE_P256}),
+                            element(NS_DSIG11, "PublicKey", text=_b64(enc.ephemeral_key)),
+                        ],
+                    )
+                ],
+            )
+        ],
+    )
+    agreement = element(
+        NS_XMLENC, "AgreementMethod", {"Algorithm": ALG_ECDH_ES}, children=[kdf, originator]
+    )
     encrypted_key = element(
         NS_XMLENC,
         "EncryptedKey",
         children=[
-            element(
-                NS_XMLENC,
-                "CipherData",
-                children=[element(NS_XMLENC, "CipherValue", text=_b64(enc.encrypted_key))],
-            )
+            element(NS_XMLENC, "EncryptionMethod", {"Algorithm": ALG_KW_AES128}),
+            element(NS_DSIG, "KeyInfo", children=[agreement]),
+            _cipher_data(enc.encrypted_key),
         ],
     )
     data = element(
@@ -449,11 +556,7 @@ def encrypted_assertion_element(enc):
         children=[
             element(NS_XMLENC, "EncryptionMethod", {"Algorithm": enc.algorithm}),
             element(NS_DSIG, "KeyInfo", children=[encrypted_key]),
-            element(
-                NS_XMLENC,
-                "CipherData",
-                children=[element(NS_XMLENC, "CipherValue", text=_b64(enc.iv + enc.ciphertext))],
-            ),
+            _cipher_data(enc.iv + enc.ciphertext),
         ],
     )
     return element(NS_ASSERTION, "EncryptedAssertion", children=[data])

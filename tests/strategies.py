@@ -23,7 +23,7 @@ from samlforge.core import (
     SubjectConfirmation,
 )
 from samlforge.xmlcodec import (
-    ALG_AES128_CBC,
+    ALG_AES128_GCM,
     BINDING_HTTP_ARTIFACT,
     BINDING_HTTP_POST,
     BINDING_HTTP_REDIRECT,
@@ -153,7 +153,7 @@ encryption_keys = st.one_of(
     st.builds(
         EncryptionKey,
         certificate=_cert_text,
-        algorithm=st.just(ALG_AES128_CBC),
+        algorithm=st.just(ALG_AES128_GCM),
         key_size=st.none() | st.just(128),
     ),
 )

@@ -1,9 +1,13 @@
 import dataclasses
+import datetime
 import hashlib
 
 import pytest
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import rsa
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec, rsa
+from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
+from cryptography.x509.oid import NameOID
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -17,6 +21,7 @@ from samlforge.cryptoseal import (
     KeyCertMismatch,
     KeyEntry,
     KeyStore,
+    MalformedKeystore,
     NoEncryptionCert,
     UnknownAlias,
     load_keystore,
@@ -55,29 +60,41 @@ def trusting_store(store, signer_entry):
     return store.with_trust_anchors(SIGNER, signing=(signer_entry.cert_der,))
 
 
+def _self_signed(key) -> KeyEntry:
+    """``key`` with a one-day self-signed certificate, built with the crypto
+    library directly."""
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "independent")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(1)
+        .not_valid_before(now)
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .sign(key, hashes.SHA256())
+    )
+    return KeyEntry(cert, key)
+
+
+def _write_entry(path, entry: KeyEntry, passphrase: bytes) -> None:
+    """A one-entry keystore file written without ``save_keystore``."""
+    cert_pem = entry.certificate.public_bytes(serialization.Encoding.PEM)
+    key_pem = entry.private_key.private_bytes(
+        serialization.Encoding.PEM,
+        serialization.PrivateFormat.PKCS8,
+        serialization.BestAvailableEncryption(passphrase),
+    )
+    path.write_bytes(b"alias: only\n" + cert_pem + key_pem)
+
+
 class TestKeystoreFile:
     def test_save_load_round_trip(self, tmp_path, shared_keys):
         # generate with the crypto library directly, save through the store,
         # compare exported public material byte for byte
-        key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        from cryptography import x509
-        from cryptography.hazmat.primitives import hashes
-        from cryptography.x509.oid import NameOID
-        import datetime
-
-        name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "independent")])
-        now = datetime.datetime.now(datetime.timezone.utc)
-        cert = (
-            x509.CertificateBuilder()
-            .subject_name(name)
-            .issuer_name(name)
-            .public_key(key.public_key())
-            .serial_number(1)
-            .not_valid_before(now)
-            .not_valid_after(now + datetime.timedelta(days=1))
-            .sign(key, hashes.SHA256())
-        )
-        entry = KeyEntry(cert, key)
+        key = ec.generate_private_key(ec.SECP256R1())
+        entry = _self_signed(key)
         path = tmp_path / "one.keystore"
         save_keystore(make_keystore({"only": entry}), path, "secret")
         loaded = load_keystore(path, "secret")
@@ -118,15 +135,26 @@ class TestKeystoreFile:
         assert excinfo.value.alias == "broken"
         # and through the file path as well
         path = tmp_path / "three.keystore"
-        cert_pem = signer_entry.certificate.public_bytes(serialization.Encoding.PEM)
-        key_pem = rogue_key.private_key.private_bytes(
-            serialization.Encoding.PEM,
-            serialization.PrivateFormat.PKCS8,
-            serialization.BestAvailableEncryption(b"pw"),
-        )
-        path.write_bytes(b"alias: broken\n" + cert_pem + key_pem)
+        _write_entry(path, mismatched, b"pw")
         with pytest.raises(KeyCertMismatch):
             load_keystore(path, "pw")
+
+    @pytest.mark.parametrize(
+        "make_key",
+        [
+            lambda: rsa.generate_private_key(public_exponent=65537, key_size=2048),
+            lambda: ec.generate_private_key(ec.SECP384R1()),
+        ],
+        ids=["rsa-2048", "p-384"],
+    )
+    def test_only_p256_keys_load(self, tmp_path, make_key):
+        entry = _self_signed(make_key())
+        path = tmp_path / "other.keystore"
+        _write_entry(path, entry, b"pw")
+        with pytest.raises(MalformedKeystore, match="only P-256 keys are supported"):
+            load_keystore(path, "pw")
+        with pytest.raises(KeyCertMismatch):
+            make_keystore({"only": entry})
 
 
 class TestSigning:
@@ -168,12 +196,44 @@ class TestSigning:
         result = verify_signature(PAYLOAD, garbled, SIGNER, trusting_store)
         assert (result.accepted, result.reason) == (False, "BadSignatureValue")
 
+    def test_same_message_signs_to_the_same_bytes(self, store):
+        # RFC 6979 nonces: signed bytes are a function of key and message
+        one = sign_element(PAYLOAD, "1234", "signing", store)
+        two = sign_element(PAYLOAD, "1234", "signing", store)
+        assert one == two
+        assert len(one.signature_value) == 64
+
+    @pytest.mark.parametrize("shape", ["63 bytes", "65 bytes", "DER"])
+    def test_signature_value_must_be_64_bytes_of_r_and_s(self, store, trusting_store, shape):
+        signature = sign_element(PAYLOAD, "1234", "signing", store)
+        value = signature.signature_value
+        r, s = int.from_bytes(value[:32], "big"), int.from_bytes(value[32:], "big")
+        bent = {
+            "63 bytes": value[:63],
+            "65 bytes": b"\x00" + value,
+            "DER": encode_dss_signature(r, s),
+        }[shape]
+        result = verify_signature(
+            PAYLOAD, dataclasses.replace(signature, signature_value=bent), SIGNER, trusting_store
+        )
+        assert (result.accepted, result.reason) == (False, "BadSignatureValue")
+
+    @pytest.mark.parametrize("with_key_info", [True, False])
+    def test_valid_signature_by_an_unpinned_key_is_untrusted(
+        self, rogue_key, trusting_store, with_key_info
+    ):
+        signature = sign_element(PAYLOAD, "1234", "signing", make_keystore({"signing": rogue_key}))
+        if not with_key_info:
+            signature = dataclasses.replace(signature, certificate=b"")
+        result = verify_signature(PAYLOAD, signature, SIGNER, trusting_store)
+        assert (result.accepted, result.reason) == (False, "UntrustedCertificate")
+
     def test_signed_info_bytes_are_pinned(self):
         # SHA-256 of the SignedInfo every signature value covers.
         raw = signed_info_bytes("_abc", b"\x01" * 32)
         assert (
             hashlib.sha256(raw).hexdigest()
-            == "936e77353d131ba4e07ca3ae0017adee26cbb3a771990e4a62da3a328667786b"
+            == "86efbd788d40951bb4be76bb992aea50b5fa76c7fb95be64a53e20d11894b13c"
         )
 
     def test_sign_message_covers_the_unsigned_message(
@@ -246,17 +306,18 @@ class TestSigning:
             return
         assert not verify_signature(bytes(mutated), signature, SIGNER, trusting_store).accepted
 
-    def test_cross_check_with_arithmetic_rsa(self, store, signer_entry, trusting_store):
+    def test_cross_check_with_arithmetic_ecdsa(self, store, signer_entry, trusting_store):
         signature = sign_element(PAYLOAD, "1234", "signing", store)
         numbers = signer_entry.private_key.private_numbers()
-        n = numbers.public_numbers.n
-        e = numbers.public_numbers.e
+        point = (numbers.public_numbers.x, numbers.public_numbers.y)
         message = signed_info_bytes(signature.reference_id, signature.digest_value)
-        assert oracles.rsa_verify(message, signature.signature_value, n, e)
+        assert oracles.ecdsa_verify(message, signature.signature_value, point)
         # and the reverse: an independently computed signature verifies here
-        independent = oracles.rsa_sign(message, n, numbers.d)
+        independent = oracles.ecdsa_sign(message, numbers.private_value)
         stitched = dataclasses.replace(signature, signature_value=independent)
         assert verify_signature(PAYLOAD, stitched, SIGNER, trusting_store).accepted
+        # RFC 6979 fixes the nonce, so both computations give the same bytes
+        assert independent == signature.signature_value
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +344,8 @@ class TestSealing:
         assert one.iv != two.iv
         assert one.ciphertext != two.ciphertext
         assert one.encrypted_key != two.encrypted_key
+        assert one.ephemeral_key != two.ephemeral_key
+        assert len(one.ephemeral_key) == 65 and one.ephemeral_key[0] == 4
 
     def test_tampered_key_wrap_fails(self, recipient_store, holder_store):
         enc = encrypt_assertion(PAYLOAD, EntityId("mypartner:saml2.0"), recipient_store)
@@ -299,12 +362,34 @@ class TestSealing:
     def test_tampered_ciphertext_never_yields_plaintext(self, recipient_store, holder_store):
         enc = encrypt_assertion(PAYLOAD, EntityId("mypartner:saml2.0"), recipient_store)
         bent = dataclasses.replace(enc, ciphertext=bytes(reversed(enc.ciphertext)))
-        try:
-            recovered = decrypt_assertion(bent, "sp-encryption", holder_store)
-        except DecryptFailed:
-            return
-        # CBC without integrity can unpad garbage; it must never equal the input
-        assert recovered != PAYLOAD
+        # the GCM tag fails before any plaintext is released
+        with pytest.raises(DecryptFailed):
+            decrypt_assertion(bent, "sp-encryption", holder_store)
+
+    def test_cbc_is_refused(self, recipient_store, holder_store):
+        enc = encrypt_assertion(PAYLOAD, EntityId("mypartner:saml2.0"), recipient_store)
+        cbc = dataclasses.replace(enc, algorithm="http://www.w3.org/2001/04/xmlenc#aes128-cbc")
+        with pytest.raises(DecryptFailed):
+            decrypt_assertion(cbc, "sp-encryption", holder_store)
+
+    @pytest.mark.parametrize("case", ["off-curve", "p-384", "truncated"])
+    def test_ephemeral_point_must_be_on_p256(self, recipient_store, holder_store, case):
+        enc = encrypt_assertion(PAYLOAD, EntityId("mypartner:saml2.0"), recipient_store)
+        point = enc.ephemeral_key
+        p384 = ec.generate_private_key(ec.SECP384R1()).public_key().public_bytes(
+            serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint
+        )
+        bent = {
+            # y + 1 leaves the curve: y and y + 1 cannot both square to x^3 - 3x + b
+            "off-curve": point[:33] + (int.from_bytes(point[33:], "big") + 1).to_bytes(32, "big"),
+            "p-384": p384,
+            "truncated": point[:64],
+        }[case]
+        with pytest.raises(DecryptFailed) as excinfo:
+            decrypt_assertion(
+                dataclasses.replace(enc, ephemeral_key=bent), "sp-encryption", holder_store
+            )
+        assert str(excinfo.value) == "no held key unseals this assertion"
 
     def test_missing_recipient_cert(self):
         with pytest.raises(NoEncryptionCert):
@@ -334,9 +419,10 @@ class TestSealing:
 
 _encrypted_assertions = st.builds(
     EncryptedAssertion,
-    algorithm=st.just(xmlcodec.ALG_AES128_CBC),
-    encrypted_key=st.binary(min_size=1, max_size=64),
-    iv=st.binary(min_size=16, max_size=16),
+    algorithm=st.just(xmlcodec.ALG_AES128_GCM),
+    ephemeral_key=st.binary(min_size=65, max_size=65),
+    encrypted_key=st.binary(min_size=24, max_size=24),
+    iv=st.binary(min_size=12, max_size=12),
     ciphertext=st.binary(min_size=16, max_size=96),
 )
 

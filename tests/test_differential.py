@@ -321,7 +321,7 @@ _ids = st.text(alphabet=st.sampled_from(list('_a9" &<>\t\n\r\x85') + ["\x00", "\
 _signatures = st.builds(
     Signature,
     digest_algorithm=st.sampled_from([xmlcodec.ALG_SHA256, 'urn:"&<', ""]),
-    signature_algorithm=st.sampled_from([xmlcodec.ALG_RSA_SHA256, "urn:x\ty", ""]),
+    signature_algorithm=st.sampled_from([xmlcodec.ALG_ECDSA_SHA256, "urn:x\ty", ""]),
     reference_id=_ids,
     digest_value=st.binary(max_size=33),
     signature_value=st.binary(max_size=40),
@@ -330,9 +330,9 @@ _signatures = st.builds(
 
 
 @given(_signatures)
-@example(Signature(xmlcodec.ALG_SHA256, xmlcodec.ALG_RSA_SHA256, '"&<\t\n\r', b"d", b"", b""))
-@example(Signature(xmlcodec.ALG_SHA256, xmlcodec.ALG_RSA_SHA256, "_id", b"", b"s", b"cert"))
-@example(Signature(xmlcodec.ALG_SHA256, xmlcodec.ALG_RSA_SHA256, "_id", b"d", b"s", b"cert"))
+@example(Signature(xmlcodec.ALG_SHA256, xmlcodec.ALG_ECDSA_SHA256, '"&<\t\n\r', b"d", b"", b""))
+@example(Signature(xmlcodec.ALG_SHA256, xmlcodec.ALG_ECDSA_SHA256, "_id", b"", b"s", b"cert"))
+@example(Signature(xmlcodec.ALG_SHA256, xmlcodec.ALG_ECDSA_SHA256, "_id", b"d", b"s", b"cert"))
 def test_signature_renderers_match_the_reference_trees(sig):
     signature = outcome(xmlcodec.signature_bytes, sig)
     assert signature == outcome(oracles.canonicalize, oracles.signature_element(sig))
@@ -401,8 +401,9 @@ def _messages(chars):
     encrypted = st.builds(
         EncryptedAssertion,
         algorithm=values,
+        ephemeral_key=st.binary(max_size=8),
         encrypted_key=st.binary(max_size=8),
-        iv=st.binary(min_size=16, max_size=16),
+        iv=st.binary(min_size=12, max_size=12),
         ciphertext=st.binary(max_size=8),
     )
     return {
@@ -501,7 +502,7 @@ _EXAMPLES = {
     "Response": [
         (Response("_r", _T0, "", "", "", consent="c\r"),),
         (Response("_r", _T0, "i", "d", "s", assertion=_PLAIN),),
-        (Response("_r", _T0, "i", "d", "s", assertion=EncryptedAssertion("", b"", b"v" * 16, b"")),),
+        (Response("_r", _T0, "i", "d", "s", assertion=EncryptedAssertion("", b"", b"", b"v" * 12, b"")),),
         (Response("_r", _T0, "\ufffe", "d", "s"),),
     ],
     "AuthnRequest": [(AuthnRequest("_q", _T0, EntityId("sp"), "https://sp/acs?a=1&b=2"),)],
@@ -650,8 +651,8 @@ def _entity(role, **fields):
         replace(
             _SP_ROLE,
             encryption_keys=(
-                EncryptionKey("MIIC", xmlcodec.ALG_AES128_CBC, 128),
-                EncryptionKey("MIIC", xmlcodec.ALG_AES128_CBC),
+                EncryptionKey("MIIC", xmlcodec.ALG_AES128_GCM, 128),
+                EncryptionKey("MIIC", xmlcodec.ALG_AES128_GCM),
                 EncryptionKey("MIIC"),
             ),
         )

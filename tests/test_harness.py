@@ -79,7 +79,7 @@ MATRIX_REPORT_SHA256 = {
 }
 
 # SHA-256 of every matrix trace event at seed 0, rendered with its digest
-# column blank: the digests hash messages signed with per-process RSA keys.
+# column blank: the digests hash messages signed with per-process keys.
 MATRIX_TRACE_SHA256 = "3b7e2c5b0c9425402c3b39fce5a36d95fa8128ed4827e199110a4e37f7bd6100"
 
 # Each (fault, flow) pair that parse_scenarios accepts for the fault alone.

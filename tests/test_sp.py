@@ -417,6 +417,71 @@ def test_hostile_sealed_assertion_fails_at_signature(fed, shared_keys, case):
     assert HOSTILE_ASSERTION_EDITS[case][2] in result.report.checks[-1].detail
 
 
+def test_a_signature_method_other_than_ecdsa_sha256_fails_at_signature(fed):
+    message = bindings.decode_post(issue_body(fed)).message
+    # the sealed assertion hides its own signature, so this is the Response's
+    renamed = message.replace(b"xmldsig-more#ecdsa-sha256", b"xmldsig-more#rsa-sha256", 1)
+    assert renamed != message
+    result = fed.sp.consume(_post(renamed, fed), CLIENT_IP, NOW.plus(1))
+    assert result.report.failed_step == "signature"
+    assert result.report.checks[-1].detail == "response signature: UnsupportedAlgorithm"
+
+
+@pytest.fixture(scope="module")
+def unsigned_sealed(shared_keys):
+    """A federation and a genuine sealed Response of it without the Response
+    signature, so nothing authenticates the sealed bytes before the unseal."""
+    fed = SimulatedFederation(encrypt=True, keys=shared_keys)
+    session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+    issued = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+    return fed, dataclasses.replace(issued, signature=None)
+
+
+def _flip_sealed(enc, part: str, bit: int):
+    """``enc`` with one bit flipped in ``part``; the GCM tag is the last 16
+    bytes of the ciphertext field."""
+    parts = {
+        "iv": enc.iv,
+        "ciphertext": enc.ciphertext[:-16],
+        "tag": enc.ciphertext[-16:],
+        "encrypted_key": enc.encrypted_key,
+        "ephemeral_key": enc.ephemeral_key,
+    }
+    flipped = bytearray(parts[part])
+    flipped[bit // 8 % len(flipped)] ^= 1 << (bit % 8)
+    parts[part] = bytes(flipped)
+    return dataclasses.replace(
+        enc,
+        iv=parts["iv"],
+        ciphertext=parts["ciphertext"] + parts["tag"],
+        encrypted_key=parts["encrypted_key"],
+        ephemeral_key=parts["ephemeral_key"],
+    )
+
+
+@given(
+    part=st.sampled_from(["iv", "ciphertext", "tag", "encrypted_key", "ephemeral_key"]),
+    bit=st.integers(min_value=0, max_value=8 * 4096),
+)
+@settings(max_examples=60)
+def test_a_flipped_bit_in_a_sealed_assertion_gives_one_detail(unsigned_sealed, part, bit):
+    # No flip may shape the report: the unseal fails whole, before any parse
+    fed, response = unsigned_sealed
+    bent = _flip_sealed(response.assertion, part, bit)
+    message = xmlcodec.emit_response(dataclasses.replace(response, assertion=bent))
+    result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+    assert result.report.failed_step == "signature"
+    assert result.report.checks[-1].detail == "DecryptFailed: no held key unseals this assertion"
+
+
+def test_the_unflipped_unsigned_sealed_response_signs_on(unsigned_sealed):
+    # the property above starts from a message that passes
+    fed, response = unsigned_sealed
+    message = xmlcodec.emit_response(response)
+    result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+    assert result.ok, result.report.render()
+
+
 def _landing(fed, token, now=NOW):
     """Where a genuine IdP-initiated POST carrying RelayState ``token`` sends the browser."""
     result = fed.sp.consume(issue_body(fed, now, relay=token), CLIENT_IP, now.plus(1))

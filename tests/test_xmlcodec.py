@@ -21,7 +21,6 @@ from samlforge.core import (
 )
 from samlforge.harness.scenarios import SimulatedFederation
 from samlforge.xmlcodec import (
-    ALG_AES128_CBC,
     BINDING_HTTP_ARTIFACT,
     BINDING_HTTP_POST,
     NS_ASSERTION,
@@ -297,7 +296,8 @@ class TestMetadataCodec:
                 BINDING_HTTP_POST, "http://mycompany.com/sso/SSO"
             ),
         )
-        assert role.encryption_keys[0].algorithm == ALG_AES128_CBC
+        # metadata is read as written; the sealing algorithm is fixed
+        assert role.encryption_keys[0].algorithm == "http://www.w3.org/2001/04/xmlenc#aes128-cbc"
         assert role.signing_certs == ("CERTIFICATE",)
         assert entity.organization.url_lang == "en-s"  # tolerated as-is
 
@@ -392,7 +392,7 @@ METADATA_PINS = {
     ("idp", False): "c3cf3f484968a7b608da79f5a9e6ad8f9a7054c106f209e523b21912c78fc15a",
     ("sp", False): "569c344a7a8cebabd5545f1de43af20516278609fd501b97e21a8f037adcaaab",
     ("idp", True): "c3cf3f484968a7b608da79f5a9e6ad8f9a7054c106f209e523b21912c78fc15a",
-    ("sp", True): "a4c1cf4be203f19f19f9ef10339f2b26b9d4ec3606b94a44161e74f2c7fe9a07",
+    ("sp", True): "da63f838352180a040cf92cdd19f0298be48b8b3ce5273e599c55ee336e22bfc",
 }
 
 
@@ -520,3 +520,29 @@ def test_issuer_entity_id_checked_after_required_children(kind, missing):
     with pytest.raises(MissingRequiredElement) as excinfo:
         parse(raw)
     assert excinfo.value.name == missing
+
+
+# ---------------------------------------------------------------------------
+# EncryptedAssertion: every key-side algorithm is fixed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fixed, other",
+    [
+        ("http://www.w3.org/2001/04/xmlenc#kw-aes128", "http://www.w3.org/2001/04/xmlenc#rsa-oaep-mgf1p"),
+        ("http://www.w3.org/2009/xmlenc11#ECDH-ES", "http://www.w3.org/2009/xmlenc11#dh-es"),
+        ("http://www.w3.org/2009/xmlenc11#ConcatKDF", "http://www.w3.org/2009/xmlenc11#pbkdf2"),
+        ('<xenc11:ConcatKDFParams><ds:DigestMethod Algorithm="http://www.w3.org/2001/04/xmlenc#sha256"/>',
+         '<xenc11:ConcatKDFParams><ds:DigestMethod Algorithm="http://www.w3.org/2000/09/xmldsig#sha1"/>'),
+        ("urn:oid:1.2.840.10045.3.1.7", "urn:oid:1.3.132.0.34"),
+    ],
+)
+def test_sealed_assertion_names_only_the_fixed_key_algorithms(shared_keys, fixed, other):
+    fed = SimulatedFederation(encrypt=True, keys=shared_keys)
+    session = fed.idp.create_session("the.user", "192.168.0.189", _AT)
+    sealed = emit_response(fed.idp.issue_assertion(session, "mypartner:saml2.0", _AT))
+    assert parse_response(sealed).assertion.ephemeral_key
+    assert sealed.count(fixed.encode()) == 1
+    with pytest.raises(MalformedXml, match="must be"):
+        parse_response(sealed.replace(fixed.encode(), other.encode()))
