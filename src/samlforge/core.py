@@ -206,6 +206,9 @@ class EncryptedAssertion:
 
 @dataclass(frozen=True)
 class Assertion:
+    """Carries no signature of its own: the Response that carries it is
+    the one signed message."""
+
     id: str
     issue_instant: Instant
     issuer: str
@@ -213,7 +216,6 @@ class Assertion:
     conditions: Conditions
     authn_statement: AuthnStatement
     attributes: tuple[Attribute, ...] = ()
-    signature: Signature | None = None
 
 
 @dataclass(frozen=True)

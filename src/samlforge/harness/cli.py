@@ -13,6 +13,7 @@ import os
 import signal
 import sys
 from pathlib import Path
+from urllib.parse import quote_plus
 
 from .. import bindings, xmlcodec
 from ..core import Assertion, SamlError
@@ -62,9 +63,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
         if raw.startswith(("http://", "https://")):
             decoded = bindings.decode_redirect(raw)
             transport = "redirect URL (deflate + base64)"
-        else:
+        elif "=" in raw.rstrip("="):
             decoded = bindings.decode_post(raw)
             transport = "POST form body (base64)"
+        else:
+            # the bare value of a captured form's SAMLResponse input, whose
+            # base64 holds no "=" but its trailing padding
+            decoded = bindings.decode_post(f"{bindings.FIELD_RESPONSE}={quote_plus(raw)}")
+            transport = "POST form value (base64)"
         root = xmlcodec.parse_xml(decoded.message)
         rendered = xmlcodec.pretty(root)
         response = None
@@ -92,7 +98,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         summary.append(f"status: {response.status}")
         if isinstance(response.assertion, Assertion):
             assertion = response.assertion
-            signed = signed or assertion.signature is not None
             summary.append(f"subject: {assertion.subject.name_id}")
             summary.append(
                 "window: "

@@ -3,11 +3,11 @@
 A row names the pipeline step the fault must trip and the flows through
 which that can be observed. Message faults also carry a rewrite of the
 issued response and its (unsealed) assertion. Faults that target
-post-signature steps sign again what was signed (the attack model is a
+post-signature steps sign the Response again (the attack model is a
 confused or hostile asserting party, not a broken signature); the two
-signature faults deliberately leave a stale or absent signature behind.
-Faults without a rewrite are timing, addressing or repetition faults,
-which the scenario runner interprets.
+signature faults deliberately leave a stale or absent Response signature
+behind. Faults without a rewrite are timing, addressing or repetition
+faults, which the scenario runner interprets.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ class Fault:
     flows: tuple[str, ...]  # the flows through which it can be observed
     combinable: bool = True  # may share a scenario with other faults
     rewrite: Rewrite | None = None  # message faults only
-    resign: bool = False  # sign again what was signed before the rewrite
+    resign: bool = False  # sign the Response again if it was signed
 
 
 def _tamper_signed_content(response: Response, assertion: Assertion) -> tuple[Response, Assertion]:
-    """Corrupt signed content while keeping the original signature."""
+    """Corrupt signed content while keeping the original Response signature."""
     attrs = assertion.attributes
     if attrs:
         first = attrs[0]
@@ -68,7 +68,7 @@ def _wrong_recipient(response: Response, assertion: Assertion) -> tuple[Response
 FAULTS: dict[str, Fault] = {
     "tamper_signature": Fault("signature", SIGNON_FLOWS, rewrite=_tamper_signed_content),
     "strip_signature": Fault(
-        "signature", SIGNON_FLOWS, rewrite=lambda r, a: (r, dataclasses.replace(a, signature=None))
+        "signature", SIGNON_FLOWS, rewrite=lambda r, a: (dataclasses.replace(r, signature=None), a)
     ),
     # artifact retention equals assertion validity, so through an artifact
     # flow the artifact always expires first and the window step is unreachable
@@ -117,14 +117,8 @@ def apply_message_fault(fault: str, response_bytes: bytes, kit: FaultKit) -> byt
         assertion = xmlcodec.parse_assertion(plain)
     if not isinstance(assertion, Assertion):
         raise ValueError("response carries no assertion to mutate")
-    resign_assertion = row.resign and assertion.signature is not None
-    resign_response = row.resign and response.signature is not None
 
     response, assertion = row.rewrite(response, assertion)
-    if resign_assertion:
-        assertion = cryptoseal.sign_message(
-            assertion, xmlcodec.emit_assertion, kit.idp_signing_alias, kit.idp_store
-        )
     carried: Assertion | EncryptedAssertion = assertion
     if isinstance(sealed, EncryptedAssertion):
         if kit.recipient is None or not kit.encrypt_to:
@@ -133,8 +127,8 @@ def apply_message_fault(fault: str, response_bytes: bytes, kit: FaultKit) -> byt
         carried = cryptoseal.encrypt_assertion(
             xmlcodec.emit_assertion(assertion), kit.recipient, pinned
         )
-    response = dataclasses.replace(response, assertion=carried, signature=None)
-    if resign_response:
+    response = dataclasses.replace(response, assertion=carried)
+    if row.resign and response.signature is not None:
         response = cryptoseal.sign_message(
             response, xmlcodec.emit_response, kit.idp_signing_alias, kit.idp_store
         )

@@ -300,8 +300,11 @@ class IdpEngine:
         partner_id: EntityId | str,
         now: Instant,
     ) -> Response:
-        """Build a Response, signed if the partner's metadata wants signed
-        assertions and sealed if it lists an encryption key."""
+        """Build a Response carrying an unsigned assertion: sealed when the
+        partner's metadata lists an encryption key, and the Response signed
+        over what it carries (the sealed bytes, when sealed) when that
+        metadata sets WantAssertionsSigned. Encrypt, then sign: one
+        signature per sign-on, which the SP checks before it unseals."""
         key = partner_id.value if isinstance(partner_id, EntityId) else partner_id
         partner = self.registry.partners.get(key)
         if partner is None:
@@ -342,8 +345,6 @@ class IdpEngine:
             attributes=record.attributes,
         )
 
-        if role.want_assertions_signed:
-            assertion = self._sign(assertion, xmlcodec.emit_assertion)
         if role.encryption_keys:
             assertion = self._seal_assertion(assertion, partner)
         response = Response(

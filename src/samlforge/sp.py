@@ -207,11 +207,6 @@ class SpEngine:
     def acs_url(self) -> str:
         return self.local_role.default_acs().location
 
-    def _verify(self, elem: XmlElement, message, signer: Partner) -> cryptoseal.VerifyResult:
-        return cryptoseal.verify_message(
-            elem, message, signer.entity_id, signer.signing_cert_ders, self.store
-        )
-
     # -- consume pipeline ---------------------------------------------------
 
     def consume(self, post_body: bytes | str, observed_ip: str, now: Instant) -> ConsumeResult:
@@ -295,12 +290,21 @@ class SpEngine:
         return True, issuer
 
     def _signature(self, x: _Exchange) -> tuple[bool, str]:
-        """Response signature, then decryption, then assertion signature."""
+        """The Response signature, then the assertion it carries.
+
+        The one signature is checked before anything it covers is unsealed
+        or parsed, so an unauthenticated sender gets no private-key ECDH
+        and no say in the report. An SP that wants signed assertions
+        refuses an unsigned Response outright."""
         response, root = x.response, x.root
         if response.signature is not None:
-            result = self._verify(root, response, x.partner)
+            result = cryptoseal.verify_message(
+                root, response, x.partner.entity_id, x.partner.signing_cert_ders, self.store
+            )
             if not result.accepted:
                 return False, f"response signature: {result.reason}"
+        elif self.local_role.want_assertions_signed:
+            return False, "response signature missing but required"
         else:
             # Without a response-level signature nothing authenticates foreign
             # direct children; a mangled-namespace Signature element would
@@ -318,21 +322,11 @@ class SpEngine:
             plain = cryptoseal.decrypt_assertion(
                 assertion, self.registry.encryption_alias, self.store
             )
-            assertion_elem = xmlcodec.parse_xml(plain)
-            assertion = xmlcodec.assertion_from_element(assertion_elem)
+            assertion = xmlcodec.assertion_from_element(xmlcodec.parse_xml(plain))
         elif assertion is None:
             return False, "response carries no assertion"
         elif self.local_role.encryption_keys:
             return False, "policy requires an encrypted assertion"
-        else:
-            assertion_elem = root.find("Assertion", xmlcodec.NS_ASSERTION)
-
-        if assertion.signature is not None:
-            result = self._verify(assertion_elem, assertion, x.partner)
-            if not result.accepted:
-                return False, f"assertion signature: {result.reason}"
-        elif self.local_role.want_assertions_signed:
-            return False, "assertion signature missing but required"
         x.assertion = assertion
         return True, ""
 
@@ -435,22 +429,21 @@ class SpEngine:
             issuer=self.entity_id,
             acs_url=self.acs_url,
         )
+        message = xmlcodec.emit_authn_request(request)
         if self.local_role.authn_requests_signed:
-            request = cryptoseal.sign_message(
-                request, xmlcodec.emit_authn_request, self.registry.signing_alias, self.store
+            signature = cryptoseal.sign_element(
+                message, request.id, self.registry.signing_alias, self.store
             )
-            # Drop the embedded certificate so the request fits the redirect
-            # URL budget; the receiver verifies against pinned metadata certs.
-            request = dataclasses.replace(
-                request, signature=dataclasses.replace(request.signature, certificate=b"")
+            # No embedded certificate, so the request fits the redirect URL
+            # budget; the receiver verifies against pinned metadata certs.
+            message = xmlcodec.insert_signature(
+                message, dataclasses.replace(signature, certificate=b"")
             )
         token = self.token_source(9).hex()
         expiry = now.plus(self.registry.validity + BEARER_GRACE_SECONDS)
         # Tokens expire with the request they accompany.
         self._relay_states.put(token, target_resource, expiry, now)
-        redirect = bindings.encode_redirect(
-            xmlcodec.emit_authn_request(request), endpoint.location, relay_state=token
-        )
+        redirect = bindings.encode_redirect(message, endpoint.location, relay_state=token)
         return redirect, token
 
     # -- artifact retrieval --------------------------------------------------

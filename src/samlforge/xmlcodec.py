@@ -710,7 +710,6 @@ def _render_assertion(assertion: Assertion) -> bytes:
         f"<saml:Assertion{_SAML_NS}{_attr('ID', assertion.id)}"
         f' IssueInstant="{assertion.issue_instant.isoformat()}" Version="2.0">',
         _text("saml:Issuer", assertion.issuer),
-        _signature(assertion.signature),
         "<saml:Subject>",
         _text("saml:NameID", subject.name_id, _opt("Format", subject.name_id_format or None)),
         f"<saml:SubjectConfirmation{_attr('Method', confirmation.method)}>"
@@ -762,6 +761,10 @@ _ASSERTION_CHILDREN = {
 
 def assertion_from_element(elem: XmlElement) -> Assertion:
     _open(elem, NS_ASSERTION, "Assertion", _ASSERTION_CHILDREN)
+    # One signature per message, the Response's: what it covers is then
+    # exactly what is processed.
+    if elem.find("Signature", NS_DSIG) is not None:
+        raise MalformedXml("an assertion carries no signature of its own")
 
     # The model constructors reject empty values with ValueError; hostile
     # content must fail the parse, never escape it.
@@ -828,7 +831,6 @@ def assertion_from_element(elem: XmlElement) -> Assertion:
             conditions=conditions,
             authn_statement=statement,
             attributes=tuple(attributes),
-            signature=_signature_of(elem),
         )
     except ValueError as exc:
         raise MalformedXml(str(exc)) from None

@@ -564,8 +564,6 @@ def encrypted_assertion_element(enc):
 
 def assertion_element(assertion):
     children = [element(NS_ASSERTION, "Issuer", text=assertion.issuer)]
-    if assertion.signature is not None:
-        children.append(signature_element(assertion.signature))
 
     subject = assertion.subject
     name_attrs = {}

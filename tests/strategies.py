@@ -100,7 +100,6 @@ assertions = st.builds(
     conditions=conditions,
     authn_statement=authn_statements,
     attributes=st.lists(attributes, max_size=4).map(tuple),
-    signature=st.none(),
 )
 
 responses = st.builds(

@@ -5,6 +5,7 @@ Budgets are asserted, not aspirational.
 
 import dataclasses
 import random
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -137,16 +138,18 @@ def test_criterion_3_end_to_end_flows(shared_keys, idp_metadata_bytes, sp_metada
         assert idp_result.actual == "success", idp_result.actual
         assert sp_result.actual == "success", sp_result.actual
 
-        # on the wire the response is signed and the assertion is sealed
+        # on the wire the assertion is sealed and the Response, signed over
+        # the sealed bytes, carries the one signature
         session = fed.idp.create_session("the.user", CLIENT_IP, SIM_EPOCH)
         response = fed.idp.issue_assertion(session, SP_ENTITY, SIM_EPOCH)
         assert response.signature is not None
         assert isinstance(response.assertion, EncryptedAssertion)
+        assert len(re.findall(rb"<ds:Signature[ >]", xmlcodec.emit_response(response))) == 1
         plain = cryptoseal.decrypt_assertion(
             response.assertion, fed.sp.registry.encryption_alias, fed.sp.store
         )
+        assert b"<ds:Signature " not in plain
         unsealed = xmlcodec.parse_assertion(plain)
-        assert unsealed.signature is not None
         assert unsealed.subject.name_id == record.name_id
         assert unsealed.attributes == record.attributes
     print(f"\nACCEPTANCE 3 PASS: end-to-end flows ({timer.elapsed:.2f}s)")

@@ -239,20 +239,20 @@ class TestSigning:
     def test_sign_message_covers_the_unsigned_message(
         self, store, trusting_store, sample_response_bytes
     ):
-        assertion = xmlcodec.parse_response(sample_response_bytes).assertion
-        signed = sign_message(assertion, xmlcodec.emit_assertion, "signing", store)
-        assert signed.signature.reference_id == assertion.id
-        unsigned = xmlcodec.emit_assertion(dataclasses.replace(assertion, signature=None))
+        response = xmlcodec.parse_response(sample_response_bytes)
+        signed = sign_message(response, xmlcodec.emit_response, "signing", store)
+        assert signed.signature.reference_id == response.id
+        unsigned = xmlcodec.emit_response(dataclasses.replace(response, signature=None))
         assert verify_signature(unsigned, signed.signature, SIGNER, trusting_store).accepted
         # signing a signed message replaces its signature instead of covering it
-        assert sign_message(signed, xmlcodec.emit_assertion, "signing", store) == signed
+        assert sign_message(signed, xmlcodec.emit_response, "signing", store) == signed
 
     def test_verify_message_pins_the_given_certificates(
         self, store, signer_entry, sample_response_bytes
     ):
-        assertion = xmlcodec.parse_response(sample_response_bytes).assertion
-        signed = sign_message(assertion, xmlcodec.emit_assertion, "signing", store)
-        elem = parse_xml(xmlcodec.emit_assertion(signed))
+        response = xmlcodec.parse_response(sample_response_bytes)
+        signed = sign_message(response, xmlcodec.emit_response, "signing", store)
+        elem = parse_xml(xmlcodec.emit_response(signed))
         pinned = (signer_entry.cert_der,)
 
         def reason(message, elem=elem, ders=pinned):
@@ -263,8 +263,8 @@ class TestSigning:
         assert reason(signed, ders=()) == "UnknownSigner"
         # the reference is checked before any bytes are digested
         assert reason(dataclasses.replace(signed, id="_other")) == "WrongReference"
-        other = dataclasses.replace(signed, subject=dataclasses.replace(signed.subject, name_id="x"))
-        assert reason(signed, elem=parse_xml(xmlcodec.emit_assertion(other))) == "DigestMismatch"
+        other = dataclasses.replace(signed, destination="https://elsewhere.example/acs")
+        assert reason(signed, elem=parse_xml(xmlcodec.emit_response(other))) == "DigestMismatch"
 
     def test_pinned_certificates_are_parsed_once(
         self, store, signer_entry, rogue_key, monkeypatch
@@ -426,14 +426,9 @@ _encrypted_assertions = st.builds(
     ciphertext=st.binary(min_size=16, max_size=96),
 )
 
-# (emitter, reference element builder, messages) per signable kind; Assertion and Response
-# carry the issuer as text, so both also cover a self-closing <saml:Issuer/>.
+# (emitter, reference element builder, messages) per signable kind; a Response
+# carries the issuer as text, so it also covers a self-closing <saml:Issuer/>.
 _SIGNABLE = {
-    "Assertion": (
-        xmlcodec.emit_assertion,
-        oracles.assertion_element,
-        strat.assertions | strat.assertions.map(lambda a: dataclasses.replace(a, issuer="")),
-    ),
     "Response": (
         xmlcodec.emit_response,
         oracles.response_element,
@@ -477,11 +472,6 @@ class TestSignedBytes:
     def test_signed_bytes_equal_a_full_render(self, store, kind, data):
         emit, build, messages = _SIGNABLE[kind]
         message = data.draw(messages)
-        inner = getattr(message, "assertion", None)
-        if isinstance(inner, Assertion) and data.draw(st.booleans(), label="sign assertion"):
-            # as issued: the response is signed over an already signed assertion
-            signed_inner = sign_message(inner, xmlcodec.emit_assertion, "signing", store)
-            message = dataclasses.replace(message, assertion=signed_inner)
         signed = sign_message(message, emit, "signing", store)
         fresh = _fresh(signed)
         assert fresh == signed
@@ -492,9 +482,8 @@ class TestSignedBytes:
 
     def test_replace_renders_the_new_fields(self, store, sample_response_bytes):
         response = xmlcodec.parse_response(sample_response_bytes)
-        assertion = sign_message(response.assertion, xmlcodec.emit_assertion, "signing", store)
-        wrapped = dataclasses.replace(response, assertion=assertion)
-        signed = sign_message(wrapped, xmlcodec.emit_response, "signing", store)
+        assertion = response.assertion
+        signed = sign_message(response, xmlcodec.emit_response, "signing", store)
         before = xmlcodec.emit_response(signed)
         # the kept bytes are no field: not compared, not shown
         assert dataclasses.replace(signed) == signed

@@ -396,7 +396,6 @@ def _messages(chars):
             ),
             max_size=2,
         ).map(tuple),
-        signature=_signatures_or_none,
     )
     encrypted = st.builds(
         EncryptedAssertion,

@@ -176,8 +176,7 @@ def test_entity_id_helper(idp_registry, sp_metadata_bytes):
 # message goes through FederationRegistry.receive.
 OWN_SENDER_CHECKS = {
     ("SpEngine", "_issuer"),  # the consume pipeline's issuer step
-    ("SpEngine", "_signature"),  # its signature step, which verifies through _verify
-    ("SpEngine", "_verify"),
+    ("SpEngine", "_signature"),  # its signature step, which verifies the Response
     # The one known exception: the artifact back channel. Its ArtifactResolve
     # is unsigned, so its sender is not authenticated yet (ROADMAP item 1).
     ("IdpEngine", "resolve_artifact"),
@@ -208,7 +207,7 @@ def _checks_a_sender(method: ast.FunctionDef) -> bool:
     for node in ast.walk(method):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", ""))
-            if name in ("verify_message", "_verify"):
+            if name == "verify_message":
                 return True
             lookup = _is_partners(node.func) or (
                 isinstance(node.func, ast.Attribute) and _is_partners(node.func.value)
@@ -241,4 +240,4 @@ def test_engines_receive_through_the_registry():
     found = engine_sender_checks(Path(federation.__file__).parent)
     assert found - OWN_SENDER_CHECKS == set()
     # the scan does see the checks it allows
-    assert {("SpEngine", "_issuer"), ("SpEngine", "_verify")} <= found
+    assert {("SpEngine", "_issuer"), ("SpEngine", "_signature")} <= found

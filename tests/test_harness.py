@@ -43,8 +43,8 @@ README = Path(__file__).parent.parent / "README.md"
 
 MATRIX_REPORT_SHA256 = {
     "idp-clean": "11b338c14da150bfd92c220542a36099241533b7b87496586c352cbb2fea6f25",
-    "idp-tamper-signature": "6dc67b0e78af7d5f343f3eb12ae40685ff69ed7b8347f9cf93d54c9286d77809",
-    "idp-strip-signature": "aa7c471e3f9b1399597d41524e833568f9d723fe1d780161e05aa15a0807b92d",
+    "idp-tamper-signature": "2ec96d66ecf0fdea829973e79cf0168db0ab477389ac6d4ce300711ff94e8339",
+    "idp-strip-signature": "8adcf7641243176b47e31fcc88483c106fcb16c47310f2a728ecaacba76f4aaf",
     "idp-expired": "9296fc71183163d3ad1496174e6472ed498988acfb62dfca64ebefa7f6f499d5",
     "idp-not-yet-valid": "9b3090a7d2169d12c9255887e2733f1a74465355273fef7418f2a2e98523c4c7",
     "idp-wrong-audience": "0def2a4d4be77ead227680c61e57ffca31629f087d13089175110b7cbd4eeda2",
@@ -53,8 +53,8 @@ MATRIX_REPORT_SHA256 = {
     "idp-replay": "fa73d768e0dbeb9655cc2a8a051fdfab028d9d2144b409f19e8d33d096b45f0c",
     "idp-wrong-locality": "1a5c2e3a3bc5ed326788e92573ee2de21517fa313730f7bfdff5c7c7084c3b67",
     "sp-clean": "a6604f1f94113c0a690c5c58e4ca09a3de8c372bd4e14a68fd964a71e71a716e",
-    "sp-tamper-signature": "6dc67b0e78af7d5f343f3eb12ae40685ff69ed7b8347f9cf93d54c9286d77809",
-    "sp-strip-signature": "aa7c471e3f9b1399597d41524e833568f9d723fe1d780161e05aa15a0807b92d",
+    "sp-tamper-signature": "2ec96d66ecf0fdea829973e79cf0168db0ab477389ac6d4ce300711ff94e8339",
+    "sp-strip-signature": "8adcf7641243176b47e31fcc88483c106fcb16c47310f2a728ecaacba76f4aaf",
     "sp-expired": "6f376bc29eaa3d989d1c7bcdc7ea3fbc12d1c787663c7e0d391470b99d5ff758",
     "sp-not-yet-valid": "a03772b42f26e6a3ce4d821df5d40b94af63624865878df80c29cbf27afcd811",
     "sp-wrong-audience": "0def2a4d4be77ead227680c61e57ffca31629f087d13089175110b7cbd4eeda2",
@@ -64,11 +64,11 @@ MATRIX_REPORT_SHA256 = {
     "sp-wrong-locality": "1a5c2e3a3bc5ed326788e92573ee2de21517fa313730f7bfdff5c7c7084c3b67",
     "idp-clean-encrypted": "11b338c14da150bfd92c220542a36099241533b7b87496586c352cbb2fea6f25",
     "sp-clean-encrypted": "a6604f1f94113c0a690c5c58e4ca09a3de8c372bd4e14a68fd964a71e71a716e",
-    "idp-tamper-encrypted": "6dc67b0e78af7d5f343f3eb12ae40685ff69ed7b8347f9cf93d54c9286d77809",
+    "idp-tamper-encrypted": "2ec96d66ecf0fdea829973e79cf0168db0ab477389ac6d4ce300711ff94e8339",
     "idp-replay-encrypted": "fa73d768e0dbeb9655cc2a8a051fdfab028d9d2144b409f19e8d33d096b45f0c",
     "artifact-clean": "15434d60f1eaa316618795c8e6232f1ce97dba22a4b2caec35bd7ed788c15572",
     "artifact-replay": "c47115d5f39120af431e68f305c87dabab6f6f7b66e5d8f48cf6198ec8d7ec0a",
-    "artifact-tamper": "634f6ec6a811750cf6df41f36d91902966de73598edf9ae7a555c9cccd2c6051",
+    "artifact-tamper": "27ffdf950c72dbb1453de492b33eacbf68b43fa1e327ca4de89099fc7f78b5f1",
     "artifact-not-yet-valid": "93601b9591cd13851c95504741c1f8655ee4d0f3d7360fed9fc7b2e60dfb044a",
     "pair-clean": "15434d60f1eaa316618795c8e6232f1ce97dba22a4b2caec35bd7ed788c15572",
     "pair-single-token": "660fca8783d244c368938bb20ec3c9c6d5f06c36ca9d5d003ca5fccf461e8ee5",
@@ -168,7 +168,8 @@ class TestSimulator:
 
     def test_matrix_reports_are_pinned(self, shared_keys):
         # SHA-256 of each scenario's rendered ValidationReport at seed 0, as
-        # the hand-written pipeline produced them before the step table.
+        # the hand-written pipeline produced them before the step table; the
+        # signature faults' since the Response carries the one signature.
         results = run_scenarios(parse_scenarios(MATRIX_FILE.read_text()), seed=0)
         digests = {
             r.scenario.name: hashlib.sha256(r.report.render().encode()).hexdigest()
@@ -231,6 +232,26 @@ class TestCli:
         assert "attribute uid = the.user@mycompany.com" in out
         assert "relay-state: R42" in out
         assert "attributes missing: none" in out
+
+    def test_decode_reads_the_bare_value_of_a_captured_form(self, capsys, tmp_path, shared_keys):
+        fed = SimulatedFederation(encrypt=True, keys=shared_keys)
+        session = fed.idp.create_session("the.user", CLIENT_IP, SIM_EPOCH)
+        form = fed.idp.idp_initiated_post(session, SP_ENTITY, SIM_EPOCH)
+        outputs = []
+        for name, data in [
+            ("value.txt", form.saml_value.encode() + b"\n"),
+            ("body.txt", bindings.serialize_post_body(form)),
+        ]:
+            (tmp_path / name).write_bytes(data)
+            assert main(["decode", str(tmp_path / name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        value, body = outputs
+        assert value.startswith("transport: POST form value (base64)\nfield: SAMLResponse\n")
+        assert body.startswith("transport: POST form body (base64)\nfield: SAMLResponse\n")
+        assert value.split("\n")[1:] == body.split("\n")[1:]
+        # encrypt, then sign: the sealed Response carries one signature, its own
+        assert len(re.findall(r"<ds:Signature[ >]", value)) == 1
+        assert "assertion: encrypted\nsigned: yes\n" in value
 
     def test_decode_garbage_exits_2(self, capsys, tmp_path):
         capture = tmp_path / "garbage.txt"

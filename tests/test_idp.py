@@ -185,11 +185,22 @@ class TestIssueAssertion:
         assert assertion.authn_statement.locality_address == CLIENT_IP
 
     def test_signed_and_encrypted_per_policy(self, fed, session):
+        # encrypt, then sign: the one signature is the Response's, over the sealed bytes
         response = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
         assert isinstance(response.assertion, EncryptedAssertion)
         assert response.signature is not None
-        assertion = decrypt_and_parse(fed, response)
-        assert assertion.signature is not None
+        idp_partner = fed.sp.registry.partner(fed.idp.entity_id.value)
+        verdict = cryptoseal.verify_message(
+            xmlcodec.parse_xml(xmlcodec.emit_response(response)),
+            response,
+            idp_partner.entity_id,
+            idp_partner.signing_cert_ders,
+            fed.sp.store,
+        )
+        assert verdict.accepted, verdict.reason
+        plain = decrypt_assertion(response.assertion, fed.sp.registry.encryption_alias, fed.sp.store)
+        assert b"<ds:Signature " not in plain
+        assertion = xmlcodec.parse_assertion(plain)
         assert [(a.name, a.values[0]) for a in assertion.attributes] == [
             ("clientId", "1234"),
             ("uid", "the.user@mycompany.com"),

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from samlforge import bindings, cryptoseal, idp, sp, xmlcodec
-from samlforge.core import EntityId, Instant, SamlError
+from samlforge.core import AuthnRequest, EntityId, Instant, SamlError, new_message_id
 from samlforge.federation import BEARER_GRACE_SECONDS
 from samlforge.harness.scenarios import (
     CLIENT_IP,
@@ -32,6 +32,16 @@ def fed(shared_keys):
 
 def _post(message: bytes, fed) -> bytes:
     return bindings.serialize_post_body(bindings.encode_post(message, "response", fed.sp.acs_url))
+
+
+def _stop_requiring_signatures(engine: sp.SpEngine) -> None:
+    """Let ``engine`` accept unsigned Responses; its partners still see the
+    metadata that asks for signatures, so its IdP still signs."""
+    local = engine.registry.local
+    role = dataclasses.replace(local.role, want_assertions_signed=False)
+    engine.registry = dataclasses.replace(
+        engine.registry, local=dataclasses.replace(local, role=role)
+    )
 
 
 def issue_body(fed, now=NOW, relay=None):
@@ -164,11 +174,24 @@ class TestConsumePipeline:
         assert not result.ok
         assert result.report.failed_step == "signature"
 
-    def test_mangled_signature_namespace_cannot_strip_the_signature(self, fed):
+    @pytest.mark.parametrize(
+        "requires_signature,detail",
+        [
+            (True, "response signature missing but required"),
+            (False, "unsigned response carries unauthenticated <Signature> content"),
+        ],
+        ids=["required", "not-required"],
+    )
+    def test_mangled_signature_namespace_cannot_strip_the_signature(
+        self, fed, requires_signature, detail
+    ):
         # One bit flipped inside the xmldsig namespace URI turns the response
         # signature into preserved-opaque foreign content; the consumer must
-        # not treat that as "legitimately unsigned".
+        # not treat that as "legitimately unsigned", even when it does not
+        # require a signature.
         body = issue_body(fed)
+        if not requires_signature:
+            _stop_requiring_signatures(fed.sp)
         decoded = bindings.decode_post(body)
         mangled = decoded.message.replace(
             b"http://www.w3.org/2000/09/xmldsig#", b"http://www.w3.org/r000/09/xmldsig#", 1
@@ -179,7 +202,7 @@ class TestConsumePipeline:
         )
         result = fed.sp.consume(tampered, CLIENT_IP, NOW.plus(1))
         assert result.report.failed_step == "signature"
-        assert "unauthenticated" in result.report.checks[-1].detail
+        assert result.report.checks[-1].detail == detail
 
     @pytest.mark.parametrize(
         "anchor",
@@ -401,25 +424,38 @@ def test_hostile_assertion_content_fails_at_parse(shared_keys, case):
     assert result.report.checks[-1].detail == f"MalformedXml: {HOSTILE_ASSERTION_EDITS[case][2]}"
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE_ASSERTION_EDITS))
-def test_hostile_sealed_assertion_fails_at_signature(fed, shared_keys, case):
-    # Sealing takes only the SP's public certificate, so anyone can send this.
-    session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
-    issued = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
-    plain = cryptoseal.decrypt_assertion(issued.assertion, fed.sp.registry.encryption_alias, fed.sp.store)
+def _signed_by_the_idp(fed, response):
+    """``response`` signed with the IdP's key, as wire bytes."""
+    signed = cryptoseal.sign_message(
+        response, xmlcodec.emit_response, fed.idp.registry.signing_alias, fed.idp.store
+    )
+    return xmlcodec.emit_response(signed)
+
+
+def _seal_to_sp(plain: bytes, shared_keys):
     to_sp = cryptoseal.KeyStore().with_trust_anchors(
         EntityId(SP_ENTITY), encryption=(shared_keys["sp-encryption"].cert_der,)
     )
-    sealed = cryptoseal.encrypt_assertion(_edit_assertion(plain, case), EntityId(SP_ENTITY), to_sp)
-    message = xmlcodec.emit_response(dataclasses.replace(issued, assertion=sealed, signature=None))
+    return cryptoseal.encrypt_assertion(plain, EntityId(SP_ENTITY), to_sp)
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ASSERTION_EDITS))
+def test_hostile_sealed_assertion_fails_at_signature(fed, shared_keys, case):
+    # A hostile but registered sender: its Response signature verifies, and
+    # the model's reason surfaces where the plaintext is parsed.
+    session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+    issued = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+    plain = cryptoseal.decrypt_assertion(issued.assertion, fed.sp.registry.encryption_alias, fed.sp.store)
+    sealed = _seal_to_sp(_edit_assertion(plain, case), shared_keys)
+    message = _signed_by_the_idp(fed, dataclasses.replace(issued, assertion=sealed))
     result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
     assert result.report.failed_step == "signature"
-    assert HOSTILE_ASSERTION_EDITS[case][2] in result.report.checks[-1].detail
+    assert result.report.checks[-1].detail == f"MalformedXml: {HOSTILE_ASSERTION_EDITS[case][2]}"
 
 
 def test_a_signature_method_other_than_ecdsa_sha256_fails_at_signature(fed):
     message = bindings.decode_post(issue_body(fed)).message
-    # the sealed assertion hides its own signature, so this is the Response's
+    # the one signature is the Response's
     renamed = message.replace(b"xmldsig-more#ecdsa-sha256", b"xmldsig-more#rsa-sha256", 1)
     assert renamed != message
     result = fed.sp.consume(_post(renamed, fed), CLIENT_IP, NOW.plus(1))
@@ -428,13 +464,12 @@ def test_a_signature_method_other_than_ecdsa_sha256_fails_at_signature(fed):
 
 
 @pytest.fixture(scope="module")
-def unsigned_sealed(shared_keys):
-    """A federation and a genuine sealed Response of it without the Response
-    signature, so nothing authenticates the sealed bytes before the unseal."""
+def signed_sealed(shared_keys):
+    """A federation and a genuine sealed Response of it, with its Response
+    signature over the sealed bytes."""
     fed = SimulatedFederation(encrypt=True, keys=shared_keys)
     session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
-    issued = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
-    return fed, dataclasses.replace(issued, signature=None)
+    return fed, fed.idp.issue_assertion(session, SP_ENTITY, NOW)
 
 
 def _flip_sealed(enc, part: str, bit: int):
@@ -459,27 +494,133 @@ def _flip_sealed(enc, part: str, bit: int):
     )
 
 
+def _consume_counting_unseals(fed, message: bytes):
+    """Consume ``message`` and count the ``decrypt_assertion`` calls it made."""
+    unseals = []
+    original = cryptoseal.decrypt_assertion
+
+    def counted(*args):
+        unseals.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cryptoseal, "decrypt_assertion", counted)
+        result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+    return result, len(unseals)
+
+
 @given(
     part=st.sampled_from(["iv", "ciphertext", "tag", "encrypted_key", "ephemeral_key"]),
     bit=st.integers(min_value=0, max_value=8 * 4096),
 )
 @settings(max_examples=60)
-def test_a_flipped_bit_in_a_sealed_assertion_gives_one_detail(unsigned_sealed, part, bit):
-    # No flip may shape the report: the unseal fails whole, before any parse
-    fed, response = unsigned_sealed
+def test_a_flipped_bit_in_a_sealed_assertion_fails_before_the_unseal(signed_sealed, part, bit):
+    # The Response signature covers the sealed bytes and is checked first,
+    # so no flip reaches the ECDH or shapes the report.
+    fed, response = signed_sealed
     bent = _flip_sealed(response.assertion, part, bit)
     message = xmlcodec.emit_response(dataclasses.replace(response, assertion=bent))
-    result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+    result, unseals = _consume_counting_unseals(fed, message)
     assert result.report.failed_step == "signature"
-    assert result.report.checks[-1].detail == "DecryptFailed: no held key unseals this assertion"
+    assert result.report.checks[-1].detail == "response signature: DigestMismatch"
+    assert unseals == 0
 
 
-def test_the_unflipped_unsigned_sealed_response_signs_on(unsigned_sealed):
-    # the property above starts from a message that passes
-    fed, response = unsigned_sealed
-    message = xmlcodec.emit_response(response)
-    result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+def test_an_unsigned_sealed_response_fails_before_the_unseal(signed_sealed):
+    fed, response = signed_sealed
+    message = xmlcodec.emit_response(dataclasses.replace(response, signature=None))
+    result, unseals = _consume_counting_unseals(fed, message)
+    assert result.report.failed_step == "signature"
+    assert result.report.checks[-1].detail == "response signature missing but required"
+    assert unseals == 0
+
+
+def test_the_unflipped_signed_sealed_response_signs_on(signed_sealed):
+    # the property above starts from a message that passes, unsealed once
+    fed, response = signed_sealed
+    result, unseals = _consume_counting_unseals(fed, xmlcodec.emit_response(response))
     assert result.ok, result.report.render()
+    assert unseals == 1
+
+
+def _counting(patch, calls: list, module, name: str) -> None:
+    """Append ``name`` to ``calls`` on each call of ``module.name``, made from
+    any samlforge module that holds it, the defining one included."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for held in [m for n, m in sys.modules.items() if n.split(".")[0] == "samlforge"]:
+        if getattr(held, name, None) is original:
+            patch.setattr(held, name, counted)
+
+
+_SIGN_ON_WORK = (
+    (cryptoseal, "sign_element"),
+    (cryptoseal, "verify_signature"),
+    (cryptoseal, "decrypt_assertion"),
+    (xmlcodec, "canonicalize"),
+)
+
+
+class TestOneSignaturePerSignOn:
+    """The IdP signs only the Response and the SP checks only that signature,
+    so a sign-on signs, verifies and writes canonical bytes once each."""
+
+    @pytest.mark.parametrize("sealed", [False, True], ids=["plain", "sealed"])
+    def test_a_genuine_sign_on_signs_verifies_and_canonicalizes_once(self, shared_keys, sealed):
+        fed = SimulatedFederation(encrypt=sealed, keys=shared_keys)
+        session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        calls: list[str] = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in _SIGN_ON_WORK:
+                _counting(patch, calls, module, name)
+            form = fed.idp.idp_initiated_post(session, SP_ENTITY, NOW)
+            result = fed.sp.consume(bindings.serialize_post_body(form), CLIENT_IP, NOW.plus(1))
+        assert result.ok, result.report.render()
+        expected = ["sign_element", "canonicalize", "verify_signature"]
+        if sealed:
+            expected.append("decrypt_assertion")  # only after the verify
+        assert calls == expected
+
+    def _signed_assertion(self, fed, assertion) -> tuple[bytes, bytes]:
+        """The assertion's bytes, and the same bytes with an enveloped
+        signature of its own by the IdP's key."""
+        unsigned = xmlcodec.emit_assertion(assertion)
+        signature = cryptoseal.sign_element(
+            unsigned, assertion.id, fed.idp.registry.signing_alias, fed.idp.store
+        )
+        return unsigned, xmlcodec.insert_signature(unsigned, signature)
+
+    def test_a_plain_assertion_with_its_own_signature_fails_at_parse(self, shared_keys):
+        fed = SimulatedFederation(keys=shared_keys)
+        session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        issued = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        unsigned, signed = self._signed_assertion(fed, issued.assertion)
+        message = xmlcodec.emit_response(issued).replace(unsigned, signed)
+        result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "parse"
+        assert result.report.checks[-1].detail == (
+            "MalformedXml: an assertion carries no signature of its own"
+        )
+
+    def test_a_sealed_assertion_with_its_own_signature_fails_at_signature(self, shared_keys):
+        fed = SimulatedFederation(encrypt=True, keys=shared_keys)
+        session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        issued = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        plain = cryptoseal.decrypt_assertion(
+            issued.assertion, fed.sp.registry.encryption_alias, fed.sp.store
+        )
+        _, signed = self._signed_assertion(fed, xmlcodec.parse_assertion(plain))
+        sealed = _seal_to_sp(signed, shared_keys)
+        message = _signed_by_the_idp(fed, dataclasses.replace(issued, assertion=sealed))
+        result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "signature"
+        assert result.report.checks[-1].detail == (
+            "MalformedXml: an assertion carries no signature of its own"
+        )
 
 
 def _landing(fed, token, now=NOW):
@@ -556,6 +697,36 @@ class TestBuildAuthnRequest:
         request = xmlcodec.authn_request_from_element(xmlcodec.parse_xml(message))
         assert request.signature is not None
         assert request.signature.certificate == b""  # resolved from metadata
+
+    def test_the_request_is_rendered_once_to_the_bytes_of_the_two_step_construction(
+        self, fed, monkeypatch
+    ):
+        fed.sp.token_source = lambda n: bytes(range(n))
+        renders = []
+        render = xmlcodec._render_authn_request
+        monkeypatch.setattr(
+            xmlcodec, "_render_authn_request", lambda r: renders.append(r) or render(r)
+        )
+        redirect, token = fed.sp.build_authn_request("https://sp.internal.test/app", NOW)
+        assert len(renders) == 1
+        # the earlier construction: sign with the certificate embedded, then
+        # drop it and render the request a second time
+        request = AuthnRequest(
+            id=new_message_id(fed.sp.token_source),
+            issue_instant=NOW,
+            issuer=fed.sp.entity_id,
+            acs_url=fed.sp.acs_url,
+        )
+        signed = cryptoseal.sign_message(
+            request, xmlcodec.emit_authn_request, fed.sp.registry.signing_alias, fed.sp.store
+        )
+        signed = dataclasses.replace(
+            signed, signature=dataclasses.replace(signed.signature, certificate=b"")
+        )
+        two_step = bindings.encode_redirect(
+            xmlcodec.emit_authn_request(signed), redirect.base, relay_state=token
+        )
+        assert redirect.url == two_step.url
 
     def test_no_idp_registered(self, shared_keys):
         import dataclasses
