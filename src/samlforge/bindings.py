@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 from urllib.parse import quote_plus, unquote_to_bytes, urlsplit
 
 from .core import EntityId, SamlError, TokenSource
-from .xmlcodec import NS_ENVELOPE, MalformedXml, XmlElement, canonicalize, parse_xml
+from .xmlcodec import NS_ENVELOPE, MalformedXml, _text, canonicalize, parse_xml
 
 MAX_RELAY_STATE_BYTES = 80
 MAX_REDIRECT_URL_BYTES = 2048
@@ -383,19 +383,21 @@ def parse_artifact(encoded: str) -> Artifact:
 # ---------------------------------------------------------------------------
 
 
-def _envelope(inner: XmlElement) -> bytes:
-    body = XmlElement(NS_ENVELOPE, "Body", children=(inner,))
-    return canonicalize(XmlElement(NS_ENVELOPE, "Envelope", children=(body,)))
+# The envelope shell as canonicalize writes it. The payload declares every
+# namespace it uses, so the canonical bytes of an envelope around it are
+# the payload's own canonical bytes between the two halves of the shell.
+_ENVELOPE_OPEN = f'<env:Envelope xmlns:env="{NS_ENVELOPE}"><env:Body>'.encode("utf-8")
+_ENVELOPE_CLOSE = b"</env:Body></env:Envelope>"
 
 
 def wrap_envelope(payload: bytes) -> bytes:
-    return _envelope(parse_xml(payload))
+    """The envelope around ``payload``, a message's canonical bytes."""
+    return _ENVELOPE_OPEN + payload + _ENVELOPE_CLOSE
 
 
 def make_fault(code: str, detail: str = "") -> bytes:
-    code_elem = XmlElement(NS_ENVELOPE, "Code", text=code)
-    detail_elem = XmlElement(NS_ENVELOPE, "Detail", text=detail)
-    return _envelope(XmlElement(NS_ENVELOPE, "Fault", children=(code_elem, detail_elem)))
+    fault = f"<env:Fault>{_text('env:Code', code)}{_text('env:Detail', detail)}</env:Fault>"
+    return wrap_envelope(fault.encode("utf-8"))
 
 
 def unwrap_envelope(data: bytes) -> bytes:

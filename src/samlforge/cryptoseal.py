@@ -54,7 +54,6 @@ from .xmlcodec import (
     ALG_AES128_GCM,
     ALG_ECDSA_SHA256,
     ALG_SHA256,
-    XmlElement,
     insert_signature,
     keep_emitted,
     signed_payload_bytes,
@@ -307,15 +306,14 @@ Message = TypeVar("Message")
 def sign_message(
     message: Message, emit: Callable[[Message], bytes], alias: str, store: KeyStore
 ) -> Message:
-    """Return ``message`` with an enveloped signature over ``emit`` of the
-    message without its signature.
+    """Return ``message`` with an enveloped signature over its
+    ``signed_payload_bytes``.
 
     ``emit`` is the xmlcodec emitter of the message's kind; the signed
     message keeps its bytes, so emitting it again renders nothing.
     """
-    unsigned = replace(message, signature=None)
-    unsigned_bytes = emit(unsigned)
-    signed = replace(unsigned, signature=sign_element(unsigned_bytes, message.id, alias, store))
+    unsigned_bytes = signed_payload_bytes(message, emit)
+    signed = replace(message, signature=sign_element(unsigned_bytes, message.id, alias, store))
     keep_emitted(signed, insert_signature(unsigned_bytes, signed.signature))
     return signed
 
@@ -390,22 +388,23 @@ def verify_signature(
 
 
 def verify_message(
-    elem: XmlElement,
-    message,
+    message: Message,
+    emit: Callable[[Message], bytes],
     signer: EntityId,
     signing_ders: tuple[bytes, ...],
     store: KeyStore,
 ) -> VerifyResult:
-    """Check the enveloped signature of ``message``, the model parsed from
-    ``elem``, against the signer's metadata-pinned certificates.
+    """Check the enveloped signature of ``message`` against the signer's
+    metadata-pinned certificates.
 
     The verify-side twin of ``sign_message``: the signature must reference
-    the message's own ID, and its digest must cover the canonical bytes of
-    ``elem`` without its signature.
+    the message's own ID, and its digest must cover its
+    ``signed_payload_bytes``, which ``xmlcodec.read_exact`` makes the bytes
+    that arrived without the signature.
     """
     if message.signature.reference_id != message.id:
         return VerifyResult.reject(REJECT_WRONG_REFERENCE)
-    payload = signed_payload_bytes(elem)
+    payload = signed_payload_bytes(message, emit)
     pinned = store.with_trust_anchors(signer, signing=signing_ders)
     return verify_signature(payload, message.signature, signer, pinned)
 

@@ -114,24 +114,25 @@ class FederationRegistry:
         return tuple(p for p in self.partners.values() if p.descriptor.is_idp)
 
     def receive(self, data: bytes, from_element: Callable[[XmlElement], object],
-                store: cryptoseal.KeyStore, must_sign: Callable[[Partner], bool]) -> tuple:
-        """Parse an inbound message; return it with its sender, the registered
+                emit: Callable[[object], bytes], store: cryptoseal.KeyStore,
+                must_sign: Callable[[Partner], bool]) -> tuple:
+        """Read an inbound message, only as the bytes ``emit`` writes for it
+        (``xmlcodec.read_exact``); return it with its sender, the registered
         partner its issuer names, in the other role (an SP receives from IdPs,
         an IdP from SPs). A present signature is verified against the sender's
         pinned certificates; an unsigned message fails if ``must_sign(sender)``."""
-        root = xmlcodec.parse_xml(data)
-        message = from_element(root)
+        message = xmlcodec.read_exact(data, from_element, emit)
         partner = self.partners.get(message.issuer.value)
         if partner is None or partner.descriptor.is_idp == self.local.is_idp:
             raise UnknownIssuer(message.issuer.value)
         if message.signature is not None:
             result = cryptoseal.verify_message(
-                root, message, partner.entity_id, partner.signing_cert_ders, store
+                message, emit, partner.entity_id, partner.signing_cert_ders, store
             )
             if not result.accepted:
                 raise cryptoseal.InvalidRequestSignature(result.reason)
         elif must_sign(partner):
-            raise cryptoseal.SignatureRequired(f"{partner.entity_id} must sign its {root.local}")
+            raise cryptoseal.SignatureRequired(f"{partner.entity_id} must sign its {type(message).__name__}")
         return message, partner
 
 

@@ -407,8 +407,8 @@ class IdpEngine:
         if decoded.field != bindings.FIELD_REQUEST:
             raise bindings.MissingField(bindings.FIELD_REQUEST)
         request, _sp = self.registry.receive(
-            decoded.message, xmlcodec.authn_request_from_element, self.store,
-            lambda sp: sp.descriptor.role.authn_requests_signed,
+            decoded.message, xmlcodec.authn_request_from_element, xmlcodec.emit_authn_request,
+            self.store, lambda sp: sp.descriptor.role.authn_requests_signed,
         )
         expiry = request.issue_instant.plus(self.registry.validity + BEARER_GRACE_SECONDS)
         if not self.request_replay.check_and_record(request.id, expiry, now):
@@ -519,8 +519,8 @@ class IdpEngine:
         it answers no logout request pending at that SP (which stays pending).
         An SP whose metadata pins a signing certificate must sign."""
         response, sp = self.registry.receive(
-            response_bytes, xmlcodec.logout_response_from_element, self.store,
-            lambda sp: bool(sp.signing_cert_ders),
+            response_bytes, xmlcodec.logout_response_from_element,
+            xmlcodec.emit_logout_response, self.store, lambda sp: bool(sp.signing_cert_ders),
         )
         with self._lock:
             session_index, sp_id = self._pending_logouts.get(response.in_response_to, ("", ""))

@@ -51,7 +51,6 @@ from .xmlcodec import (
     BINDING_HTTP_REDIRECT,
     IdpSsoDescriptor,
     SpSsoDescriptor,
-    XmlElement,
 )
 
 logger = logging.getLogger(__name__)
@@ -140,7 +139,6 @@ class _Exchange:
     now: Instant
     relay_state: str | None = None
     message: bytes = b""
-    root: XmlElement | None = None
     response: Response | None = None
     partner: Partner | None = None
     assertion: Assertion | None = None
@@ -278,8 +276,9 @@ class SpEngine:
         return True, ""
 
     def _parse(self, x: _Exchange) -> tuple[bool, str]:
-        x.root = xmlcodec.parse_xml(x.message)
-        x.response = xmlcodec.response_from_element(x.root)
+        x.response = xmlcodec.read_exact(
+            x.message, xmlcodec.response_from_element, xmlcodec.emit_response
+        )
         return True, ""
 
     def _issuer(self, x: _Exchange) -> tuple[bool, str]:
@@ -295,34 +294,27 @@ class SpEngine:
         The one signature is checked before anything it covers is unsealed
         or parsed, so an unauthenticated sender gets no private-key ECDH
         and no say in the report. An SP that wants signed assertions
-        refuses an unsigned Response outright."""
-        response, root = x.response, x.root
+        refuses an unsigned Response outright. The plaintext of a sealed
+        assertion is read as ``parse`` reads the Response."""
+        response = x.response
         if response.signature is not None:
             result = cryptoseal.verify_message(
-                root, response, x.partner.entity_id, x.partner.signing_cert_ders, self.store
+                response, xmlcodec.emit_response, x.partner.entity_id,
+                x.partner.signing_cert_ders, self.store,
             )
             if not result.accepted:
                 return False, f"response signature: {result.reason}"
         elif self.local_role.want_assertions_signed:
             return False, "response signature missing but required"
-        else:
-            # Without a response-level signature nothing authenticates foreign
-            # direct children; a mangled-namespace Signature element would
-            # otherwise slide through as preserved-opaque content.
-            foreign = [
-                c
-                for c in root.children
-                if c.ns not in (xmlcodec.NS_ASSERTION, xmlcodec.NS_PROTOCOL)
-            ]
-            if foreign:
-                return False, f"unsigned response carries unauthenticated <{foreign[0].local}> content"
 
         assertion = response.assertion
         if isinstance(assertion, EncryptedAssertion):
             plain = cryptoseal.decrypt_assertion(
                 assertion, self.registry.encryption_alias, self.store
             )
-            assertion = xmlcodec.assertion_from_element(xmlcodec.parse_xml(plain))
+            assertion = xmlcodec.read_exact(
+                plain, xmlcodec.assertion_from_element, xmlcodec.emit_assertion
+            )
         elif assertion is None:
             return False, "response carries no assertion"
         elif self.local_role.encryption_keys:
@@ -462,8 +454,8 @@ class SpEngine:
         """Terminate matching sessions; always Success, replay is a no-op.
         An SP that insists on signed assertions also insists on signed logout."""
         request, _idp = self.registry.receive(
-            request_bytes, xmlcodec.logout_request_from_element, self.store,
-            lambda idp: self.local_role.want_assertions_signed,
+            request_bytes, xmlcodec.logout_request_from_element, xmlcodec.emit_logout_request,
+            self.store, lambda idp: self.local_role.want_assertions_signed,
         )
         with self._lock:
             removed = self.sessions.pop(request.session_index, [])

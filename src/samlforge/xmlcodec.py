@@ -6,9 +6,9 @@ no insignificant whitespace, UTF-8, no XML declaration. Identical logical
 documents always serialize to identical bytes, which is what signing and
 verification operate on. Interop with W3C exclusive C14N is a non-goal.
 
-Parsing is strict for SAML-namespace content (unknown elements rejected)
-and preserves foreign-namespace elements opaquely so signature coverage
-survives. DTDs and external entities are rejected outright.
+Parsing is strict (every child is one its kind names; DTDs are rejected
+outright), and an inbound protocol message is accepted only as the exact
+bytes its emitter writes for the parsed model (``read_exact``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import base64
 import binascii
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from xml.parsers import expat
 
 from .core import (
@@ -47,8 +47,6 @@ NS_XMLENC11 = "http://www.w3.org/2009/xmlenc11#"
 NS_DSIG11 = "http://www.w3.org/2009/xmldsig11#"
 NS_XML = "http://www.w3.org/XML/1998/namespace"
 NS_ENVELOPE = "http://schemas.xmlsoap.org/soap/envelope/"
-
-_SAML_NAMESPACES = {NS_ASSERTION, NS_PROTOCOL, NS_METADATA}
 
 PREFERRED_PREFIXES = {
     NS_ASSERTION: "saml",
@@ -432,10 +430,10 @@ def _signature_of(elem: XmlElement) -> Signature | None:
 
 
 def _reject_unknown(elem: XmlElement, allowed: set[tuple[str, str]]) -> None:
-    """Strict-parse rule: SAML-namespace children must be known; foreign
-    namespaces are preserved opaquely in the element tree but ignored here."""
+    """Closed-set rule: every child is one that ``allowed`` names, in any
+    namespace; nothing is kept that the model does not hold."""
     for child in elem.children:
-        if child.ns in _SAML_NAMESPACES and (child.ns, child.local) not in allowed:
+        if (child.ns, child.local) not in allowed:
             raise MalformedXml(f"unexpected element <{child.local}> inside <{elem.local}>")
 
 
@@ -527,19 +525,10 @@ def signature_from_element(elem: XmlElement) -> Signature:
     )
 
 
-def strip_signature(elem: XmlElement) -> tuple[XmlElement, XmlElement | None]:
-    """Remove the enveloped ds:Signature child, returning (stripped, signature)."""
-    sig = elem.find("Signature", NS_DSIG)
-    if sig is None:
-        return elem, None
-    remaining = tuple(c for c in elem.children if c is not sig)
-    return XmlElement(elem.ns, elem.local, elem.attrs, remaining, elem.text), sig
-
-
-def signed_payload_bytes(elem: XmlElement) -> bytes:
-    """Canonical bytes an enveloped signature over ``elem`` covers."""
-    stripped, _ = strip_signature(elem)
-    return canonicalize(stripped)
+def signed_payload_bytes(message, emit) -> bytes:
+    """The bytes an enveloped signature over ``message`` covers: ``emit``
+    (the emitter of its kind) of the message without its signature."""
+    return emit(replace(message, signature=None))
 
 
 def insert_signature(unsigned: bytes, signature: Signature) -> bytes:
@@ -581,6 +570,19 @@ def _emit_once(message, render) -> bytes:
         data = render(message)
         keep_emitted(message, data)
     return data
+
+
+NOT_EMITTED_BYTES = "message is not the bytes its emitter writes"
+
+
+def read_exact(data: bytes, from_element, emit):
+    """The message in ``data``, accepted only when ``emit`` writes exactly
+    ``data`` for the model ``from_element`` builds: what the parse forgives
+    (a comment, whitespace between tags, an attribute order) fails here."""
+    message = from_element(parse_xml(data))
+    if emit(message) != data:
+        raise MalformedXml(NOT_EMITTED_BYTES)
+    return message
 
 
 # The protocol messages are rendered straight to the bytes canonicalize
@@ -749,6 +751,7 @@ def emit_assertion(assertion: Assertion) -> bytes:
     return _emit_once(assertion, _render_assertion)
 
 
+# No ds:Signature: the one signature is the Response's.
 _ASSERTION_CHILDREN = {
     (NS_ASSERTION, "Issuer"),
     (NS_ASSERTION, "Subject"),
@@ -761,10 +764,6 @@ _ASSERTION_CHILDREN = {
 
 def assertion_from_element(elem: XmlElement) -> Assertion:
     _open(elem, NS_ASSERTION, "Assertion", _ASSERTION_CHILDREN)
-    # One signature per message, the Response's: what it covers is then
-    # exactly what is processed.
-    if elem.find("Signature", NS_DSIG) is not None:
-        raise MalformedXml("an assertion carries no signature of its own")
 
     # The model constructors reject empty values with ValueError; hostile
     # content must fail the parse, never escape it.
@@ -871,8 +870,10 @@ def emit_response(response: Response) -> bytes:
     return _emit_once(response, _render_response)
 
 
-_RESPONSE_CHILDREN = {
-    (NS_ASSERTION, "Issuer"),
+# The leading children of a signable message: its Issuer, then its signature.
+_SIGNED = {(NS_ASSERTION, "Issuer"), (NS_DSIG, "Signature")}
+
+_RESPONSE_CHILDREN = _SIGNED | {
     (NS_PROTOCOL, "Status"),
     (NS_ASSERTION, "Assertion"),
     (NS_ASSERTION, "EncryptedAssertion"),
@@ -933,7 +934,7 @@ def emit_authn_request(request: AuthnRequest) -> bytes:
 
 
 def authn_request_from_element(elem: XmlElement) -> AuthnRequest:
-    _open(elem, NS_PROTOCOL, "AuthnRequest", {(NS_ASSERTION, "Issuer")})
+    _open(elem, NS_PROTOCOL, "AuthnRequest", _SIGNED)
     issuer_id = _issuer_id(elem.require("Issuer", NS_ASSERTION))
     return AuthnRequest(
         id=_require_attr(elem, "ID"),
@@ -965,7 +966,7 @@ def logout_request_from_element(elem: XmlElement) -> LogoutRequest:
         elem,
         NS_PROTOCOL,
         "LogoutRequest",
-        {(NS_ASSERTION, "Issuer"), (NS_ASSERTION, "NameID"), (NS_PROTOCOL, "SessionIndex")},
+        _SIGNED | {(NS_ASSERTION, "NameID"), (NS_PROTOCOL, "SessionIndex")},
     )
     issuer = elem.require("Issuer", NS_ASSERTION)
     name_id = elem.require("NameID", NS_ASSERTION)
@@ -997,9 +998,7 @@ def emit_logout_response(response: LogoutResponse) -> bytes:
 
 
 def logout_response_from_element(elem: XmlElement) -> LogoutResponse:
-    _open(
-        elem, NS_PROTOCOL, "LogoutResponse", {(NS_ASSERTION, "Issuer"), (NS_PROTOCOL, "Status")}
-    )
+    _open(elem, NS_PROTOCOL, "LogoutResponse", _SIGNED | {(NS_PROTOCOL, "Status")})
     issuer = elem.require("Issuer", NS_ASSERTION)
     status = elem.require("Status", NS_PROTOCOL).require("StatusCode", NS_PROTOCOL)
     issuer_id = _issuer_id(issuer)
@@ -1029,7 +1028,8 @@ def emit_artifact_resolve(request_id: str, issue_instant: Instant, issuer: Entit
     )
 
 
-def parse_artifact_resolve(data: bytes | str) -> tuple[EntityId, tuple[str, ...]]:
+def parse_artifact_resolve(data: bytes) -> tuple[EntityId, tuple[str, ...]]:
+    """Issuer and artifacts, read as ``read_exact`` reads a message."""
     elem = parse_xml(data)
     _open(
         elem, NS_PROTOCOL, "ArtifactResolve", {(NS_ASSERTION, "Issuer"), (NS_PROTOCOL, "Artifact")}
@@ -1038,7 +1038,11 @@ def parse_artifact_resolve(data: bytes | str) -> tuple[EntityId, tuple[str, ...]
     artifacts = tuple(a.text for a in elem.find_all("Artifact", NS_PROTOCOL) if a.text)
     if not artifacts:
         raise MissingRequiredElement("Artifact")
-    return _issuer_id(issuer), artifacts
+    issuer_id = _issuer_id(issuer)
+    instant = _parse_instant(elem.attr("IssueInstant"), "ArtifactResolve@IssueInstant")
+    if emit_artifact_resolve(_require_attr(elem, "ID"), instant, issuer_id, artifacts) != data:
+        raise MalformedXml(NOT_EMITTED_BYTES)
+    return issuer_id, artifacts
 
 
 # ---------------------------------------------------------------------------

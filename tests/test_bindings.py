@@ -45,7 +45,15 @@ from samlforge.bindings import (
     wrap_envelope,
 )
 from samlforge.core import EntityId
-from samlforge.xmlcodec import emit_authn_request
+from samlforge.harness.scenarios import CLIENT_IP, SP_ENTITY, SimulatedFederation
+from samlforge.xmlcodec import (
+    NS_ENVELOPE,
+    XmlElement,
+    canonicalize,
+    emit_authn_request,
+    emit_response,
+    parse_xml,
+)
 
 # Text rich in what form encoding escapes: every character of the alphabet
 # but lone surrogates (not UTF-8), with "+ / = & % ~" and space favoured.
@@ -312,6 +320,34 @@ class TestBackChannel:
 
     def test_envelope_round_trip(self):
         assert unwrap_envelope(wrap_envelope(self.PAYLOAD)) == self.PAYLOAD
+
+    @pytest.mark.parametrize("kind", ["response", "sealed-response", "artifact-resolve"])
+    def test_envelope_is_the_canonical_bytes_of_its_tree(self, shared_keys, kind):
+        # The splice equals the canonical bytes of the envelope tree around
+        # the parsed payload, which is how the envelope was written before.
+        if kind == "artifact-resolve":
+            payload = self.PAYLOAD
+        else:
+            fed = SimulatedFederation(encrypt=kind == "sealed-response", keys=shared_keys)
+            session = fed.idp.create_session("the.user", CLIENT_IP, fed.clock)
+            payload = emit_response(fed.idp.issue_assertion(session, SP_ENTITY, fed.clock))
+        body = XmlElement(NS_ENVELOPE, "Body", children=(parse_xml(payload),))
+        tree = XmlElement(NS_ENVELOPE, "Envelope", children=(body,))
+        assert wrap_envelope(payload) == canonicalize(tree)
+
+    @pytest.mark.parametrize("detail", ["", "second <presentation> & more"])
+    def test_fault_is_the_canonical_bytes_of_its_tree(self, detail):
+        fault = XmlElement(
+            NS_ENVELOPE,
+            "Fault",
+            children=(
+                XmlElement(NS_ENVELOPE, "Code", text="AlreadyConsumed"),
+                XmlElement(NS_ENVELOPE, "Detail", text=detail),
+            ),
+        )
+        body = XmlElement(NS_ENVELOPE, "Body", children=(fault,))
+        tree = XmlElement(NS_ENVELOPE, "Envelope", children=(body,))
+        assert make_fault("AlreadyConsumed", detail) == canonicalize(tree)
 
     def test_loopback_echo(self):
         response = back_channel_exchange(

@@ -191,8 +191,8 @@ class TestIssueAssertion:
         assert response.signature is not None
         idp_partner = fed.sp.registry.partner(fed.idp.entity_id.value)
         verdict = cryptoseal.verify_message(
-            xmlcodec.parse_xml(xmlcodec.emit_response(response)),
             response,
+            xmlcodec.emit_response,
             idp_partner.entity_id,
             idp_partner.signing_cert_ders,
             fed.sp.store,

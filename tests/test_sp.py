@@ -174,21 +174,12 @@ class TestConsumePipeline:
         assert not result.ok
         assert result.report.failed_step == "signature"
 
-    @pytest.mark.parametrize(
-        "requires_signature,detail",
-        [
-            (True, "response signature missing but required"),
-            (False, "unsigned response carries unauthenticated <Signature> content"),
-        ],
-        ids=["required", "not-required"],
-    )
-    def test_mangled_signature_namespace_cannot_strip_the_signature(
-        self, fed, requires_signature, detail
-    ):
+    @pytest.mark.parametrize("requires_signature", [True, False], ids=["required", "not-required"])
+    def test_mangled_signature_namespace_cannot_strip_the_signature(self, fed, requires_signature):
         # One bit flipped inside the xmldsig namespace URI turns the response
-        # signature into preserved-opaque foreign content; the consumer must
-        # not treat that as "legitimately unsigned", even when it does not
-        # require a signature.
+        # signature into an element no Response holds; the consumer must not
+        # read that as "legitimately unsigned", even when it does not require
+        # a signature. The closed set of Response children refuses it.
         body = issue_body(fed)
         if not requires_signature:
             _stop_requiring_signatures(fed.sp)
@@ -201,8 +192,10 @@ class TestConsumePipeline:
             bindings.encode_post(mangled, "response", fed.sp.acs_url)
         )
         result = fed.sp.consume(tampered, CLIENT_IP, NOW.plus(1))
-        assert result.report.failed_step == "signature"
-        assert result.report.checks[-1].detail == detail
+        assert result.report.failed_step == "parse"
+        assert result.report.checks[-1].detail == (
+            "MalformedXml: unexpected element <Signature> inside <Response>"
+        )
 
     @pytest.mark.parametrize(
         "anchor",
@@ -371,8 +364,7 @@ class TestHostileBodies:
         assert result.report.checks
         assert result.ok == (result.report.failed_step is None)
         if result.ok:
-            received = bindings.decode_post(body).message
-            assert xmlcodec.canonicalize(xmlcodec.parse_xml(received)) == message
+            assert bindings.decode_post(body).message == message
 
 
 def test_deeply_nested_response_fails_at_parse(fed):
@@ -567,10 +559,11 @@ _SIGN_ON_WORK = (
 
 class TestOneSignaturePerSignOn:
     """The IdP signs only the Response and the SP checks only that signature,
-    so a sign-on signs, verifies and writes canonical bytes once each."""
+    so a sign-on signs and verifies once each. Both digest the emitter's
+    bytes, so no element tree is canonicalized."""
 
     @pytest.mark.parametrize("sealed", [False, True], ids=["plain", "sealed"])
-    def test_a_genuine_sign_on_signs_verifies_and_canonicalizes_once(self, shared_keys, sealed):
+    def test_a_genuine_sign_on_signs_and_verifies_once(self, shared_keys, sealed):
         fed = SimulatedFederation(encrypt=sealed, keys=shared_keys)
         session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
         calls: list[str] = []
@@ -580,7 +573,7 @@ class TestOneSignaturePerSignOn:
             form = fed.idp.idp_initiated_post(session, SP_ENTITY, NOW)
             result = fed.sp.consume(bindings.serialize_post_body(form), CLIENT_IP, NOW.plus(1))
         assert result.ok, result.report.render()
-        expected = ["sign_element", "canonicalize", "verify_signature"]
+        expected = ["sign_element", "verify_signature"]
         if sealed:
             expected.append("decrypt_assertion")  # only after the verify
         assert calls == expected
@@ -603,7 +596,7 @@ class TestOneSignaturePerSignOn:
         result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
         assert result.report.failed_step == "parse"
         assert result.report.checks[-1].detail == (
-            "MalformedXml: an assertion carries no signature of its own"
+            "MalformedXml: unexpected element <Signature> inside <Assertion>"
         )
 
     def test_a_sealed_assertion_with_its_own_signature_fails_at_signature(self, shared_keys):
@@ -619,8 +612,157 @@ class TestOneSignaturePerSignOn:
         result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
         assert result.report.failed_step == "signature"
         assert result.report.checks[-1].detail == (
-            "MalformedXml: an assertion carries no signature of its own"
+            "MalformedXml: unexpected element <Signature> inside <Assertion>"
         )
+
+    @pytest.mark.parametrize("sealed", [False, True], ids=["plain", "sealed"])
+    def test_an_sp_initiated_sign_on_signs_and_verifies_twice(self, shared_keys, sealed):
+        # The signed AuthnRequest and the signed Response: two signs and two
+        # verifies, each over an emitter's bytes.
+        fed = SimulatedFederation(encrypt=sealed, keys=shared_keys)
+        session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        calls: list[str] = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in _SIGN_ON_WORK:
+                _counting(patch, calls, module, name)
+            redirect, _ = fed.sp.build_authn_request(LANDING_URL, NOW)
+            form = fed.idp.handle_authn_request(redirect.url, session, NOW)
+            result = fed.sp.consume(bindings.serialize_post_body(form), CLIENT_IP, NOW.plus(1))
+        assert result.ok, result.report.render()
+        expected = ["sign_element", "verify_signature"] * 2
+        if sealed:
+            expected.append("decrypt_assertion")
+        assert calls == expected
+
+
+NOT_EMITTED = f"MalformedXml: {xmlcodec.NOT_EMITTED_BYTES}"
+
+
+def _wrapped_assertion_copy(message: bytes) -> bytes:
+    """A copy of the Assertion, inside a foreign element, as a Response child
+    ahead of the genuine one (a signature-wrapping move)."""
+    start, end = message.index(b"<saml:Assertion "), message.index(b"</samlp:Response>")
+    copy = message[start:end].replace(b"the.user@", b"the.boss@", 1)
+    return message[:start] + b'<w:Wrap xmlns:w="urn:wrap">' + copy + b"</w:Wrap>" + message[start:]
+
+
+# Edits of a genuine signed plain Response that the byte comparison refuses,
+# or, for an element no Response holds, the closed set of its children.
+UNEMITTED_EDITS = {
+    "comment-in-nameid": (
+        lambda m: re.sub(rb"(<saml:NameID[^>]*>[^<@]+)", rb"\1<!---->", m, count=1),
+        NOT_EMITTED,
+    ),
+    "attribute-on-root": (
+        lambda m: m.replace(b"<samlp:Response ", b'<samlp:Response Extra="1" ', 1),
+        NOT_EMITTED,
+    ),
+    "whitespace-between-tags": (
+        lambda m: m.replace(b"><", b"> <", 1),
+        NOT_EMITTED,
+    ),
+    "wrapped-assertion-copy": (
+        _wrapped_assertion_copy,
+        "MalformedXml: unexpected element <Wrap> inside <Response>",
+    ),
+    "mangled-signature-namespace": (
+        lambda m: m.replace(b"/2000/09/xmldsig#", b"/r000/09/xmldsig#", 1),
+        "MalformedXml: unexpected element <Signature> inside <Response>",
+    ),
+}
+
+
+class TestOnlyEmittedBytes:
+    """A message is accepted only as the bytes its emitter writes for the
+    parsed model, so what is verified, what is processed and what arrived
+    are one thing."""
+
+    @pytest.mark.parametrize("case", sorted(UNEMITTED_EDITS))
+    def test_an_edit_the_parse_would_forgive_fails_at_parse_before_any_verify(
+        self, shared_keys, case
+    ):
+        plain_fed = SimulatedFederation(keys=shared_keys)
+        message = bindings.decode_post(issue_body(plain_fed)).message
+        edit, detail = UNEMITTED_EDITS[case]
+        edited = edit(message)
+        assert edited != message
+        calls: list[str] = []
+        with pytest.MonkeyPatch.context() as patch:
+            _counting(patch, calls, cryptoseal, "verify_signature")
+            result = plain_fed.sp.consume(_post(edited, plain_fed), CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "parse"
+        assert result.report.checks[-1].detail == detail
+        assert calls == []
+
+    def test_a_comment_in_a_sealed_assertion_fails_at_signature(self, fed, shared_keys):
+        # The Response signature of a registered IdP verifies; the plaintext
+        # is then held to the same rule as the Response.
+        session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        issued = fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        plain = cryptoseal.decrypt_assertion(
+            issued.assertion, fed.sp.registry.encryption_alias, fed.sp.store
+        )
+        commented = plain.replace(b"@mycompany", b"@<!---->mycompany", 1)
+        assert commented != plain
+        sealed = _seal_to_sp(commented, shared_keys)
+        message = _signed_by_the_idp(fed, dataclasses.replace(issued, assertion=sealed))
+        result = fed.sp.consume(_post(message, fed), CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "signature"
+        assert result.report.checks[-1].detail == NOT_EMITTED
+
+    def test_a_comment_in_a_signed_logout_request_fails_before_any_verify(self, fed):
+        result = fed.sp.consume(issue_body(fed), CLIENT_IP, NOW.plus(1))
+        forms = fed.idp.initiate_single_logout(result.session.session_index, NOW.plus(2))
+        message = bindings.decode_post(bindings.serialize_post_body(forms[0])).message
+        commented = message.replace(b"</samlp:SessionIndex>", b"<!----></samlp:SessionIndex>", 1)
+        assert commented != message
+        calls: list[str] = []
+        with pytest.MonkeyPatch.context() as patch:
+            _counting(patch, calls, cryptoseal, "verify_signature")
+            with pytest.raises(xmlcodec.MalformedXml, match=f"^{xmlcodec.NOT_EMITTED_BYTES}$"):
+                fed.sp.handle_logout_request(commented, NOW.plus(3))
+        assert calls == []
+        assert fed.sp.live_sessions(result.session.session_index) != ()
+
+
+def _genuine_messages(shared_keys) -> dict[str, tuple[bytes, object, object]]:
+    """Each kind of message the engines exchange in a sign-on and a logout,
+    as the bytes that crossed, with its model reader and emitter."""
+    plain = SimulatedFederation(keys=shared_keys)
+    sealed = SimulatedFederation(encrypt=True, keys=shared_keys)
+    plain_response = bindings.decode_post(issue_body(plain)).message
+    sealed_response = bindings.decode_post(issue_body(sealed)).message
+    enc = xmlcodec.parse_response(sealed_response).assertion
+    plaintext = cryptoseal.decrypt_assertion(enc, sealed.sp.registry.encryption_alias, sealed.sp.store)
+    redirect, _ = plain.sp.build_authn_request(LANDING_URL, NOW)
+    session_index = plain.sp.consume(_post(plain_response, plain), CLIENT_IP, NOW.plus(1)).session.session_index
+    forms = plain.idp.initiate_single_logout(session_index, NOW.plus(2))
+    logout_request = bindings.decode_post(bindings.serialize_post_body(forms[0])).message
+    logout_response = plain.sp.handle_logout_request(logout_request, NOW.plus(3))
+    response_kind = (xmlcodec.response_from_element, xmlcodec.emit_response)
+    return {
+        "response": (plain_response, *response_kind),
+        "sealed-response": (sealed_response, *response_kind),
+        "sealed-plaintext": (plaintext, xmlcodec.assertion_from_element, xmlcodec.emit_assertion),
+        "redirect-authn-request": (
+            bindings.decode_redirect(redirect.url).message,
+            xmlcodec.authn_request_from_element,
+            xmlcodec.emit_authn_request,
+        ),
+        "logout-request": (
+            logout_request, xmlcodec.logout_request_from_element, xmlcodec.emit_logout_request
+        ),
+        "logout-response": (
+            logout_response, xmlcodec.logout_response_from_element, xmlcodec.emit_logout_response
+        ),
+    }
+
+
+def test_every_genuine_message_re_emits_to_its_own_bytes(shared_keys):
+    for kind, (data, from_element, emit) in _genuine_messages(shared_keys).items():
+        # a fresh model, which keeps no bytes, renders exactly what crossed
+        assert emit(from_element(xmlcodec.parse_xml(data))) == data, kind
+        assert xmlcodec.read_exact(data, from_element, emit) is not None
 
 
 def _landing(fed, token, now=NOW):

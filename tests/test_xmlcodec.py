@@ -31,6 +31,7 @@ from samlforge.xmlcodec import (
     MAX_DEPTH,
     MalformedXml,
     MissingRequiredElement,
+    NOT_EMITTED_BYTES,
     SpSsoDescriptor,
     UnknownRole,
     XmlElement,
@@ -190,17 +191,16 @@ class TestAssertionCodec:
         with pytest.raises(MalformedXml):
             parse_assertion(raw)
 
-    def test_foreign_namespace_preserved_opaquely(self, sample_response_bytes):
-        # Foreign elements stay in the element tree (signature coverage) and
-        # are invisible to the domain parse.
+    def test_foreign_element_is_refused(self, sample_response_bytes):
+        # The children of an assertion are a closed set: an element in any
+        # other namespace is refused, not kept where a wrapped copy could hide.
         raw = sample_response_bytes.replace(
             b"<saml:AttributeStatement>",
             b'<x:Extra xmlns:x="urn:elsewhere">ok</x:Extra><saml:AttributeStatement>',
         )
-        elem = parse_xml(raw)
-        assertion_elem = elem.find("Assertion", NS_ASSERTION)
-        assert assertion_elem.find("Extra", "urn:elsewhere") is not None
-        assert len(parse_response(raw).assertion.attributes) == 2
+        assert parse_xml(raw).find("Assertion", NS_ASSERTION).find("Extra", "urn:elsewhere")
+        with pytest.raises(MalformedXml, match=r"^unexpected element <Extra> inside <Assertion>$"):
+            parse_response(raw)
 
 
 class TestResponseCodec:
@@ -500,6 +500,17 @@ def test_protocol_prologue(kind, case):
         parse(raw)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+def test_an_empty_artifact_is_refused_not_dropped():
+    raw = emit_artifact_resolve("_r1", _AT, _FROM, ("AAQAAA", ""))
+    assert b"<samlp:Artifact/>" in raw
+    with pytest.raises(MalformedXml, match=f"^{NOT_EMITTED_BYTES}$"):
+        parse_artifact_resolve(raw)
+    assert parse_artifact_resolve(emit_artifact_resolve("_r1", _AT, _FROM, ("AAQAAA",))) == (
+        _FROM,
+        ("AAQAAA",),
+    )
 
 
 # The Issuer's entity id is checked only after the children listed here,
