@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 from urllib.parse import quote_plus, unquote_to_bytes, urlsplit
 
 from .core import EntityId, SamlError, TokenSource
-from .xmlcodec import NS_ENVELOPE, MalformedXml, _text, canonicalize, parse_xml
+from .xmlcodec import NS_ENVELOPE, MalformedXml, _text, parse_xml
 
 MAX_RELAY_STATE_BYTES = 80
 MAX_REDIRECT_URL_BYTES = 2048
@@ -385,7 +385,8 @@ def parse_artifact(encoded: str) -> Artifact:
 
 # The envelope shell as canonicalize writes it. The payload declares every
 # namespace it uses, so the canonical bytes of an envelope around it are
-# the payload's own canonical bytes between the two halves of the shell.
+# the payload's own canonical bytes between the two halves of the shell,
+# and the payload read back is the bytes between them as they arrived.
 _ENVELOPE_OPEN = f'<env:Envelope xmlns:env="{NS_ENVELOPE}"><env:Body>'.encode("utf-8")
 _ENVELOPE_CLOSE = b"</env:Body></env:Envelope>"
 
@@ -401,7 +402,9 @@ def make_fault(code: str, detail: str = "") -> bytes:
 
 
 def unwrap_envelope(data: bytes) -> bytes:
-    """Extract the payload; protocol faults surface as FaultResponse."""
+    """Extract the payload as the bytes that arrived between the shell's
+    halves; protocol faults surface as FaultResponse. An envelope whose
+    bytes are not that shell around its one element is MalformedXml."""
     root = parse_xml(data)
     if (root.ns, root.local) != (NS_ENVELOPE, "Envelope"):
         raise MalformedXml(f"expected <Envelope>, got <{root.local}>")
@@ -416,7 +419,9 @@ def unwrap_envelope(data: bytes) -> bytes:
             code.text if code is not None else "Fault",
             detail.text if detail is not None else "",
         )
-    return canonicalize(inner)
+    if not (data.startswith(_ENVELOPE_OPEN) and data.endswith(_ENVELOPE_CLOSE)):
+        raise MalformedXml("envelope is not the shell wrap_envelope writes")
+    return data[len(_ENVELOPE_OPEN) : -len(_ENVELOPE_CLOSE)]
 
 
 Transport = Callable[[str, bytes, float], tuple[int, bytes]]

@@ -171,8 +171,8 @@ class Attribute:
 class Signature:
     """Detached description of an enveloped signature over canonical bytes.
 
-    ``reference_id`` must equal the ID attribute of the signed element;
-    ``certificate`` is the signer's X509 certificate in DER form.
+    ``reference_id`` must equal the ID attribute of the signed element. It
+    names no key: the verifier takes the signer's keys from its metadata.
     """
 
     digest_algorithm: str
@@ -180,7 +180,6 @@ class Signature:
     reference_id: str
     digest_value: bytes
     signature_value: bytes
-    certificate: bytes
 
 
 @dataclass(frozen=True)

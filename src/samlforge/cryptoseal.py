@@ -7,7 +7,8 @@ AES-128-GCM under a fresh content key; that key is AES-key-wrapped under a
 key agreed by ECDH-ES between an ephemeral P-256 key and the recipient's
 certificate, through ConcatKDF over SHA-256. Trust is exact-certificate
 pinning sourced from federation metadata -- no chain building, no
-revocation.
+revocation. A signature carries no key or certificate: the verifier tries
+each certificate pinned from the signer's metadata, and no other.
 
 Keystore file format (documented wire contract):
 
@@ -296,7 +297,6 @@ def sign_element(
         reference_id=element_id,
         digest_value=digest_value,
         signature_value=signature_value,
-        certificate=entry.cert_der,
     )
 
 
@@ -334,7 +334,6 @@ class VerifyResult:
 
 REJECT_DIGEST_MISMATCH = "DigestMismatch"
 REJECT_BAD_SIGNATURE_VALUE = "BadSignatureValue"
-REJECT_UNTRUSTED_CERTIFICATE = "UntrustedCertificate"
 REJECT_UNKNOWN_SIGNER = "UnknownSigner"
 REJECT_UNSUPPORTED_ALGORITHM = "UnsupportedAlgorithm"
 REJECT_WRONG_REFERENCE = "WrongReference"
@@ -346,26 +345,22 @@ def verify_signature(
     expected_signer: EntityId,
     store: KeyStore,
 ) -> VerifyResult:
-    """Accept only a pinned certificate, a matching digest, and a valid
-    ECDSA-SHA256 signature value by a P-256 key, in that order.
+    """Accept only a supported algorithm pair, a signer with a pinned
+    certificate, a matching digest, and a valid ECDSA-SHA256 signature
+    value, in that order.
 
-    A signature without an embedded certificate (redirect binding) is
-    checked against every pinned certificate of the expected signer.
+    The value is checked against each certificate pinned for
+    ``expected_signer``, in metadata order; when no pinned P-256 key
+    verifies it, the reason is ``BadSignatureValue``.
     """
     if (
         signature.signature_algorithm != ALG_ECDSA_SHA256
         or signature.digest_algorithm != ALG_SHA256
     ):
         return VerifyResult.reject(REJECT_UNSUPPORTED_ALGORITHM)
-    anchors = store.anchors_for(expected_signer)
-    if not anchors.signing:
+    pinned = store.anchors_for(expected_signer).signing
+    if not pinned:
         return VerifyResult.reject(REJECT_UNKNOWN_SIGNER)
-    if signature.certificate:
-        if signature.certificate not in anchors.signing:
-            return VerifyResult.reject(REJECT_UNTRUSTED_CERTIFICATE)
-        candidates: tuple[bytes, ...] = (signature.certificate,)
-    else:
-        candidates = anchors.signing
     if _sha256(element_bytes) != signature.digest_value:
         return VerifyResult.reject(REJECT_DIGEST_MISMATCH)
     value = signature.signature_value
@@ -373,7 +368,7 @@ def verify_signature(
         message = signed_info_bytes(signature.reference_id, signature.digest_value)
         r, s = value[:_SCALAR_BYTES], value[_SCALAR_BYTES:]
         der_value = encode_dss_signature(int.from_bytes(r, "big"), int.from_bytes(s, "big"))
-        for der in candidates:
+        for der in pinned:
             try:
                 public_key = _public_key(der)
                 if public_key is None:
@@ -382,9 +377,7 @@ def verify_signature(
                 return VerifyResult.accept()
             except (InvalidSignature, ValueError):
                 continue
-    if signature.certificate:
-        return VerifyResult.reject(REJECT_BAD_SIGNATURE_VALUE)
-    return VerifyResult.reject(REJECT_UNTRUSTED_CERTIFICATE)
+    return VerifyResult.reject(REJECT_BAD_SIGNATURE_VALUE)
 
 
 def verify_message(

@@ -173,7 +173,6 @@ def build_sp_descriptor(
     signing_cert_b64: str,
     encryption_cert_b64: str | None = None,
     want_assertions_signed: bool = True,
-    authn_requests_signed: bool = True,
 ) -> EntityDescriptor:
     base = base_url.rstrip("/")
     encryption_keys = ()
@@ -182,7 +181,7 @@ def build_sp_descriptor(
     return EntityDescriptor(
         entity_id=EntityId(entity_id),
         role=SpSsoDescriptor(
-            authn_requests_signed=authn_requests_signed,
+            authn_requests_signed=True,
             want_assertions_signed=want_assertions_signed,
             protocol_support=NS_PROTOCOL,
             acs_endpoints=(

@@ -9,7 +9,6 @@ failure and never creates a partial session.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import secrets
 import threading
@@ -426,11 +425,7 @@ class SpEngine:
             signature = cryptoseal.sign_element(
                 message, request.id, self.registry.signing_alias, self.store
             )
-            # No embedded certificate, so the request fits the redirect URL
-            # budget; the receiver verifies against pinned metadata certs.
-            message = xmlcodec.insert_signature(
-                message, dataclasses.replace(signature, certificate=b"")
-            )
+            message = xmlcodec.insert_signature(message, signature)
         token = self.token_source(9).hex()
         expiry = now.plus(self.registry.validity + BEARER_GRACE_SECONDS)
         # Tokens expire with the request they accompany.

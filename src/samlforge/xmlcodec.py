@@ -455,14 +455,6 @@ def _text(tag: str, text: str, attrs: str = "") -> str:
     return f"<{tag}{attrs}>{_escape_text(text)}</{tag}>"
 
 
-def _keyinfo(cert_text: str, declare: str = "") -> str:
-    """A ds:KeyInfo holding one certificate as base64 ``cert_text``."""
-    return (
-        f"<ds:KeyInfo{declare}><ds:X509Data>{_text('ds:X509Certificate', cert_text)}"
-        "</ds:X509Data></ds:KeyInfo>"
-    )
-
-
 def _signed_info(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes, declare: str) -> str:
     return (
         f'<ds:SignedInfo{declare}><ds:SignatureMethod Algorithm="{_escape_attr(sig_alg)}"/>'
@@ -480,19 +472,11 @@ def signed_info_bytes(sig_alg: str, digest_alg: str, ref_id: str, digest: bytes)
 def _signature(sig: Signature | None) -> str:
     if sig is None:
         return ""
-    parts = [
-        f"<ds:Signature {_DS_OPEN}>",
-        _signed_info(
-            sig.signature_algorithm, sig.digest_algorithm, sig.reference_id, sig.digest_value, ""
-        ),
-        _text("ds:SignatureValue", _b64(sig.signature_value)),
-    ]
-    if sig.certificate:
-        # KeyInfo is optional; redirect-bound messages omit it to fit the URL
-        # budget and the verifier falls back to metadata-pinned certificates.
-        parts.append(_keyinfo(_b64(sig.certificate)))
-    parts.append("</ds:Signature>")
-    return "".join(parts)
+    signed_info = _signed_info(
+        sig.signature_algorithm, sig.digest_algorithm, sig.reference_id, sig.digest_value, ""
+    )
+    value = _text("ds:SignatureValue", _b64(sig.signature_value))
+    return f"<ds:Signature {_DS_OPEN}>{signed_info}{value}</ds:Signature>"
 
 
 def signature_bytes(sig: Signature) -> bytes:
@@ -510,18 +494,12 @@ def signature_from_element(elem: XmlElement) -> Signature:
     if not uri.startswith("#"):
         raise MalformedXml(f"signature reference URI must be a fragment, got {uri!r}")
     sig_value = elem.require("SignatureValue", NS_DSIG)
-    key_info = elem.find("KeyInfo", NS_DSIG)
-    certificate = b""
-    if key_info is not None:
-        cert = key_info.require("X509Data", NS_DSIG).require("X509Certificate", NS_DSIG)
-        certificate = _unb64(cert.text, "X509Certificate")
     return Signature(
         digest_algorithm=_require_attr(digest_method, "Algorithm"),
         signature_algorithm=_require_attr(method, "Algorithm"),
         reference_id=uri[1:],
         digest_value=_unb64(digest_value.text, "DigestValue"),
         signature_value=_unb64(sig_value.text, "SignatureValue"),
-        certificate=certificate,
     )
 
 
@@ -1152,11 +1130,19 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _keyinfo(cert_text: str) -> str:
+    """A ds:KeyInfo holding one certificate as base64 ``cert_text``."""
+    return (
+        f"<ds:KeyInfo {_DS_OPEN}><ds:X509Data>{_text('ds:X509Certificate', cert_text)}"
+        "</ds:X509Data></ds:KeyInfo>"
+    )
+
+
 def _key_descriptors(
     signing_certs: tuple[str, ...], encryption_keys: tuple[EncryptionKey, ...]
 ) -> str:
     parts = [
-        f'<md:KeyDescriptor use="signing">{_keyinfo(cert, " " + _DS_OPEN)}</md:KeyDescriptor>'
+        f'<md:KeyDescriptor use="signing">{_keyinfo(cert)}</md:KeyDescriptor>'
         for cert in signing_certs
     ]
     for key in encryption_keys:
@@ -1167,7 +1153,7 @@ def _key_descriptors(
                 size = _text("xenc:KeySize", str(key.key_size), f' xmlns:xenc="{NS_XMLENC}"')
             method = _parent("md:EncryptionMethod", _attr("Algorithm", key.algorithm), size)
         parts.append(
-            f'<md:KeyDescriptor use="encryption">{_keyinfo(key.certificate, " " + _DS_OPEN)}'
+            f'<md:KeyDescriptor use="encryption">{_keyinfo(key.certificate)}'
             f"{method}</md:KeyDescriptor>"
         )
     return "".join(parts)

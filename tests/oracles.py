@@ -477,22 +477,8 @@ def signature_element(sig: Signature):
     signed_info = signed_info_element(
         sig.signature_algorithm, sig.digest_algorithm, sig.reference_id, sig.digest_value
     )
-    children = [signed_info, element(NS_DSIG, "SignatureValue", text=_b64(sig.signature_value))]
-    if sig.certificate:
-        children.append(
-            element(
-                NS_DSIG,
-                "KeyInfo",
-                children=[
-                    element(
-                        NS_DSIG,
-                        "X509Data",
-                        children=[element(NS_DSIG, "X509Certificate", text=_b64(sig.certificate))],
-                    )
-                ],
-            )
-        )
-    return element(NS_DSIG, "Signature", children=children)
+    value = element(NS_DSIG, "SignatureValue", text=_b64(sig.signature_value))
+    return element(NS_DSIG, "Signature", children=[signed_info, value])
 
 
 # ---------------------------------------------------------------------------

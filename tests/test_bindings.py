@@ -47,11 +47,14 @@ from samlforge.bindings import (
 from samlforge.core import EntityId
 from samlforge.harness.scenarios import CLIENT_IP, SP_ENTITY, SimulatedFederation
 from samlforge.xmlcodec import (
+    NOT_EMITTED_BYTES,
     NS_ENVELOPE,
+    MalformedXml,
     XmlElement,
     canonicalize,
     emit_authn_request,
     emit_response,
+    parse_artifact_resolve,
     parse_xml,
 )
 
@@ -320,6 +323,38 @@ class TestBackChannel:
 
     def test_envelope_round_trip(self):
         assert unwrap_envelope(wrap_envelope(self.PAYLOAD)) == self.PAYLOAD
+
+    @pytest.mark.parametrize(
+        "bend",
+        [
+            lambda p: p.replace(b"<saml:Issuer", b"<!----><saml:Issuer", 1),
+            lambda p: p.replace(b"><", b"> <", 1),
+        ],
+        ids=["comment-before-issuer", "space-between-tags"],
+    )
+    def test_the_payload_is_read_as_it_arrived(self, bend):
+        # Unwrapping hands on the bytes that arrived, so the exact-bytes
+        # rule of the ArtifactResolve reader sees the bend.
+        bent = bend(self.PAYLOAD)
+        assert parse_xml(bent) == parse_xml(self.PAYLOAD)
+        unwrapped = unwrap_envelope(wrap_envelope(bent))
+        assert unwrapped == bent
+        with pytest.raises(MalformedXml, match=f"^{NOT_EMITTED_BYTES}$"):
+            parse_artifact_resolve(unwrapped)
+
+    @pytest.mark.parametrize(
+        "bend",
+        [
+            lambda e: e + b"\n",
+            lambda e: e.replace(b"env:", b"soap:").replace(b"xmlns:env=", b"xmlns:soap="),
+        ],
+        ids=["trailing-newline", "other-prefix"],
+    )
+    def test_an_envelope_in_another_shell_is_refused(self, bend):
+        envelope = bend(wrap_envelope(self.PAYLOAD))
+        assert parse_xml(envelope).local == "Envelope"
+        with pytest.raises(MalformedXml, match="^envelope is not the shell wrap_envelope writes$"):
+            unwrap_envelope(envelope)
 
     @pytest.mark.parametrize("kind", ["response", "sealed-response", "artifact-resolve"])
     def test_envelope_is_the_canonical_bytes_of_its_tree(self, shared_keys, kind):

@@ -607,6 +607,25 @@ class TestHttpService:
         assert status == 400
         assert "AlreadyConsumed" in body
 
+    def test_a_bent_artifact_resolve_is_answered_with_an_enveloped_fault(self, live_service):
+        service, base, clock = live_service
+        session = service.idp.create_session("the.user", CLIENT_IP, clock["now"])
+        response = service.idp.issue_assertion(session, SP_ENTITY, clock["now"])
+        artifact = service.idp.issue_artifact(response, SP_ENTITY).encode()
+        resolve = xmlcodec.emit_artifact_resolve(
+            new_message_id(), clock["now"], service.sp.entity_id, (artifact,)
+        )
+        bent = resolve.replace(b"<saml:Issuer", b"<!----><saml:Issuer", 1)
+        endpoint = f"{base}/artifact-resolve"
+        status, body = bindings._http_transport(endpoint, bindings.wrap_envelope(bent), 10)
+        assert status == 500
+        with pytest.raises(bindings.FaultResponse) as fault:
+            bindings.unwrap_envelope(body)
+        assert (fault.value.code, fault.value.detail) == ("MalformedXml", xmlcodec.NOT_EMITTED_BYTES)
+        # the artifact is still there for the genuine request
+        resolved = bindings.back_channel_exchange(endpoint, resolve)
+        assert resolved == xmlcodec.emit_response(response)
+
     def test_sp_initiated_over_http(self, live_service):
         service, base, clock = live_service
         browser = _Browser()

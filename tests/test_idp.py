@@ -311,8 +311,9 @@ class TestHandleAuthnRequest:
             SP_BASE,
             fed.keys["sp-signing"].cert_b64,
             fed.keys["sp-encryption"].cert_b64,
-            authn_requests_signed=False,
         )
+        role = dataclasses.replace(sp_desc.role, authn_requests_signed=False)
+        sp_desc = dataclasses.replace(sp_desc, role=role)
         fed.idp.register_partner(xmlcodec.emit_metadata(sp_desc))
         request = AuthnRequest(
             id=new_message_id(),

@@ -19,6 +19,7 @@ from samlforge.harness.scenarios import (
     SIM_EPOCH,
     SP_ENTITY,
     SimulatedFederation,
+    _shared_keys,
 )
 from samlforge.sp import PIPELINE_STEPS, ReplayCache, NoIdpRegistered
 
@@ -270,6 +271,31 @@ class TestConsumePipeline:
         assert [(c.name, c.ok, c.detail) for c in result.report.checks] == [
             ("fetch", False, "no artifact to resolve")
         ]
+
+    @pytest.mark.parametrize(
+        "bend",
+        [
+            lambda m: m.replace(b"<saml:Issuer", b"<!----><saml:Issuer", 1),
+            lambda m: m.replace(b"><", b"> <", 1),
+        ],
+        ids=["comment-before-issuer", "space-between-tags"],
+    )
+    def test_a_response_bent_on_the_back_channel_fails_at_parse(self, shared_keys, bend):
+        plain_fed = SimulatedFederation(keys=shared_keys)
+        session = plain_fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        response = plain_fed.idp.issue_assertion(session, SP_ENTITY, NOW)
+        artifact = plain_fed.idp.issue_artifact(response, SP_ENTITY)
+
+        def bending(endpoint, body, timeout):
+            resolved = plain_fed.idp.resolve_artifact(bindings.unwrap_envelope(body), NOW.plus(1))
+            return 200, bindings.wrap_envelope(bend(resolved))
+
+        plain_fed.sp.back_channel = lambda endpoint, payload: bindings.back_channel_exchange(
+            endpoint, payload, transport=bending
+        )
+        result = plain_fed.sp.fetch_via_artifact(artifact.encode(), CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "parse"
+        assert result.report.checks[-1].detail == f"MalformedXml: {xmlcodec.NOT_EMITTED_BYTES}"
 
     def test_replay_window_boundaries(self, fed):
         body = issue_body(fed)
@@ -646,6 +672,18 @@ def _wrapped_assertion_copy(message: bytes) -> bytes:
     return message[:start] + b'<w:Wrap xmlns:w="urn:wrap">' + copy + b"</w:Wrap>" + message[start:]
 
 
+def _with_key_info(message: bytes, cert_der: bytes) -> bytes:
+    """``message`` whose ds:Signature ends with exactly one ds:KeyInfo, which
+    holds ``cert_der``: the form of a signature that names its own key."""
+    key_info = (
+        b"<ds:KeyInfo><ds:X509Data><ds:X509Certificate>"
+        + base64.b64encode(cert_der)
+        + b"</ds:X509Certificate></ds:X509Data></ds:KeyInfo>"
+    )
+    message = re.sub(rb"<ds:KeyInfo>.*?</ds:KeyInfo>", b"", message, count=1)
+    return message.replace(b"</ds:Signature>", key_info + b"</ds:Signature>", 1)
+
+
 # Edits of a genuine signed plain Response that the byte comparison refuses,
 # or, for an element no Response holds, the closed set of its children.
 UNEMITTED_EDITS = {
@@ -664,6 +702,10 @@ UNEMITTED_EDITS = {
     "wrapped-assertion-copy": (
         _wrapped_assertion_copy,
         "MalformedXml: unexpected element <Wrap> inside <Response>",
+    ),
+    "key-info-with-the-signers-own-certificate": (
+        lambda m: _with_key_info(m, _shared_keys()["idp-signing"].cert_der),
+        NOT_EMITTED,
     ),
     "mangled-signature-namespace": (
         lambda m: m.replace(b"/2000/09/xmldsig#", b"/r000/09/xmldsig#", 1),
@@ -725,6 +767,62 @@ class TestOnlyEmittedBytes:
         assert fed.sp.live_sessions(result.session.session_index) != ()
 
 
+class TestPinnedKeysOnly:
+    """A signature names no key: a ds:KeyInfo inside one, even one holding
+    the signer's own pinned certificate, is not what the emitter writes
+    (for a Response, see ``UNEMITTED_EDITS``)."""
+
+    def test_a_key_info_in_a_logout_request_signature_fails_before_any_verify(
+        self, fed, shared_keys
+    ):
+        result = fed.sp.consume(issue_body(fed), CLIENT_IP, NOW.plus(1))
+        forms = fed.idp.initiate_single_logout(result.session.session_index, NOW.plus(2))
+        message = bindings.decode_post(bindings.serialize_post_body(forms[0])).message
+        edited = _with_key_info(message, shared_keys["idp-signing"].cert_der)
+        calls: list[str] = []
+        with pytest.MonkeyPatch.context() as patch:
+            _counting(patch, calls, cryptoseal, "verify_signature")
+            with pytest.raises(xmlcodec.MalformedXml, match=f"^{xmlcodec.NOT_EMITTED_BYTES}$"):
+                fed.sp.handle_logout_request(edited, NOW.plus(3))
+        assert calls == []
+        assert fed.sp.live_sessions(result.session.session_index) != ()
+
+    def test_a_key_info_in_a_redirect_authn_request_fails_before_any_verify(
+        self, fed, shared_keys
+    ):
+        redirect, token = fed.sp.build_authn_request(LANDING_URL, NOW)
+        message = bindings.decode_redirect(redirect.url).message
+        edited = _with_key_info(message, shared_keys["sp-signing"].cert_der)
+        url = bindings.encode_redirect(edited, redirect.base, relay_state=token).url
+        session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        calls: list[str] = []
+        with pytest.MonkeyPatch.context() as patch:
+            _counting(patch, calls, cryptoseal, "verify_signature")
+            with pytest.raises(xmlcodec.MalformedXml, match=f"^{xmlcodec.NOT_EMITTED_BYTES}$"):
+                fed.idp.handle_authn_request(url, session, NOW)
+        assert calls == []
+
+    def test_a_signing_key_rollover_follows_the_pinned_metadata(self, shared_keys, rogue_key):
+        # The IdP's metadata lists its old and its new signing certificate,
+        # then only the new one; the SP honours exactly what it holds.
+        old = SimulatedFederation(keys=shared_keys)
+        new = SimulatedFederation(seed=1, keys={**shared_keys, "idp-signing": rogue_key})
+        local = old.idp.registry.local
+        both = dataclasses.replace(
+            local.role,
+            signing_certs=(shared_keys["idp-signing"].cert_b64, rogue_key.cert_b64),
+        )
+        old.sp.register_partner(xmlcodec.emit_metadata(dataclasses.replace(local, role=both)))
+        for sender in (old, new):
+            result = old.sp.consume(issue_body(sender), CLIENT_IP, NOW.plus(1))
+            assert result.ok, result.report.render()
+        old.sp.register_partner(xmlcodec.emit_metadata(new.idp.registry.local))
+        result = old.sp.consume(issue_body(old), CLIENT_IP, NOW.plus(1))
+        assert result.report.failed_step == "signature"
+        assert result.report.checks[-1].detail == "response signature: BadSignatureValue"
+        assert old.sp.consume(issue_body(new), CLIENT_IP, NOW.plus(1)).ok
+
+
 def _genuine_messages(shared_keys) -> dict[str, tuple[bytes, object, object]]:
     """Each kind of message the engines exchange in a sign-on and a logout,
     as the bytes that crossed, with its model reader and emitter."""
@@ -763,6 +861,11 @@ def test_every_genuine_message_re_emits_to_its_own_bytes(shared_keys):
         # a fresh model, which keeps no bytes, renders exactly what crossed
         assert emit(from_element(xmlcodec.parse_xml(data))) == data, kind
         assert xmlcodec.read_exact(data, from_element, emit) is not None
+
+
+def test_no_genuine_message_carries_a_certificate(shared_keys):
+    for kind, (data, _, _) in _genuine_messages(shared_keys).items():
+        assert b"X509Certificate" not in data, kind
 
 
 def _landing(fed, token, now=NOW):
@@ -838,7 +941,9 @@ class TestBuildAuthnRequest:
         message = bindings.decode_redirect(redirect.url).message
         request = xmlcodec.authn_request_from_element(xmlcodec.parse_xml(message))
         assert request.signature is not None
-        assert request.signature.certificate == b""  # resolved from metadata
+        # the signature names no key: the IdP takes it from the SP's metadata
+        session = fed.idp.create_session("the.user", CLIENT_IP, NOW)
+        assert fed.idp.handle_authn_request(redirect.url, session, NOW).saml_value
 
     def test_the_request_is_rendered_once_to_the_bytes_of_the_two_step_construction(
         self, fed, monkeypatch
@@ -851,8 +956,8 @@ class TestBuildAuthnRequest:
         )
         redirect, token = fed.sp.build_authn_request("https://sp.internal.test/app", NOW)
         assert len(renders) == 1
-        # the earlier construction: sign with the certificate embedded, then
-        # drop it and render the request a second time
+        # the two-step construction: sign the unsigned request, then render
+        # the signed one afresh
         request = AuthnRequest(
             id=new_message_id(fed.sp.token_source),
             issue_instant=NOW,
@@ -862,12 +967,7 @@ class TestBuildAuthnRequest:
         signed = cryptoseal.sign_message(
             request, xmlcodec.emit_authn_request, fed.sp.registry.signing_alias, fed.sp.store
         )
-        signed = dataclasses.replace(
-            signed, signature=dataclasses.replace(signed.signature, certificate=b"")
-        )
-        two_step = bindings.encode_redirect(
-            xmlcodec.emit_authn_request(signed), redirect.base, relay_state=token
-        )
+        two_step = bindings.encode_redirect(render(signed), redirect.base, relay_state=token)
         assert redirect.url == two_step.url
 
     def test_no_idp_registered(self, shared_keys):
